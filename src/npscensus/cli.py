@@ -34,7 +34,7 @@ from .catalog import (
     instantiate_bucket,
     theorem_catalog,
 )
-from .core import CapExceeded, element_order
+from .core import CapExceeded, Group, element_order
 from .corpus import CorpusEntry, CorpusError, load_corpus
 from .coset import DEFAULT_MAX_COSETS, coset_enumerate
 from .families import (
@@ -61,7 +61,7 @@ from .families import (
     validate,
 )
 from .isomorphism import are_isomorphic
-from .lattice import DEFAULT_LATTICE_CAP, counts
+from .lattice import DEFAULT_LATTICE_CAP, CountSummary, counts
 from .presentation import PresentationError, parse_presentation
 from .specs import SpecError, parse_spec
 
@@ -181,18 +181,27 @@ def formula_sweep(max_n: int = 4, max_order: int = DEFAULT_LATTICE_CAP) -> list[
     return [s for s in specs if expected_order(s) <= max_order]
 
 
+def _counts_and_release(g: Group, max_order: int) -> CountSummary:
+    """counts(g), then empty g's cache.  The cached lattice refers back to
+    g, so otherwise a finished group is freed only by the cycle collector,
+    and a sweep keeps several dead large tables alive at once."""
+    c = counts(g, cap=max_order)
+    g._cache.clear()
+    return c
+
+
 def _formula_worker(args: tuple[FamilySpec, int]) -> VerifyRecord:
     spec, max_order = args
     exp = expected_nps(spec)
     g = build(spec, cap=max_order)
-    c = counts(g, cap=max_order)
+    c = _counts_and_release(g, max_order)
     return _record(spec, exp, c.nps)
 
 
 def _theorem_worker(args: tuple[int, FamilySpec, str, int]) -> VerifyRecord:
     k, spec, template, max_order = args
     g = build(spec, cap=max_order)
-    c = counts(g, cap=max_order)
+    c = _counts_and_release(g, max_order)
     return VerifyRecord(
         label=str(spec),
         order=g.order,
@@ -208,7 +217,7 @@ def _census_worker(args: tuple[CorpusEntry, int]) -> dict[str, object]:
     entry, max_order = args
     try:
         g = entry.group(cap=max_order)
-        c = counts(g, cap=max_order)
+        c = _counts_and_release(g, max_order)
         return {
             "name": entry.name,
             "order": g.order,

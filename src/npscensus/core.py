@@ -336,36 +336,6 @@ def generating_sequence(G: Group) -> list[int]:
     return list(cached)  # type: ignore[arg-type]
 
 
-def bfs_words(G: Group) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(parent, genpos) arrays expressing each element as parent * generator.
-
-    Breadth-first from the identity using G.generators in order; entry 0 is
-    unused.  Requires the generator invariant (generators generate).
-    """
-    cached = G._cache.get("bfswords")
-    if cached is None:
-        mul = G.mul
-        n = G.order
-        parent = [0] * n
-        genpos = [-1] * n
-        seen = 1
-        queue = [0]
-        for x in queue:
-            row = mul[x]
-            for gi, g in enumerate(G.generators):
-                y = row[g]
-                if not (seen >> y) & 1:
-                    seen |= 1 << y
-                    parent[y] = x
-                    genpos[y] = gi
-                    queue.append(y)
-        if len(queue) != n:
-            raise ValueError("generators do not generate the group")
-        cached = (tuple(parent), tuple(genpos))
-        G._cache["bfswords"] = cached
-    return cached  # type: ignore[return-value]
-
-
 def group_from_generators(
     degree: int,
     perms: Sequence[Sequence[int]],

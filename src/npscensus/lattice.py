@@ -1,14 +1,31 @@
 """Subgroup lattice enumeration and power-subgroup bookkeeping.
 
-The full lattice is computed by closing the set of cyclic subgroups under
-pairwise join; every subgroup is the join of its cyclic subgroups, so the
-closure is complete.  Subgroup identity is bitset equality and all outputs
-are sorted by (size, bitset value) for reproducibility.
+The lattice is built from zuppos: the cyclic subgroups of prime-power order
+greater than 1.  Every element is the product of commuting powers of itself
+of prime-power order, so every subgroup is generated by the zuppos it
+contains, and cyclic extension by zuppos alone reaches every subgroup
+(Neubüser's method, as in GAP's LatticeByCyclicExtension).
+
+The search is made duplicate-free by canonical augmentation (McKay,
+"Isomorph-free exhaustive generation", 1998).  Number the zuppos z_0..z_{k-1}
+by their smallest generators g_0..g_{k-1}.  Depth-first from the trivial
+subgroup, a node S reached by adjoining z_i is extended only by the z_j with
+j > i and g_j not in S, and J = <S, g_j> is kept only when J - S holds no
+g_i with i < j.  A subgroup H is reached along the path that always adjoins
+the smallest zuppo of H missing from the node: its indices rise, and each
+join it makes brings in no smaller generator.  No other path reaches H: one
+that adjoins z_j while a smaller zuppo z_i of H is still missing must bring
+g_i in later, with a join that the rule rejects.  So each subgroup is
+produced exactly once, and a join is abandoned as soon as one of its cosets
+holds a forbidden generator.
+
+Subgroup identity is bitset equality and all outputs are sorted by
+(size, bitset value) for reproducibility.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .arith import divisors, factorize, p_part, p_valuation
@@ -18,6 +35,7 @@ from .core import (
     Subgroup,
     element_orders,
     exponent,
+    generated_subgroup,
 )
 
 DEFAULT_LATTICE_CAP = 600
@@ -60,23 +78,25 @@ class Lattice:
     normal_flags: tuple[bool, ...]
     conjugacy_classes: tuple[tuple[int, ...], ...]
     power_index: dict[int, int]
+    index: dict[int, int] = field(repr=False, compare=False)
 
     def index_of(self, members: int) -> int:
-        return self._index[members]  # type: ignore[attr-defined]
+        return self.index[members]
 
     @property
     def power_subgroup_indices(self) -> set[int]:
         return set(self.power_index.values())
 
 
-def _extend_node(G: Group, base: _Node, extra: int) -> _Node:
-    """Closure of <base, extra> via coset sweeps over the base subgroup."""
+def _extend_node(G: Group, base: _Node, extra: int, forbid: int) -> _Node | None:
+    """Closure of <base, extra> via coset sweeps over the base subgroup, or
+    None as soon as a new coset meets the bitset `forbid`."""
     mul = G.mul
     members = base.members
     base_elems = base.elems
     elems = list(base_elems)
     reps = [0]
-    trans = list(base.gens) + [extra]
+    trans = base.gens + (extra,)
     for r in reps:
         row = mul[r]
         for g in trans:
@@ -86,16 +106,24 @@ def _extend_node(G: Group, base: _Node, extra: int) -> _Node:
                     z = mul[s][y]
                     members |= 1 << z
                     elems.append(z)
+                if members & forbid:
+                    return None
                 reps.append(y)
-    return _Node(members, len(elems), elems, base.gens + (extra,))
+    return _Node(members, len(elems), elems, trans)
 
 
 def _cyclic_nodes(G: Group) -> list[_Node]:
-    """One node per distinct cyclic subgroup, keyed on smallest generator."""
+    """One node per distinct cyclic subgroup, in order of smallest generator.
+    Cached on the group."""
+    cached = G._cache.get("cyclic")
+    if cached is not None:
+        return cached  # type: ignore[return-value]
     mul = G.mul
-    seen: dict[int, _Node] = {}
+    done = bytearray(G.order)
     out: list[_Node] = []
     for x in range(G.order):
+        if done[x]:
+            continue
         elems = [0]
         members = 1
         y = x
@@ -103,10 +131,13 @@ def _cyclic_nodes(G: Group) -> list[_Node]:
             members |= 1 << y
             elems.append(y)
             y = mul[y][x]
-        if members not in seen:
-            node = _Node(members, len(elems), elems, (x,) if x else ())
-            seen[members] = node
-            out.append(node)
+        size = len(elems)
+        # the other generators of <x> are larger than x and give no new node
+        for t in range(1, size):
+            if gcd(t, size) == 1:
+                done[elems[t]] = 1
+        out.append(_Node(members, size, elems, (x,) if x else ()))
+    G._cache["cyclic"] = out
     return out
 
 
@@ -128,20 +159,33 @@ def all_subgroups(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> Lattice:
         raise CapExceeded(f"order {G.order} exceeds lattice cap {cap}")
 
     cyclics = _cyclic_nodes(G)
-    nodes: dict[int, _Node] = {c.members: c for c in cyclics}
-    proper_cyclics = [c for c in cyclics if c.size > 1]
-    work = list(cyclics)
-    for S in work:
+    zuppo_gens = [
+        c.gens[0] for c in cyclics if c.size > 1 and len(factorize(c.size)) == 1
+    ]
+    # below[j]: bitset of the generators of the zuppos numbered below j
+    below: list[int] = []
+    acc = 0
+    for g in zuppo_gens:
+        below.append(acc)
+        acc |= 1 << g
+    trivial = cyclics[0]
+    nodes: dict[int, _Node] = {trivial.members: trivial}
+    # (node, index of the first zuppo it may be extended by)
+    stack = [(trivial, 0)]
+    while stack:
+        S, start = stack.pop()
         sm = S.members
-        for C in proper_cyclics:
-            if C.members & ~sm == 0:
+        for j in range(start, len(zuppo_gens)):
+            g = zuppo_gens[j]
+            if (sm >> g) & 1:
                 continue
-            if sm & ~C.members == 0:
+            J = _extend_node(G, S, g, below[j] & ~sm)
+            if J is None:
                 continue
-            J = _extend_node(G, S, C.gens[0])
-            if J.members not in nodes:
-                nodes[J.members] = J
-                work.append(J)
+            if J.members in nodes:
+                raise AssertionError("canonical augmentation reached a subgroup twice")
+            nodes[J.members] = J
+            stack.append((J, j + 1))
 
     order = sorted(nodes.values(), key=lambda nd: (nd.size, nd.members))
     subgroups = tuple(Subgroup(G, nd.members, nd.size) for nd in order)
@@ -183,31 +227,21 @@ def all_subgroups(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> Lattice:
         normal_flags=tuple(normal_flags),
         conjugacy_classes=tuple(classes),
         power_index=power_index,
+        index=index,
     )
-    object.__setattr__(lat, "_index", index)
     G._cache["lattice"] = lat
     return lat
 
 
 def power_subgroup(G: Group, m: int) -> Subgroup:
-    """G^m: the subgroup generated by all m-th powers g^m."""
+    """G^m: the subgroup generated by all m-th powers g^m.
+
+    y^m lies in <x^m> for every y in <x>, so the m-th powers of one
+    generator per cyclic subgroup generate G^m.
+    """
     if m < 1:
         raise ValueError("m must be positive")
-    mul = G.mul
-    powers: dict[int, None] = {}
-    for x in range(G.order):
-        powers[G.power(x, m)] = None
-    gens = [x for x in powers if x != 0]
-    members = 1
-    elems = [0]
-    for x in elems:
-        row = mul[x]
-        for g in gens:
-            y = row[g]
-            if not (members >> y) & 1:
-                members |= 1 << y
-                elems.append(y)
-    return Subgroup(G, members, len(elems))
+    return generated_subgroup(G, [c.elems[m % c.size] for c in _cyclic_nodes(G)])
 
 
 def power_subgroups(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> dict[int, Subgroup]:
@@ -314,8 +348,6 @@ def omega(G: Group, i: int, cap: int = DEFAULT_LATTICE_CAP) -> Subgroup:
     bound = p**i
     orders = element_orders(G)
     gens = [x for x in range(G.order) if orders[x] <= bound and bound % orders[x] == 0]
-    from .core import generated_subgroup
-
     return generated_subgroup(G, gens)
 
 

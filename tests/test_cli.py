@@ -1,9 +1,17 @@
 """Command-line behavior: output, exit codes, determinism."""
 
+import gc
 import json
 
-from npscensus.cli import formula_sweep, main
-from npscensus.corpus import dump_corpus, entry_from_group
+from npscensus.cli import (
+    _census_worker,
+    _formula_worker,
+    _theorem_worker,
+    formula_sweep,
+    main,
+)
+from npscensus.core import Group
+from npscensus.corpus import CorpusEntry, dump_corpus, entry_from_group
 from npscensus.families import build, expected_order
 from npscensus.specs import parse_spec
 
@@ -294,6 +302,38 @@ class TestPresent:
         code, _, err = run(capsys, "present", "a | q^2")
         assert code == 2
         assert "input error" in err
+
+
+class TestWorkersFreeGroups:
+    """A worker's group is freed by reference counting when the worker
+    returns.  The cached lattice refers back to its group, and a group left
+    to the cycle collector keeps its table alive while the next is built."""
+
+    @staticmethod
+    def groups_left_for_collector(worker, arg):
+        gc.collect()
+        gc.disable()
+        try:
+            worker(arg)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            return [repr(o) for o in gc.garbage if isinstance(o, Group)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+
+    def test_formula_worker(self):
+        arg = (parse_spec("Q(8)xC(2)"), 600)
+        assert self.groups_left_for_collector(_formula_worker, arg) == []
+
+    def test_theorem_worker(self):
+        arg = (7, parse_spec("D(8)"), "D(8)", 600)
+        assert self.groups_left_for_collector(_theorem_worker, arg) == []
+
+    def test_census_worker(self):
+        entry = CorpusEntry("Sym(3)", 3, ((1, 2, 0), (1, 0, 2)))
+        assert self.groups_left_for_collector(_census_worker, (entry, 600)) == []
 
 
 class TestRecordStatus:

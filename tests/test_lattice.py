@@ -3,8 +3,9 @@
 Completeness of the lattice is checked against an independent oracle for
 orders up to 12: every identity-containing subset of divisor size is
 tested for closure directly.  Larger groups are covered by join-closure
-sampling and by the frozen counts below, which were computed with the
-divisor-sum subgroup formula for abelian groups where available.
+sampling, by the frozen counts below, which were computed with the
+divisor-sum subgroup formula for abelian groups where available, and by a
+reference lattice built by the pairwise-join closure of cyclic subgroups.
 """
 
 from itertools import combinations
@@ -19,6 +20,7 @@ from npscensus.core import (
     direct_product,
     exponent,
     generated_subgroup,
+    is_normal_subgroup,
     subgroup_group,
 )
 from npscensus.families import build
@@ -62,6 +64,43 @@ def naive_power_subgroup_members(G, m):
         if not new:
             return elems
         elems |= new
+
+
+def reference_lattice(G):
+    """Subgroup bitsets in lattice order, by closing the cyclic subgroups
+    under pairwise join; each subgroup keeps the generators it was joined
+    from."""
+    found = {}
+    for x in range(G.order):
+        found.setdefault(generated_subgroup(G, [x]).members, (x,))
+    cyclic = list(found.items())
+    work = list(cyclic)
+    for _members, gens in work:
+        for _c, (x,) in cyclic:
+            joined = gens + (x,)
+            members = generated_subgroup(G, joined).members
+            if members not in found:
+                found[members] = joined
+                work.append((members, joined))
+    return sorted(found, key=lambda m: (bin(m).count("1"), m))
+
+
+REFERENCE_ZOO = [
+    "C(2)xC(2)xC(2)xC(2)xC(2)",
+    "D(8)xD(8)",
+    "Sym(4)",
+    "SL23",
+    "C3Q8",
+    "Q(8)xC(2)xC(3)",
+    "X(2,3)",
+    "Gn(2,5)",
+    "B1(2,3)",
+]
+
+
+@pytest.fixture(scope="module", params=REFERENCE_ZOO)
+def reference_group(request):
+    return build(parse_spec(request.param))
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +170,48 @@ class TestAllSubgroups:
         g = cyclic_group(32)
         with pytest.raises(CapExceeded):
             all_subgroups(g, cap=16)
+
+
+class TestAgainstPairwiseJoinReference:
+    def test_subgroups_in_order(self, reference_group):
+        g = reference_group
+        lat = all_subgroups(g)
+        assert [s.members for s in lat.subgroups] == reference_lattice(g)
+
+    def test_normal_flags(self, reference_group):
+        g = reference_group
+        lat = all_subgroups(g)
+        assert lat.normal_flags == tuple(
+            is_normal_subgroup(g, s) for s in lat.subgroups
+        )
+
+    def test_conjugacy_classes(self, reference_group):
+        g = reference_group
+        lat = all_subgroups(g)
+        classes = set()
+        for s in lat.subgroups:
+            conj = {
+                sum(1 << g.conjugate(x, y) for x in s.elements())
+                for y in range(g.order)
+            }
+            classes.add(tuple(sorted(lat.index_of(c) for c in conj)))
+        assert lat.conjugacy_classes == tuple(sorted(classes))
+
+    def test_power_index(self, reference_group):
+        g = reference_group
+        lat = all_subgroups(g)
+        expected = {}
+        for m in divisors(exponent(g)):
+            members = sum(1 << x for x in naive_power_subgroup_members(g, m))
+            expected[m] = lat.index_of(members)
+        assert lat.power_index == expected
+
+    def test_power_subgroup_every_m(self, reference_group):
+        g = reference_group
+        for m in range(1, exponent(g) + 1):
+            assert set(power_subgroup(g, m).elements()) == (
+                naive_power_subgroup_members(g, m)
+            ), m
 
 
 class TestPowerSubgroups:
