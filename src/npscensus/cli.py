@@ -34,9 +34,9 @@ from .catalog import (
     instantiate_bucket,
     theorem_catalog,
 )
-from .core import CapExceeded, Group, element_order
+from .core import CapExceeded, Group, element_orders
 from .corpus import CorpusEntry, CorpusError, load_corpus
-from .coset import DEFAULT_MAX_COSETS, coset_enumerate
+from .coset import DEFAULT_MAX_COSETS, complete_coset_table, group_from_coset_table
 from .families import (
     B1,
     B2,
@@ -181,12 +181,17 @@ def formula_sweep(max_n: int = 4, max_order: int = DEFAULT_LATTICE_CAP) -> list[
     return [s for s in specs if expected_order(s) <= max_order]
 
 
+def _release(*groups: Group) -> None:
+    """Empty each group's cache.  A cached lattice refers back to its group,
+    so otherwise a finished group is freed only by the cycle collector, and
+    a run keeps several dead large tables alive at once."""
+    for g in groups:
+        g._cache.clear()
+
+
 def _counts_and_release(g: Group, max_order: int) -> CountSummary:
-    """counts(g), then empty g's cache.  The cached lattice refers back to
-    g, so otherwise a finished group is freed only by the cycle collector,
-    and a sweep keeps several dead large tables alive at once."""
     c = counts(g, cap=max_order)
-    g._cache.clear()
+    _release(g)
     return c
 
 
@@ -299,15 +304,15 @@ def cmd_nps(args) -> int:
     if err:
         print(f"invalid spec {spec}: {err}", file=sys.stderr)
         return 2
-    g = build(spec, cap=max(args.max_order, expected_order(spec)))
-    if g.order > args.max_order:
+    order = expected_order(spec)
+    if order > args.max_order:
         print(
-            f"order {g.order} exceeds lattice cap {args.max_order} "
+            f"order {order} exceeds lattice cap {args.max_order} "
             f"(raise --max-order)",
             file=sys.stderr,
         )
         return 2
-    c = counts(g, cap=args.max_order)
+    c = _counts_and_release(build(spec, cap=args.max_order), args.max_order)
     print(f"group: {spec}")
     print(f"order: {c.order}")
     print(f"exponent: {c.exponent}")
@@ -393,6 +398,7 @@ def cmd_verify_theorems(args) -> int:
             for j in range(i + 1, len(groups)):
                 if are_isomorphic(groups[i][1], groups[j][1], cap=args.max_order):
                     clashes.append(f"{groups[i][0]} ~ {groups[j][0]}")
+        _release(*(g for _, g in groups))
         if clashes:
             distinct_ok = False
             distinct_lines.append(f"k={k}: isomorphic pair(s): " + "; ".join(clashes))
@@ -415,10 +421,12 @@ def cmd_verify_theorems(args) -> int:
                 continue
             k = c.nps
             if not args.k_min <= k <= args.k_max:
+                _release(g)
                 corpus_lines.append(f"{entry.name}: nps={k}, outside k range")
                 continue
             if k == 0:
-                ok = any(element_order(g, x) == g.order for x in range(g.order))
+                ok = g.order in element_orders(g)
+                _release(g)
                 corpus_lines.append(
                     f"{entry.name}: nps=0, cyclic={'yes' if ok else 'NO'}"
                 )
@@ -427,9 +435,13 @@ def cmd_verify_theorems(args) -> int:
                 continue
             hit = None
             for cand in _bucket_candidates_for_order(k, g.order):
-                if are_isomorphic(g, build(cand, cap=args.max_order), cap=args.max_order):
+                other = build(cand, cap=args.max_order)
+                same = are_isomorphic(g, other, cap=args.max_order)
+                _release(other)
+                if same:
                     hit = str(cand)
                     break
+            _release(g)
             if hit:
                 corpus_lines.append(f"{entry.name}: nps={k}, matches {hit}")
             else:
@@ -487,7 +499,8 @@ def cmd_present(args) -> int:
     if text.startswith("@"):
         text = Path(text[1:]).read_text(encoding="utf-8").strip()
     pres = parse_presentation(text)
-    order, g = coset_enumerate(pres, max_cosets=args.max_cosets)
+    table = complete_coset_table(pres, max_cosets=args.max_cosets)
+    order = table.num_cosets
     print(f"presentation: {pres.to_text()}")
     print(f"order: {order}")
     if order > args.max_order:
@@ -497,23 +510,30 @@ def cmd_present(args) -> int:
             file=sys.stderr,
         )
         return 2
-    c = counts(g, cap=args.max_order)
-    print(f"exponent: {c.exponent}")
-    print(f"subgroups: {c.s}")
-    print(f"power subgroups: {c.ps}")
-    print(f"nonpower subgroups: {c.nps}")
-    if args.iso_check:
-        spec = parse_spec(args.iso_check)
-        err = validate(spec)
-        if err:
-            print(f"invalid spec {spec}: {err}", file=sys.stderr)
-            return 2
-        other = build(spec, cap=max(args.max_order, expected_order(spec)))
-        same = are_isomorphic(g, other, cap=max(args.max_order, g.order, other.order))
-        print(f"isomorphic to {spec}: {'yes' if same else 'no'}")
-        if not same:
-            return 1
-    return 0
+    g = group_from_coset_table(table)
+    try:
+        c = counts(g, cap=args.max_order)
+        print(f"exponent: {c.exponent}")
+        print(f"subgroups: {c.s}")
+        print(f"power subgroups: {c.ps}")
+        print(f"nonpower subgroups: {c.nps}")
+        if args.iso_check:
+            spec = parse_spec(args.iso_check)
+            err = validate(spec)
+            if err:
+                print(f"invalid spec {spec}: {err}", file=sys.stderr)
+                return 2
+            other = build(spec, cap=max(args.max_order, expected_order(spec)))
+            same = are_isomorphic(
+                g, other, cap=max(args.max_order, g.order, other.order)
+            )
+            _release(other)
+            print(f"isomorphic to {spec}: {'yes' if same else 'no'}")
+            if not same:
+                return 1
+        return 0
+    finally:
+        _release(g)
 
 
 # ---------------------------------------------------------------------------

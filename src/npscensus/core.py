@@ -13,7 +13,8 @@ semidirect product N x| K the factor K acts on N.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_ORDER_CAP = 4096
@@ -46,19 +47,21 @@ class Group:
         if n == 0:
             raise ValueError("a group needs at least the identity element")
         self.order = n
-        self.mul = tuple(tuple(row) for row in mul)
-        for x in range(n):
-            if self.mul[0][x] != x or self.mul[x][0] != x:
-                raise ValueError("element 0 is not a two-sided identity")
-        inv = [-1] * n
-        for x in range(n):
-            row = self.mul[x]
-            for y in range(n):
-                if row[y] == 0:
-                    inv[x] = y
-                    break
-            if inv[x] < 0 or self.mul[inv[x]][x] != 0:
+        # tuple() of a tuple is the tuple itself, so a table built as
+        # tuples is not copied again
+        self.mul = mul = tuple(map(tuple, mul))
+        ident = tuple(range(n))
+        if mul[0] != ident or tuple(row[0] for row in mul) != ident:
+            raise ValueError("element 0 is not a two-sided identity")
+        inv = []
+        for x, row in enumerate(mul):
+            try:
+                y = row.index(0)
+            except ValueError:
+                y = -1
+            if y < 0 or mul[y][x] != 0:
                 raise ValueError(f"element {x} has no two-sided inverse")
+            inv.append(y)
         self.inv = tuple(inv)
         gens: list[int] = []
         for g in generators:
@@ -247,9 +250,24 @@ def element_order(G: Group, x: int) -> int:
 
 
 def element_orders(G: Group) -> tuple[int, ...]:
+    """Order of every element, from one power walk per cyclic subgroup:
+    when x has order k, x^i has order k / gcd(i, k)."""
     cached = G._cache.get("orders")
     if cached is None:
-        cached = tuple(element_order(G, x) for x in range(G.order))
+        mul = G.mul
+        orders = [0] * G.order
+        for x in range(G.order):
+            if orders[x]:
+                continue
+            powers = [0]
+            y = x
+            while y != 0:
+                powers.append(y)
+                y = mul[y][x]
+            k = len(powers)
+            for i, y in enumerate(powers):
+                orders[y] = k // gcd(i, k)
+        cached = tuple(orders)
         G._cache["orders"] = cached
     return cached  # type: ignore[return-value]
 
@@ -383,15 +401,31 @@ def group_from_generators(
             gen_cols[gi].append(j)
         i += 1
 
-    n = len(elems)
-    mul = [[0] * n for _ in range(n)]
-    for x in range(n):
-        mrow = mul[x]
-        mrow[0] = x
-        for i in range(1, n):
-            mrow[i] = gen_cols[genpos[i]][mrow[parent[i]]]
+    mul = table_by_columns(gen_cols, range(1, len(elems)), parent, genpos)
     gen_idx = [gen_cols[gi][0] for gi in range(len(gens))]
     return Group(mul, gen_idx, label=label)
+
+
+def table_by_columns(
+    perms: Sequence[Sequence[int]],
+    tree: Iterable[int],
+    parent: Sequence[int],
+    via: Sequence[int],
+) -> tuple[tuple[int, ...], ...]:
+    """Multiplication table of a group from its right-regular generators.
+
+    `perms[j]` maps each element x to x * s_j for a generator s_j.  Every
+    element c != 0 is its spanning-tree parent times one generator,
+    c = parent[c] * s_via[c], and `tree` lists those elements parents
+    first.  Column c of the table is then column parent[c] mapped through
+    perms[via[c]]; the columns are built whole and transposed into rows.
+    """
+    n = len(parent)
+    cols: list = [None] * n
+    cols[0] = tuple(range(n))
+    for c in tree:
+        cols[c] = tuple(map(perms[via[c]].__getitem__, cols[parent[c]]))
+    return tuple(zip(*cols))
 
 
 def trivial_group(label: str | None = None) -> Group:
@@ -401,7 +435,8 @@ def trivial_group(label: str | None = None) -> Group:
 def cyclic_group(n: int, label: str | None = None) -> Group:
     if n < 1:
         raise ValueError("order must be positive")
-    mul = [[(i + j) % n for j in range(n)] for i in range(n)]
+    r = tuple(range(n))
+    mul = tuple(r[i:] + r[:i] for i in range(n))
     gens = [1] if n > 1 else []
     return Group(mul, gens, label=label or f"C{n}")
 
@@ -413,21 +448,35 @@ def direct_product(
     n1, n2 = G.order, H.order
     if n1 * n2 > cap:
         raise CapExceeded(f"product order {n1 * n2} exceeds cap {cap}")
-    gm, hm = G.mul, H.mul
-    n = n1 * n2
-    mul = [[0] * n for _ in range(n)]
-    for a1 in range(n1):
-        ga = gm[a1]
-        for b1 in range(n2):
-            row = mul[a1 * n2 + b1]
-            hb = hm[b1]
-            for a2 in range(n1):
-                base = ga[a2] * n2
-                off = a2 * n2
-                for b2 in range(n2):
-                    row[off + b2] = base + hb[b2]
     gens = [g * n2 for g in G.generators] + list(H.generators)
-    return Group(mul, gens, label=label)
+    return Group(_pair_table(G.mul, H.mul, None), gens, label=label)
+
+
+def _pair_table(
+    nmul: Sequence[Sequence[int]],
+    kmul: Sequence[Sequence[int]],
+    auts: Sequence[Sequence[int]] | None,
+) -> tuple[tuple[int, ...], ...]:
+    """Table of N x| K on pairs (n, k) encoded n * |K| + k, with auts[k]
+    the action of k on N (None for the direct product):
+
+        (n1, k1) * (n2, k2) = (n1 * auts[k1](n2), k1 * k2)
+
+    Row (n1, k1) is |N| blocks of |K| entries.  Block n2 depends only on
+    v = n1 * auts[k1](n2) and on k1: it is v * |K| + K.mul[k1], so each
+    (k1, v) block is made once and the rows are joined from them.
+    """
+    nk = len(kmul)
+    blocks = [
+        tuple(tuple(map((v * nk).__add__, krow)) for v in range(len(nmul)))
+        for krow in kmul
+    ]
+    rows = []
+    for nrow in nmul:
+        for k1, kblocks in enumerate(blocks):
+            vs = nrow if auts is None else map(nrow.__getitem__, auts[k1])
+            rows.append(tuple(chain.from_iterable(map(kblocks.__getitem__, vs))))
+    return tuple(rows)
 
 
 def semidirect_product(
@@ -462,10 +511,10 @@ def semidirect_product(
         t = tuple(p)
         if len(t) != nn or sorted(t) != list(range(nn)):
             raise ValueError(f"action entry is not a permutation of N: {p!r}")
+        # t(a * b) = t(a) * t(b) for every b, one row a at a time
         if t[0] != 0 or any(
-            t[N.mul[a][b]] != N.mul[t[a]][t[b]]
+            tuple(map(t.__getitem__, N.mul[a])) != tuple(map(N.mul[t[a]].__getitem__, t))
             for a in range(nn)
-            for b in range(nn)
         ):
             raise ValueError("action entry is not an automorphism of N")
         gen_auts.append(t)
@@ -482,36 +531,21 @@ def semidirect_product(
             y = K.mul[k][g]
             if auts[y] is None:
                 ga = gen_auts[gi]
-                auts[y] = tuple(ak[ga[i]] for i in range(nn))
+                auts[y] = tuple(map(ak.__getitem__, ga))
                 queue.append(y)
     if any(a is None for a in auts):
         raise ValueError("K's generators do not generate K")
-    for k1 in range(nk):
+    for k1, krow in enumerate(K.mul):
         a1 = auts[k1]
-        for k2 in range(nk):
-            a2 = auts[k2]
-            a12 = auts[K.mul[k1][k2]]
-            if any(a12[i] != a1[a2[i]] for i in range(nn)):
+        for k2, k12 in enumerate(krow):
+            if auts[k12] != tuple(map(a1.__getitem__, auts[k2])):
                 raise ValueError(
                     "generator images do not extend to a homomorphism "
                     "K -> Aut(N)"
                 )
 
-    n = nn * nk
-    mul = [[0] * n for _ in range(n)]
-    for n1 in range(nn):
-        nrow = N.mul[n1]
-        for k1 in range(nk):
-            row = mul[n1 * nk + k1]
-            act = auts[k1]
-            krow = K.mul[k1]
-            for n2 in range(nn):
-                base = nrow[act[n2]] * nk
-                off = n2 * nk
-                for k2 in range(nk):
-                    row[off + k2] = base + krow[k2]
     gens = [g * nk for g in N.generators] + list(K.generators)
-    return Group(mul, gens, label=label)
+    return Group(_pair_table(N.mul, K.mul, auts), gens, label=label)
 
 
 def is_normal_subgroup(G: Group, H: Subgroup) -> bool:

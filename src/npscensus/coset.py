@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CapExceeded, Group
+from .core import CapExceeded, Group, table_by_columns
 from .presentation import Presentation, Word
 
 DEFAULT_MAX_COSETS = 100_000
@@ -116,24 +116,27 @@ class _Enumerator:
     def scan_and_fill(self, c: int, rel: tuple[int, ...]) -> None:
         if not rel:
             return
+        table, p = self.table, self.p
         i, j = 0, len(rel) - 1
         f, b = c, c
         while True:
+            # a live coset is its own representative, so rep() is only
+            # called for cosets merged away by a coincidence
             while i <= j:
-                nxt = self.table[f][rel[i]]
+                nxt = table[f][rel[i]]
                 if nxt == UNDEF:
                     break
-                f = self.rep(nxt)
+                f = nxt if p[nxt] == nxt else self.rep(nxt)
                 i += 1
             if i > j:
                 if f != b:
                     self.coincidence(f, b)
                 return
             while j >= i:
-                nxt = self.table[b][_inv_col(rel[j])]
+                nxt = table[b][_inv_col(rel[j])]
                 if nxt == UNDEF:
                     break
-                b = self.rep(nxt)
+                b = nxt if p[nxt] == nxt else self.rep(nxt)
                 j -= 1
             if j < i:
                 self.coincidence(f, b)
@@ -200,8 +203,8 @@ def group_from_coset_table(table: CosetTable, label: str | None = None) -> Group
     """Concrete group from a completed table (regular representation).
 
     Cosets become group elements; coset 0 is the identity.  The
-    multiplication table is filled through breadth-first words, so the
-    result is deterministic.
+    multiplication table is filled column by column along a breadth-first
+    spanning tree of the coset graph, so the result is deterministic.
     """
     if table.status != "complete":
         raise ValueError("cannot build a group from a capped table")
@@ -229,14 +232,26 @@ def group_from_coset_table(table: CosetTable, label: str | None = None) -> Group
     if not all(seen):
         raise ValueError("coset table is not transitive")
 
-    mul = [[0] * n for _ in range(n)]
-    for x in range(n):
-        mrow = mul[x]
-        mrow[0] = x
-        for c in queue[1:]:
-            mrow[c] = rows[mrow[parent[c]]][colof[c]]
+    mul = table_by_columns(tuple(zip(*rows)), queue[1:], parent, colof)
     gens = [rows[0][2 * i] for i in range(table.num_generators)]
     return Group(mul, list(dict.fromkeys(g for g in gens if g != 0)), label=label)
+
+
+def complete_coset_table(
+    pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS
+) -> CosetTable:
+    """The complete coset table; its row count is the group order.
+
+    Raises CapExceeded when the enumeration does not complete within
+    `max_cosets`.
+    """
+    table = enumerate_cosets(pres, max_cosets)
+    if table.status != "complete":
+        raise CapExceeded(
+            f"coset enumeration exceeded {max_cosets} cosets "
+            f"(presentation may be infinite)"
+        )
+    return table
 
 
 def coset_enumerate(
@@ -249,11 +264,5 @@ def coset_enumerate(
     Raises CapExceeded when the enumeration does not complete within
     `max_cosets`.
     """
-    table = enumerate_cosets(pres, max_cosets)
-    if table.status != "complete":
-        raise CapExceeded(
-            f"coset enumeration exceeded {max_cosets} cosets "
-            f"(presentation may be infinite)"
-        )
-    group = group_from_coset_table(table, label=label)
+    group = group_from_coset_table(complete_coset_table(pres, max_cosets), label=label)
     return group.order, group

@@ -15,6 +15,7 @@ from math import gcd
 from .arith import is_prime, multiplicative_order
 from .core import (
     DEFAULT_ORDER_CAP,
+    CapExceeded,
     Group,
     cyclic_group,
     direct_product,
@@ -337,6 +338,8 @@ def _sl23(cap: int, label: str) -> Group:
 def _from_presentation(spec: FamilySpec, cap: int, label: str) -> Group:
     pres = builtin_presentation(spec)
     want = expected_order(spec)
+    if want > cap:
+        raise CapExceeded(f"order {want} of {spec} exceeds cap {cap}")
     order, group = coset_enumerate(pres, max_cosets=max(10 * want, 1000), label=label)
     if order != want:
         raise AssertionError(
@@ -430,14 +433,14 @@ def build(spec: FamilySpec, cap: int = DEFAULT_ORDER_CAP) -> Group:
     if k == XFAMILY:
         n, q = p
         g = build(FamilySpec(DIHEDRAL, (2 * q,)), cap=cap)
-        for _ in range(n):
+        for _ in range(n - 1):
             g = direct_product(g, cyclic_group(3), cap=cap)
-        return Group(g.mul, g.generators, label=label)
+        return direct_product(g, cyclic_group(3), cap=cap, label=label)
     if k == PRODUCT:
         g = build(spec.factors[0], cap=cap)
-        for f in spec.factors[1:]:
+        for f in spec.factors[1:-1]:
             g = direct_product(g, build(f, cap=cap), cap=cap)
-        return Group(g.mul, g.generators, label=label)
+        return direct_product(g, build(spec.factors[-1], cap=cap), cap=cap, label=label)
     raise UnknownFamilyError(f"unknown family kind {k!r}")
 
 

@@ -83,23 +83,27 @@ def _backtrack(G: Group, H: Group) -> bool:
         sorted(x for x in range(H.order) if h_orders[x] == g_orders[g])
         for g in gens
     ]
+    return _extend(G, H, gens, candidates, [])
 
-    chosen: list[int] = []
 
-    def extend(depth: int) -> bool:
-        if depth == len(gens):
-            # the full-depth _try_images already passed: an injective
-            # homomorphism defined on all of G is an isomorphism
-            return True
-        for h in candidates[depth]:
-            chosen.append(h)
-            if _try_images(G, H, gens[: depth + 1], chosen):
-                if extend(depth + 1):
-                    return True
-            chosen.pop()
-        return False
-
-    return extend(0)
+def _extend(
+    G: Group, H: Group, gens: list[int], candidates: list[list[int]], chosen: list[int]
+) -> bool:
+    """Try every image for gens[len(chosen)] in turn.  A module-level
+    function, not a closure: a recursive closure is a reference cycle that
+    would keep G and H alive until the cycle collector runs."""
+    depth = len(chosen)
+    if depth == len(gens):
+        # the full-depth _try_images already passed: an injective
+        # homomorphism defined on all of G is an isomorphism
+        return True
+    for h in candidates[depth]:
+        chosen.append(h)
+        if _try_images(G, H, gens[: depth + 1], chosen):
+            if _extend(G, H, gens, candidates, chosen):
+                return True
+        chosen.pop()
+    return False
 
 
 def are_isomorphic(G: Group, H: Group, cap: int = DEFAULT_ISO_CAP) -> bool:

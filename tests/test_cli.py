@@ -60,6 +60,19 @@ class TestNps:
         assert code == 2
         assert "cap" in err
 
+    def test_over_cap_spec_rejected_before_building(self, capsys, monkeypatch):
+        import npscensus.cli
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a table was built")
+
+        monkeypatch.delenv("NPS_MAX_ORDER", raising=False)
+        monkeypatch.setattr(npscensus.cli, "build", no_build)
+        code, out, err = run(capsys, "nps", "C(20000)")
+        assert code == 2
+        assert out == ""
+        assert err == "order 20000 exceeds lattice cap 600 (raise --max-order)\n"
+
     def test_raising_the_cap_unlocks_larger_groups(self, capsys):
         code, out, _ = run(capsys, "nps", "B1(2,5)", "--max-order", "700")
         assert code == 0
@@ -291,6 +304,19 @@ class TestPresent:
         assert code == 2
         assert "cap" in err
 
+    def test_over_cap_order_rejected_before_building(self, capsys, monkeypatch):
+        import npscensus.cli
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was built")
+
+        monkeypatch.delenv("NPS_MAX_ORDER", raising=False)
+        monkeypatch.setattr(npscensus.cli, "group_from_coset_table", no_table)
+        code, out, err = run(capsys, "present", "a | a^5000 = 1")
+        assert code == 2
+        assert out == "presentation: a | a^5000\norder: 5000\n"
+        assert "order 5000 exceeds lattice cap 600" in err
+
     def test_presentation_from_file(self, capsys, tmp_path):
         path = tmp_path / "pres.txt"
         path.write_text("a | a^5 = 1", encoding="utf-8")
@@ -306,8 +332,9 @@ class TestPresent:
 
 class TestWorkersFreeGroups:
     """A worker's group is freed by reference counting when the worker
-    returns.  The cached lattice refers back to its group, and a group left
-    to the cycle collector keeps its table alive while the next is built."""
+    returns, and so is every group the CLI compares for isomorphism.  The
+    cached lattice refers back to its group, and a group left to the cycle
+    collector keeps its table alive while the next is built."""
 
     @staticmethod
     def groups_left_for_collector(worker, arg):
@@ -334,6 +361,42 @@ class TestWorkersFreeGroups:
     def test_census_worker(self):
         entry = CorpusEntry("Sym(3)", 3, ((1, 2, 0), (1, 0, 2)))
         assert self.groups_left_for_collector(_census_worker, (entry, 600)) == []
+
+    def test_verify_theorems_distinctness(self, capsys, monkeypatch):
+        import npscensus.cli
+
+        # an isomorphic pair agrees on every invariant, so are_isomorphic
+        # computes and caches both lattices
+        pair = [(parse_spec("D(8)"), "D(8)"), (parse_spec("B2(1,2)"), "B2(1,2)")]
+        monkeypatch.setattr(npscensus.cli, "_minimal_instances", lambda k, cap: pair)
+        argv = ["verify-theorems", "--k-min", "1", "--k-max", "1"]
+        assert self.groups_left_for_collector(main, argv) == []
+        assert "isomorphic pair(s): D(8) ~ B2(1,2)" in capsys.readouterr().out
+
+    def test_verify_theorems_corpus(self, capsys, tmp_path):
+        entries = [
+            entry_from_group("q8", build(parse_spec("Q(8)"))),
+            entry_from_group("c12", build(parse_spec("C(12)"))),
+            entry_from_group("c2xc4", build(parse_spec("C(2)xC(4)"))),
+        ]
+        path = tmp_path / "c.json"
+        dump_corpus(entries, path)
+        argv = ["verify-theorems", "--k-min", "0", "--k-max", "3", "--max-n", "2",
+                "--corpus", str(path)]
+        assert self.groups_left_for_collector(main, argv) == []
+        out = capsys.readouterr().out
+        assert "q8: nps=3, matches Q(8)" in out
+        assert "c12: nps=0, cyclic=yes" in out
+        assert "c2xc4: nps=5, outside k range" in out
+
+    def test_present_iso_check(self, capsys):
+        for other in ("D(8)", "Q(8)"):
+            argv = ["present", "a,b,z | a^2 = b^2 = z, z^2 = 1, b^-1 a b = a^-1",
+                    "--iso-check", other]
+            assert self.groups_left_for_collector(main, argv) == []
+        out = capsys.readouterr().out
+        assert "isomorphic to D(8): no" in out
+        assert "isomorphic to Q(8): yes" in out
 
 
 class TestRecordStatus:

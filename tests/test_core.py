@@ -124,8 +124,20 @@ class TestTableAxioms:
         q8.validate()
 
     def test_validate_rejects_broken_identity(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="element 0 is not a two-sided identity"):
             Group([[1, 0], [0, 1]], [1])
+
+    def test_rejects_identity_broken_in_column_only(self):
+        with pytest.raises(ValueError, match="element 0 is not a two-sided identity"):
+            Group([[0, 1], [0, 1]], [1])
+
+    def test_rejects_row_without_inverse(self):
+        with pytest.raises(ValueError, match="element 2 has no two-sided inverse"):
+            Group([[0, 1, 2], [1, 0, 2], [2, 2, 1]], [1, 2])
+
+    def test_rejects_one_sided_inverse(self):
+        with pytest.raises(ValueError, match="element 1 has no two-sided inverse"):
+            Group([[0, 1, 2], [1, 2, 0], [2, 2, 1]], [1, 2])
 
     def test_zoo_tables_valid(self, zoo):
         for label, g in zoo.items():
@@ -149,6 +161,11 @@ class TestElementOrder:
     def test_out_of_range(self, s3):
         with pytest.raises(IndexError):
             element_order(s3, 6)
+
+    def test_orders_match_single_walks(self, zoo):
+        for g in zoo.values():
+            walks = tuple(element_order(g, x) for x in range(g.order))
+            assert element_orders(g) == walks, g.label
 
     def test_orders_divide_exponent_divides_order(self, zoo):
         for g in zoo.values():
@@ -245,12 +262,19 @@ class TestSemidirectProduct:
         assert center(g).size == 1
 
     def test_rejects_non_automorphism(self):
-        with pytest.raises(ValueError, match="automorphism"):
+        with pytest.raises(ValueError, match="action entry is not an automorphism of N"):
             semidirect_product(cyclic_group(4), cyclic_group(2), [(0, 2, 1, 3)])
+
+    def test_rejects_non_permutation_action(self):
+        with pytest.raises(ValueError, match="action entry is not a permutation of N"):
+            semidirect_product(cyclic_group(4), cyclic_group(2), [(0, 1, 1, 3)])
 
     def test_rejects_non_homomorphic_assignment(self):
         # inversion has order 2, not a valid image of a C3 generator
-        with pytest.raises(ValueError, match="homomorphism"):
+        with pytest.raises(
+            ValueError,
+            match="generator images do not extend to a homomorphism K -> Aut",
+        ):
             semidirect_product(cyclic_group(3), cyclic_group(3), [(0, 2, 1)])
 
     def test_conjugation_convention(self):
@@ -335,3 +359,195 @@ def test_trivial_group():
     t = trivial_group()
     assert t.order == 1
     assert exponent(t) == 1
+
+
+# ---------------------------------------------------------------------------
+# Table kernels against the per-cell loops they replaced.  The reference
+# copies below fill every cell with its own Python step; the kernels must
+# give the same numbering, inverses and generators.
+
+
+class RefGroup:
+    """Per-cell Group constructor: identity and inverses checked cell by cell."""
+
+    def __init__(self, mul, generators, label=None):
+        n = len(mul)
+        self.order = n
+        self.mul = tuple(tuple(row) for row in mul)
+        for x in range(n):
+            if self.mul[0][x] != x or self.mul[x][0] != x:
+                raise ValueError("element 0 is not a two-sided identity")
+        inv = [-1] * n
+        for x in range(n):
+            row = self.mul[x]
+            for y in range(n):
+                if row[y] == 0:
+                    inv[x] = y
+                    break
+            if inv[x] < 0 or self.mul[inv[x]][x] != 0:
+                raise ValueError(f"element {x} has no two-sided inverse")
+        self.inv = tuple(inv)
+        gens = []
+        for g in generators:
+            if g not in gens:
+                gens.append(g)
+        self.generators = tuple(gens)
+        self.label = label
+
+
+def ref_cyclic_group(n, label=None):
+    mul = [[(i + j) % n for j in range(n)] for i in range(n)]
+    return RefGroup(mul, [1] if n > 1 else [], label=label or f"C{n}")
+
+
+def ref_direct_product(G, H, cap=None, label=None):
+    n1, n2 = G.order, H.order
+    gm, hm = G.mul, H.mul
+    n = n1 * n2
+    mul = [[0] * n for _ in range(n)]
+    for a1 in range(n1):
+        for b1 in range(n2):
+            row = mul[a1 * n2 + b1]
+            for a2 in range(n1):
+                for b2 in range(n2):
+                    row[a2 * n2 + b2] = gm[a1][a2] * n2 + hm[b1][b2]
+    gens = [g * n2 for g in G.generators] + list(H.generators)
+    return RefGroup(mul, gens, label=label)
+
+
+def ref_semidirect_product(N, K, action, cap=None, label=None):
+    nn, nk = N.order, K.order
+    gen_auts = []
+    for t in map(tuple, action):
+        if any(t[N.mul[a][b]] != N.mul[t[a]][t[b]] for a in range(nn) for b in range(nn)):
+            raise ValueError("action entry is not an automorphism of N")
+        gen_auts.append(t)
+    auts = [None] * nk
+    auts[0] = tuple(range(nn))
+    queue = [0]
+    for k in queue:
+        for gi, g in enumerate(K.generators):
+            y = K.mul[k][g]
+            if auts[y] is None:
+                auts[y] = tuple(auts[k][gen_auts[gi][i]] for i in range(nn))
+                queue.append(y)
+    for k1 in range(nk):
+        for k2 in range(nk):
+            a12 = auts[K.mul[k1][k2]]
+            if any(a12[i] != auts[k1][auts[k2][i]] for i in range(nn)):
+                raise ValueError("generator images do not extend to a homomorphism")
+    n = nn * nk
+    mul = [[0] * n for _ in range(n)]
+    for n1 in range(nn):
+        for k1 in range(nk):
+            row = mul[n1 * nk + k1]
+            for n2 in range(nn):
+                for k2 in range(nk):
+                    row[n2 * nk + k2] = N.mul[n1][auts[k1][n2]] * nk + K.mul[k1][k2]
+    gens = [g * nk for g in N.generators] + list(K.generators)
+    return RefGroup(mul, gens, label=label)
+
+
+def ref_group_from_coset_table(table, label=None):
+    n = table.num_cosets
+    rows = table.rows
+    parent, colof, seen, queue = [0] * n, [-1] * n, [False] * n, [0]
+    seen[0] = True
+    for c in queue:
+        for col in range(2 * table.num_generators):
+            d = rows[c][col]
+            if not seen[d]:
+                seen[d] = True
+                parent[d], colof[d] = c, col
+                queue.append(d)
+    mul = [[0] * n for _ in range(n)]
+    for x in range(n):
+        mrow = mul[x]
+        mrow[0] = x
+        for c in queue[1:]:
+            mrow[c] = rows[mrow[parent[c]]][colof[c]]
+    gens = [rows[0][2 * i] for i in range(table.num_generators)]
+    return RefGroup(mul, list(dict.fromkeys(g for g in gens if g != 0)), label=label)
+
+
+def ref_coset_enumerate(pres, max_cosets=None, label=None):
+    from npscensus.coset import enumerate_cosets
+
+    group = ref_group_from_coset_table(enumerate_cosets(pres), label=label)
+    return group.order, group
+
+
+def ref_group_from_generators(degree, perms, cap=None, label=None):
+    gens = [tuple(p) for p in perms]
+    ident = tuple(range(degree))
+    index, elems, parent, genpos = {ident: 0}, [ident], [0], [-1]
+    gen_cols = [[] for _ in gens]
+    for i, x in enumerate(elems):
+        for gi, p in enumerate(gens):
+            y = tuple(p[v] for v in x)
+            if y not in index:
+                index[y] = len(elems)
+                elems.append(y)
+                parent.append(i)
+                genpos.append(gi)
+            gen_cols[gi].append(index[y])
+    n = len(elems)
+    mul = [[0] * n for _ in range(n)]
+    for x in range(n):
+        mrow = mul[x]
+        mrow[0] = x
+        for i in range(1, n):
+            mrow[i] = gen_cols[genpos[i]][mrow[parent[i]]]
+    return RefGroup(mul, [gen_cols[gi][0] for gi in range(len(gens))], label=label)
+
+
+def assert_same_table(new, ref):
+    assert all(type(row) is tuple for row in new.mul)
+    assert new.mul == ref.mul
+    assert new.inv == ref.inv
+    assert new.generators == ref.generators
+
+
+class TestKernelsMatchPerCellLoops:
+    @pytest.mark.parametrize("n", [1, 12])
+    def test_cyclic_group(self, n):
+        assert_same_table(cyclic_group(n), ref_cyclic_group(n))
+
+    @pytest.mark.parametrize(
+        "text", ["D(8)xD(8)", "Q(8)xC(2)xC(2)", "A(2)", "C3Q8", "X(2,5)", "Gn(3,5)"]
+    )
+    def test_products(self, text, monkeypatch):
+        from npscensus import families
+        from npscensus.specs import parse_spec
+
+        spec = parse_spec(text)
+        new = families.build(spec)
+        monkeypatch.setattr(families, "cyclic_group", ref_cyclic_group)
+        monkeypatch.setattr(families, "direct_product", ref_direct_product)
+        monkeypatch.setattr(families, "semidirect_product", ref_semidirect_product)
+        monkeypatch.setattr(families, "coset_enumerate", ref_coset_enumerate)
+        ref = families.build(spec)
+        assert isinstance(ref, RefGroup)
+        assert_same_table(new, ref)
+        assert new.label == text
+
+    @pytest.mark.parametrize("text", ["Q(32)", "M(5)", "B1(2,3)"])
+    def test_group_from_coset_table(self, text):
+        from npscensus.coset import enumerate_cosets, group_from_coset_table
+        from npscensus.families import builtin_presentation
+        from npscensus.specs import parse_spec
+
+        table = enumerate_cosets(builtin_presentation(parse_spec(text)))
+        assert_same_table(
+            group_from_coset_table(table), ref_group_from_coset_table(table)
+        )
+
+    def test_group_from_generators(self):
+        for degree, perms in (
+            (8, [Q8_GEN_I, Q8_GEN_J]),
+            (5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]),
+        ):
+            assert_same_table(
+                group_from_generators(degree, perms),
+                ref_group_from_generators(degree, perms),
+            )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from npscensus.core import exponent, is_abelian
+from npscensus.core import CapExceeded, exponent, is_abelian
 from npscensus.coset import coset_enumerate
 from npscensus.families import (
     AFAMILY,
@@ -98,6 +98,19 @@ class TestBuildOrders:
     def test_invalid_spec_raises(self):
         with pytest.raises(ValueError, match="invalid spec"):
             build(FamilySpec(GENERAL, (2, 1, 5, 1), r=2))
+
+    @pytest.mark.parametrize("text", ["Q(1024)", "M(11)", "B1(3,5)"])
+    def test_presented_family_over_cap_raises_before_enumerating(
+        self, text, monkeypatch
+    ):
+        from npscensus import families
+
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("coset enumeration started")
+
+        monkeypatch.setattr(families, "coset_enumerate", no_enumeration)
+        with pytest.raises(CapExceeded, match="exceeds cap 600"):
+            build(parse_spec(text), cap=600)
 
 
 class TestClaimedIsomorphisms:
