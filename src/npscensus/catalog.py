@@ -19,9 +19,8 @@ ps(AxB) = ps(A) ps(B) and nps(AxB) = nps(A) s(B) + ps(A) nps(B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
+from typing import TYPE_CHECKING
 
 from .arith import (
     divisors,
@@ -32,6 +31,7 @@ from .arith import (
     subgroup_count_elementary_abelian,
     subgroup_count_rank2,
 )
+from .core import Record
 from .families import (
     AFAMILY,
     ALT,
@@ -59,13 +59,15 @@ from .families import (
     validate,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 EXACT = "exact"
 LOWER_BOUND = "lower_bound"
 UNDER_REVIEW = "from_formula_under_review"
 
 
-@dataclass(frozen=True)
-class ExpectedNps:
+class ExpectedNps(Record):
     """Catalog value for nps of a family instance.
 
     `value` is an int for exact/lower-bound entries; under-review entries
@@ -78,8 +80,7 @@ class ExpectedNps:
     source: str
 
 
-@dataclass(frozen=True)
-class _Counts:
+class _Counts(Record):
     """(s, ps, nps) triple used for coprime composition."""
 
     s: int
@@ -90,6 +91,8 @@ class _Counts:
 def printed_rank2_formula(p: int, n1: int, n2: int) -> Fraction:
     """The printed closed form for nps(C_{p^n1} x C_{p^n2}), n1 <= n2,
     evaluated literally.  Known to disagree with enumeration."""
+    from fractions import Fraction  # only the rank-2 rows need it
+
     num = (
         (n2 - n1 + 1) * p ** (n1 + 2)
         - (n2 - n1 - 1) * p ** (n1 + 1)
@@ -416,8 +419,7 @@ def expected_nps(spec: FamilySpec) -> ExpectedNps:
 # classification lists: groups with exactly k nonpower subgroups, k = 0..13
 
 
-@dataclass(frozen=True)
-class BucketMember:
+class BucketMember(Record):
     """One entry of a classification bucket.
 
     `template` is display text with n free when `instantiate` varies over

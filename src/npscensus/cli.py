@@ -20,10 +20,8 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .catalog import (
     EXACT,
@@ -34,7 +32,7 @@ from .catalog import (
     instantiate_bucket,
     theorem_catalog,
 )
-from .core import CapExceeded, Group, element_orders
+from .core import CapExceeded, Group, Record, element_orders
 from .corpus import CorpusEntry, CorpusError, load_corpus
 from .coset import DEFAULT_MAX_COSETS, complete_coset_table, group_from_coset_table
 from .families import (
@@ -65,13 +63,15 @@ from .lattice import DEFAULT_LATTICE_CAP, CountSummary, counts
 from .presentation import PresentationError, parse_presentation
 from .specs import SpecError, parse_spec
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 PASS = "pass"
 FAIL = "fail"
 LOWER_OK = "lower_bound_ok"
 
 
-@dataclass(frozen=True)
-class VerifyRecord:
+class VerifyRecord(Record):
     label: str
     order: int
     expected: str
@@ -82,7 +82,8 @@ class VerifyRecord:
 
 
 def _fmt_expected(value: int | Fraction) -> str:
-    if isinstance(value, Fraction) and value.denominator != 1:
+    # int and Fraction both have a denominator
+    if value.denominator != 1:
         return f"{value.numerator}/{value.denominator}"
     return str(int(value))
 
@@ -247,6 +248,10 @@ def _census_worker(args: tuple[CorpusEntry, int]) -> dict[str, object]:
 def _pmap(worker, items, jobs: int) -> list:
     if jobs <= 1 or len(items) <= 1:
         return [worker(it) for it in items]
+    # imported here: the pool pulls in multiprocessing, logging, pickle and
+    # socket, which a one-process run never uses
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as ex:
         return list(ex.map(worker, items))
 

@@ -12,7 +12,6 @@ semidirect product N x| K the factor K acts on N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
@@ -22,6 +21,73 @@ DEFAULT_ORDER_CAP = 4096
 
 class CapExceeded(RuntimeError):
     """A construction or enumeration outgrew its configured size cap."""
+
+
+class Record:
+    """Immutable record whose fields are the subclass's annotations, in order.
+
+    It behaves as a frozen dataclass without the cost of generating one per
+    class at import: a class attribute is a field's default, `__post_init__`
+    runs after the fields are set, and equality, hash and repr work over the
+    tuple of fields.  Fields named in `_hidden` are left out of equality,
+    hash and repr.  Methods a subclass defines itself take precedence.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._shown = tuple(f for f in cls._fields if f not in cls._hidden)
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if len(args) > len(names):
+            raise TypeError(
+                f"{type(self).__name__}() takes {len(names)} arguments "
+                f"but {len(args)} were given"
+            )
+        values = dict(zip(names, args))
+        for name in names[len(args):]:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif name in self._defaults:
+                values[name] = self._defaults[name]
+            else:
+                raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
+        if kwargs:
+            raise TypeError(
+                f"{type(self).__name__}() got unexpected or repeated "
+                f"argument(s) {', '.join(map(repr, kwargs))}"
+            )
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._shown))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Group:
@@ -127,8 +193,7 @@ class Group:
                         )
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Record):
     """Subgroup of `parent` as a bitset of element indices."""
 
     parent: Group
@@ -164,8 +229,7 @@ class Subgroup:
         return hash((id(self.parent), self.members))
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Record):
     """Group homomorphism given by per-element image indices."""
 
     domain: Group
@@ -303,10 +367,26 @@ def center(G: Group) -> Subgroup:
 
 
 def derived_subgroup(G: Group) -> Subgroup:
-    n = G.order
-    comms = {G.commutator(x, y) for x in range(n) for y in range(n)}
-    comms.discard(0)
-    return generated_subgroup(G, sorted(comms))
+    """G' as the normal closure of the commutators of the generators: in
+    the quotient by that closure the generators commute, so it is abelian.
+
+    The closure grows until conjugating each of its generators by each
+    generator of G stays inside it, which makes it normal.
+    """
+    gens = G.generators
+    mul, inv = G.mul, G.inv
+    hgens = [G.commutator(a, b) for i, a in enumerate(gens) for b in gens[:i]]
+    H = generated_subgroup(G, hgens)
+    while True:
+        new = [
+            c
+            for c in dict.fromkeys(mul[mul[inv[g]][h]][g] for h in hgens for g in gens)
+            if not (H.members >> c) & 1
+        ]
+        if not new:
+            return H
+        hgens += new
+        H = generated_subgroup(G, hgens)
 
 
 def subgroup_group(G: Group, H: Subgroup, label: str | None = None) -> Group:
@@ -386,7 +466,10 @@ def group_from_generators(
     while i < len(elems):
         x = elems[i]
         for gi, p in enumerate(gens):
-            y = tuple(p[v] for v in x)
+            # a list comprehension beats both a generator and
+            # map(p.__getitem__, x): a tuple's __getitem__ is a slot
+            # wrapper that parses its argument on every call
+            y = tuple([p[v] for v in x])
             j = index.get(y)
             if j is None:
                 j = len(elems)

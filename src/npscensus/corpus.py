@@ -12,18 +12,16 @@ data/corpus.schema.json for the schema and data/*.json for samples.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
-from .core import Group, group_from_generators
+from .core import Group, Record, group_from_generators
 
 
 class CorpusError(ValueError):
     """Malformed corpus file or entry."""
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(Record):
     name: str
     degree: int
     generators: tuple[tuple[int, ...], ...]

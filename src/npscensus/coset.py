@@ -9,9 +9,8 @@ twice yields identical tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-from .core import CapExceeded, Group, table_by_columns
+from .core import CapExceeded, Group, Record, table_by_columns
 from .presentation import Presentation, Word
 
 DEFAULT_MAX_COSETS = 100_000
@@ -19,8 +18,7 @@ DEFAULT_MAX_COSETS = 100_000
 UNDEF = -1
 
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(Record):
     """Action of the generators on cosets of the trivial subgroup.
 
     `rows[c][2*i]` is the coset c * gen_i, `rows[c][2*i + 1]` is

@@ -9,7 +9,6 @@ cross-checked against the expected order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .arith import is_prime, multiplicative_order
@@ -17,6 +16,7 @@ from .core import (
     DEFAULT_ORDER_CAP,
     CapExceeded,
     Group,
+    Record,
     cyclic_group,
     direct_product,
     semidirect_product,
@@ -49,8 +49,7 @@ class UnknownFamilyError(ValueError):
     """Family/parameter combination without the requested data."""
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """Tagged description of a group family plus parameters."""
 
     kind: str

@@ -25,13 +25,13 @@ Subgroup identity is bitset equality and all outputs are sorted by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 
 from .arith import divisors, factorize, p_part, p_valuation
 from .core import (
     CapExceeded,
     Group,
+    Record,
     Subgroup,
     element_orders,
     exponent,
@@ -41,8 +41,7 @@ from .core import (
 DEFAULT_LATTICE_CAP = 600
 
 
-@dataclass(frozen=True)
-class PrimeData:
+class PrimeData(Record):
     """Per-prime profile: p^f is the largest p-element order, p^k the
     largest order of a cyclic power p-subgroup."""
 
@@ -51,8 +50,7 @@ class PrimeData:
     k: int
 
 
-@dataclass(frozen=True)
-class CountSummary:
+class CountSummary(Record):
     order: int
     exponent: int
     s: int
@@ -71,14 +69,15 @@ class _Node:
         self.gens = gens
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     group: Group
     subgroups: tuple[Subgroup, ...]
     normal_flags: tuple[bool, ...]
     conjugacy_classes: tuple[tuple[int, ...], ...]
     power_index: dict[int, int]
-    index: dict[int, int] = field(repr=False, compare=False)
+    index: dict[int, int]
+
+    _hidden = ("index",)
 
     def index_of(self, members: int) -> int:
         return self.index[members]

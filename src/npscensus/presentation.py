@@ -18,7 +18,7 @@ freely reduced form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .core import Record
 
 Letter = tuple[int, int]  # (generator index, +1 or -1)
 Word = tuple[Letter, ...]
@@ -70,8 +70,7 @@ def commutator_word(x: Word, y: Word) -> Word:
     return concat(invert_word(x), invert_word(y), x, y)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
 

@@ -2,7 +2,12 @@
 
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import npscensus
 from npscensus.cli import (
     _census_worker,
     _formula_worker,
@@ -414,6 +419,37 @@ class TestRecordStatus:
         rec = _record(spec, ExpectedNps(UNDER_REVIEW, Fraction(11, 2), "x"), 4)
         assert rec.status == "from_formula_under_review"
         assert rec.expected == "11/2"
+        assert _record(spec, ExpectedNps(UNDER_REVIEW, Fraction(8, 2), "x"), 4).expected == "4"
+        assert _record(spec, ExpectedNps(EXACT, 5, "x"), 5).expected == "5"
+
+
+# modules a one-process run never uses, and that cost start-up time to import
+UNUSED_AT_START = ("concurrent.futures.process", "multiprocessing", "dataclasses", "fractions")
+
+_IMPORT_PROBE = """
+import contextlib, io, sys
+unused = sys.argv[1:]
+import npscensus.cli
+print([m for m in unused if m in sys.modules])
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = npscensus.cli.main(["nps", "D(8)"])
+assert code == 0 and "nonpower subgroups: 7" in out.getvalue()
+print([m for m in unused if m in sys.modules])
+"""
+
+
+def test_one_shot_query_imports_no_unused_module():
+    """A fresh interpreter that imports the CLI and answers `nps D(8)` loads
+    neither the process pool, nor fractions, nor dataclasses.  `-S` leaves
+    out site, whose .pth files may import anything."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(npscensus.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _IMPORT_PROBE, *UNUSED_AT_START],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_env_var_sets_default_cap(capsys, monkeypatch):

@@ -224,6 +224,21 @@ class TestCenterAndDerived:
             q, _ = quotient(g, derived_subgroup(g))
             assert is_abelian(q)
 
+    def test_derived_matches_all_commutators(self, zoo):
+        """G' from the generators' commutators equals the subgroup that all
+        |G|^2 commutators generate."""
+        for label, g in zoo.items():
+            mul, inv = g.mul, g.inv
+            comms = {
+                mul[mul[mul[inv[x]][inv[y]]][x]][y]
+                for x in range(g.order)
+                for y in range(g.order)
+            }
+            naive = naive_subset_closure(g, comms)
+            d = derived_subgroup(g)
+            assert d.members == sum(1 << x for x in naive), label
+            assert d.size == len(naive), label
+
 
 class TestDirectProduct:
     def test_orders_multiply(self, s3, q8):
