@@ -19,6 +19,7 @@ ps(AxB) = ps(A) ps(B) and nps(AxB) = nps(A) s(B) + ps(A) nps(B).
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd
 from typing import TYPE_CHECKING
 
@@ -458,8 +459,15 @@ def theorem_catalog(k: int) -> tuple[BucketMember, ...]:
     """
     if not 0 <= k <= 13:
         raise ValueError("k must be between 0 and 13")
+    return _buckets()[k]
+
+
+@cache
+def _buckets() -> dict[int, tuple[BucketMember, ...]]:
+    """The fourteen classification buckets, built on first use and then
+    shared: every member is an immutable record."""
     q8 = FamilySpec(QUATERNION, (8,))
-    buckets: dict[int, tuple[BucketMember, ...]] = {
+    return {
         0: (
             _over_n("C(n)", lambda n: cyclic_spec(n), "any cyclic group; sampled n"),
         ),
@@ -573,7 +581,6 @@ def theorem_catalog(k: int) -> tuple[BucketMember, ...]:
             _over_n("F(n,13)", lambda n: FamilySpec(FFAMILY, (n, 13))),
         ),
     }
-    return buckets[k]
 
 
 _SAMPLED_CYCLIC_ORDERS = (1, 2, 6, 12)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from itertools import chain
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_ORDER_CAP = 4096
@@ -259,29 +260,82 @@ def _bits(members: int) -> Iterator[int]:
         members ^= low
 
 
+def getter(idx: Sequence[int]):
+    """A callable that picks the entries at the indices `idx` out of a
+    sequence, as a tuple, in one C-level call.  itemgetter of a single
+    index returns the bare entry instead, so that case gets its own."""
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*idx)
+
+
+def bit_table(G: Group) -> list[int]:
+    """[1 << x for every element x], so that the bitset of a set of
+    elements is one C-level sum over it.  Cached on the group."""
+    cached = G._cache.get("bits")
+    if cached is None:
+        cached = G._cache["bits"] = [1 << x for x in range(G.order)]
+    return cached  # type: ignore[return-value]
+
+
+def coset_closure(
+    mul: Sequence[Sequence[int]],
+    take,
+    seen: set[int],
+    gens: Sequence[int],
+    zidx: Sequence[int] | None = None,
+    bound: int = 0,
+) -> list[int] | None:
+    """The elements that <H, gens> adds to a subgroup H, one left coset
+    y*H at a time.
+
+    `take` is `getter(H's elements)`, so the coset y*H is row y of the
+    table taken at H's elements, `take(mul[y])`; `seen` holds H's elements
+    and grows by every new coset.  `gens` must generate <H, gens> on their
+    own, so they include generators of H.  Each coset representative y
+    gives the representatives g*y for g in gens, and one that is not yet
+    seen brings in its whole coset.  The union is then closed under left
+    multiplication by gens, so it is the subgroup they generate.
+
+    With `zidx`, the closure is abandoned, and None returned, as soon as a
+    new coset holds an element x with zidx[x] < bound.
+    """
+    rows = [mul[g] for g in gens]
+    new: list[int] = []
+    reps = [0]
+    for r in reps:
+        for row in rows:
+            y = row[r]
+            if y not in seen:
+                coset = take(mul[y])
+                if zidx is not None and min(getter(coset)(zidx)) < bound:
+                    return None
+                seen.update(coset)
+                new += coset
+                reps.append(y)
+    return new
+
+
 def generated_indices(G: Group, gens: Iterable[int]) -> list[int]:
-    """Elements of the subgroup generated by `gens`, in closure order."""
+    """Elements of the subgroup generated by `gens`: the identity, then
+    the cosets each generator not yet inside adds."""
     mul = G.mul
-    seen = 1
     elems = [0]
-    glist = [g for g in dict.fromkeys(gens) if g != 0]
-    for x in elems:
-        row = mul[x]
-        for g in glist:
-            y = row[g]
-            if not (seen >> y) & 1:
-                seen |= 1 << y
-                elems.append(y)
+    seen = {0}
+    hgens: list[int] = []
+    for g in gens:
+        if g not in seen:
+            hgens.append(g)
+            new = coset_closure(mul, getter(elems), seen, hgens)
+            elems += new  # type: ignore[operator]
     return elems
 
 
 def generated_subgroup(G: Group, gens: Iterable[int]) -> Subgroup:
     """Subgroup of G generated by the given element indices."""
     elems = generated_indices(G, gens)
-    members = 0
-    for x in elems:
-        members |= 1 << x
-    return Subgroup(G, members, len(elems))
+    return Subgroup(G, sum(getter(elems)(bit_table(G))), len(elems))
 
 
 def subgroup_from_members(G: Group, members: int) -> Subgroup:
@@ -417,10 +471,7 @@ def generating_sequence_of_subset(G: Group, elems: list[int]) -> list[int]:
         if (got >> e) & 1:
             continue
         seq.append(e)
-        sub = generated_indices(G, seq)
-        got = 0
-        for x in sub:
-            got |= 1 << x
+        got = generated_subgroup(G, seq).members
         if got == target:
             break
     return seq
@@ -465,11 +516,12 @@ def group_from_generators(
     i = 0
     while i < len(elems):
         x = elems[i]
+        # x then p is p picked at the points of x: one itemgetter call,
+        # faster than a list comprehension, and than map(p.__getitem__, x),
+        # whose slot wrapper parses its argument on every call
+        pick = getter(x)
         for gi, p in enumerate(gens):
-            # a list comprehension beats both a generator and
-            # map(p.__getitem__, x): a tuple's __getitem__ is a slot
-            # wrapper that parses its argument on every call
-            y = tuple([p[v] for v in x])
+            y = pick(p)
             j = index.get(y)
             if j is None:
                 j = len(elems)
@@ -506,8 +558,13 @@ def table_by_columns(
     n = len(parent)
     cols: list = [None] * n
     cols[0] = tuple(range(n))
+    # map over a list's __getitem__ (a plain method, not a tuple's slot
+    # wrapper).  An itemgetter per column is a little faster, but the
+    # column copy it makes each time fragments the heap, and a later
+    # lattice then raised a census run's peak RSS by about 1.7 MB
+    picks = [list(p).__getitem__ for p in perms]
     for c in tree:
-        cols[c] = tuple(map(perms[via[c]].__getitem__, cols[parent[c]]))
+        cols[c] = tuple(map(picks[via[c]], cols[parent[c]]))
     return tuple(zip(*cols))
 
 
@@ -538,27 +595,29 @@ def direct_product(
 def _pair_table(
     nmul: Sequence[Sequence[int]],
     kmul: Sequence[Sequence[int]],
-    auts: Sequence[Sequence[int]] | None,
+    act: Sequence | None,
 ) -> tuple[tuple[int, ...], ...]:
-    """Table of N x| K on pairs (n, k) encoded n * |K| + k, with auts[k]
-    the action of k on N (None for the direct product):
+    """Table of N x| K on pairs (n, k) encoded n * |K| + k, with
+    act[k] = getter(auts[k]) for the action auts[k] of k on N (None for
+    the direct product):
 
         (n1, k1) * (n2, k2) = (n1 * auts[k1](n2), k1 * k2)
 
     Row (n1, k1) is |N| blocks of |K| entries.  Block n2 depends only on
     v = n1 * auts[k1](n2) and on k1: it is v * |K| + K.mul[k1], so each
-    (k1, v) block is made once and the rows are joined from them.
+    (k1, v) block is made once and the rows are joined from them.  Every
+    block is picked out of one tuple(range(|N| * |K|)), so the whole table
+    shares one int object per element.
     """
     nk = len(kmul)
-    blocks = [
-        tuple(tuple(map((v * nk).__add__, krow)) for v in range(len(nmul)))
-        for krow in kmul
-    ]
+    r = tuple(range(len(nmul) * nk))
+    slices = [r[v:v + nk] for v in range(0, len(r), nk)]
+    blocks = [tuple(map(getter(krow), slices)) for krow in kmul]
     rows = []
     for nrow in nmul:
         for k1, kblocks in enumerate(blocks):
-            vs = nrow if auts is None else map(nrow.__getitem__, auts[k1])
-            rows.append(tuple(chain.from_iterable(map(kblocks.__getitem__, vs))))
+            vs = nrow if act is None else act[k1](nrow)
+            rows.append(tuple(chain.from_iterable(getter(vs)(kblocks))))
     return tuple(rows)
 
 
@@ -589,18 +648,19 @@ def semidirect_product(
     if nn * nk > cap:
         raise CapExceeded(f"product order {nn * nk} exceeds cap {cap}")
 
-    gen_auts: list[tuple[int, ...]] = []
+    # getter(t) applied to row x of N gives the row of x * t(c) over all c
+    gen_gets = []
     for p in action:
         t = tuple(p)
         if len(t) != nn or sorted(t) != list(range(nn)):
             raise ValueError(f"action entry is not a permutation of N: {p!r}")
+        tget = getter(t)
         # t(a * b) = t(a) * t(b) for every b, one row a at a time
         if t[0] != 0 or any(
-            tuple(map(t.__getitem__, N.mul[a])) != tuple(map(N.mul[t[a]].__getitem__, t))
-            for a in range(nn)
+            getter(N.mul[a])(t) != tget(N.mul[t[a]]) for a in range(nn)
         ):
             raise ValueError("action entry is not an automorphism of N")
-        gen_auts.append(t)
+        gen_gets.append(tget)
 
     # extend by BFS over K: act(k * g) = act(k) o act(g) as a left action
     ident = tuple(range(nn))
@@ -613,22 +673,22 @@ def semidirect_product(
         for gi, g in enumerate(K.generators):
             y = K.mul[k][g]
             if auts[y] is None:
-                ga = gen_auts[gi]
-                auts[y] = tuple(map(ak.__getitem__, ga))
+                auts[y] = gen_gets[gi](ak)
                 queue.append(y)
     if any(a is None for a in auts):
         raise ValueError("K's generators do not generate K")
+    act = [getter(a) for a in auts]  # type: ignore[arg-type]
     for k1, krow in enumerate(K.mul):
         a1 = auts[k1]
         for k2, k12 in enumerate(krow):
-            if auts[k12] != tuple(map(a1.__getitem__, auts[k2])):
+            if auts[k12] != act[k2](a1):
                 raise ValueError(
                     "generator images do not extend to a homomorphism "
                     "K -> Aut(N)"
                 )
 
     gens = [g * nk for g in N.generators] + list(K.generators)
-    return Group(_pair_table(N.mul, K.mul, auts), gens, label=label)
+    return Group(_pair_table(N.mul, K.mul, act), gens, label=label)
 
 
 def is_normal_subgroup(G: Group, H: Subgroup) -> bool:

@@ -16,8 +16,16 @@ the smallest zuppo of H missing from the node: its indices rise, and each
 join it makes brings in no smaller generator.  No other path reaches H: one
 that adjoins z_j while a smaller zuppo z_i of H is still missing must bring
 g_i in later, with a join that the rule rejects.  So each subgroup is
-produced exactly once, and a join is abandoned as soon as one of its cosets
-holds a forbidden generator.
+produced exactly once.
+
+A join is grown by `core.coset_closure` as a union of left cosets y*S, each
+one C-level pick of row y of the table at S's elements.  J - S is the union
+of the new cosets, so the rule is checked coset by coset: zidx[x] is the
+number of the zuppo that x generates (k for an element that generates
+none), and the join is abandoned as soon as a new coset holds an element
+with zidx below j.  Before any coset, a join is skipped when z_j itself
+holds a generator g_i with i < j that S lacks; for the trivial S that test
+is the whole rule, so its joins, the zuppos themselves, need no closure.
 
 Subgroup identity is bitset equality and all outputs are sorted by
 (size, bitset value) for reproducibility.
@@ -26,6 +34,7 @@ Subgroup identity is bitset equality and all outputs are sorted by
 from __future__ import annotations
 
 from math import gcd
+from operator import itemgetter
 
 from .arith import divisors, factorize, p_part, p_valuation
 from .core import (
@@ -33,9 +42,12 @@ from .core import (
     Group,
     Record,
     Subgroup,
+    bit_table,
+    coset_closure,
     element_orders,
     exponent,
     generated_subgroup,
+    getter,
 )
 
 DEFAULT_LATTICE_CAP = 600
@@ -87,30 +99,6 @@ class Lattice(Record):
         return set(self.power_index.values())
 
 
-def _extend_node(G: Group, base: _Node, extra: int, forbid: int) -> _Node | None:
-    """Closure of <base, extra> via coset sweeps over the base subgroup, or
-    None as soon as a new coset meets the bitset `forbid`."""
-    mul = G.mul
-    members = base.members
-    base_elems = base.elems
-    elems = list(base_elems)
-    reps = [0]
-    trans = base.gens + (extra,)
-    for r in reps:
-        row = mul[r]
-        for g in trans:
-            y = row[g]
-            if not (members >> y) & 1:
-                for s in base_elems:
-                    z = mul[s][y]
-                    members |= 1 << z
-                    elems.append(z)
-                if members & forbid:
-                    return None
-                reps.append(y)
-    return _Node(members, len(elems), elems, trans)
-
-
 def _cyclic_nodes(G: Group) -> list[_Node]:
     """One node per distinct cyclic subgroup, in order of smallest generator.
     Cached on the group."""
@@ -140,15 +128,6 @@ def _cyclic_nodes(G: Group) -> list[_Node]:
     return out
 
 
-def _conjugate_members(G: Group, elems: list[int], g: int) -> int:
-    mul, inv = G.mul, G.inv
-    ig = inv[g]
-    out = 0
-    for x in elems:
-        out |= 1 << mul[mul[ig][x]][g]
-    return out
-
-
 def all_subgroups(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> Lattice:
     """The complete subgroup lattice of G.  Cached on the group object."""
     cached = G._cache.get("lattice")
@@ -157,57 +136,78 @@ def all_subgroups(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> Lattice:
     if G.order > cap:
         raise CapExceeded(f"order {G.order} exceeds lattice cap {cap}")
 
+    mul = G.mul
+    bits = bit_table(G)
     cyclics = _cyclic_nodes(G)
-    zuppo_gens = [
-        c.gens[0] for c in cyclics if c.size > 1 and len(factorize(c.size)) == 1
-    ]
-    # below[j]: bitset of the generators of the zuppos numbered below j
-    below: list[int] = []
-    acc = 0
-    for g in zuppo_gens:
-        below.append(acc)
-        acc |= 1 << g
+    zuppos = [c for c in cyclics if c.size > 1 and len(factorize(c.size)) == 1]
+    zgens = [z.gens[0] for z in zuppos]
+    k = len(zuppos)
     trivial = cyclics[0]
     nodes: dict[int, _Node] = {trivial.members: trivial}
     # (node, index of the first zuppo it may be extended by)
-    stack = [(trivial, 0)]
+    stack: list[tuple[_Node, int]] = []
+    # zidx[x]: the number of the zuppo that x generates, k for the rest
+    zidx = [k] * G.order
+    # inner[j]: the generators of zuppos below j that lie in z_j itself
+    inner: list[int] = []
+    below = 0
+    for j, z in enumerate(zuppos):
+        zidx[zgens[j]] = j
+        inner.append(z.members & below)
+        below |= 1 << zgens[j]
+        # the trivial subgroup joined with z_j is z_j itself
+        if not inner[j]:
+            nodes[z.members] = z
+            stack.append((z, j + 1))
     while stack:
         S, start = stack.pop()
         sm = S.members
-        for j in range(start, len(zuppo_gens)):
-            g = zuppo_gens[j]
-            if (sm >> g) & 1:
+        lack = ~sm
+        take = getter(S.elems)
+        sset = set(S.elems)
+        for j in range(start, k):
+            g = zgens[j]
+            # z_j brings in the generators in inner[j] that S lacks
+            if g in sset or inner[j] & lack:
                 continue
-            J = _extend_node(G, S, g, below[j] & ~sm)
-            if J is None:
+            gens = S.gens + (g,)
+            new = coset_closure(mul, take, sset.copy(), gens, zidx, j)
+            if new is None:
                 continue
-            if J.members in nodes:
+            members = sm + sum(getter(new)(bits))
+            if members in nodes:
                 raise AssertionError("canonical augmentation reached a subgroup twice")
-            nodes[J.members] = J
+            J = _Node(members, S.size + len(new), S.elems + new, gens)
+            nodes[members] = J
             stack.append((J, j + 1))
 
     order = sorted(nodes.values(), key=lambda nd: (nd.size, nd.members))
     subgroups = tuple(Subgroup(G, nd.members, nd.size) for nd in order)
     index = {sub.members: i for i, sub in enumerate(subgroups)}
 
-    # conjugacy classes of subgroups via orbits under generator conjugation
+    # conjugacy classes of subgroups via orbits under generator conjugation;
+    # conj_bits holds one list per generator g, whose entry x is the bit of
+    # g^-1 x g, read off column g of the table at the row of g^-1
+    conj_bits = []
+    for g in G.generators:
+        column = tuple(map(itemgetter(g), mul))
+        conj_bits.append(getter(getter(mul[G.inv[g]])(column))(bits))
     visited = [False] * len(subgroups)
     classes: list[tuple[int, ...]] = []
-    for i, nd in enumerate(order):
+    for i in range(len(order)):
         if visited[i]:
             continue
         orbit = [i]
         visited[i] = True
         for j in orbit:
-            src = order[j]
-            for g in G.generators:
-                cm = _conjugate_members(G, src.elems, g)
-                k = index.get(cm)
-                if k is None:
+            take = getter(order[j].elems)
+            for cb in conj_bits:
+                c = index.get(sum(take(cb)))
+                if c is None:
                     raise AssertionError("conjugate of a subgroup missing from lattice")
-                if not visited[k]:
-                    visited[k] = True
-                    orbit.append(k)
+                if not visited[c]:
+                    visited[c] = True
+                    orbit.append(c)
         classes.append(tuple(sorted(orbit)))
     normal_flags = [False] * len(subgroups)
     for cls in classes:

@@ -224,6 +224,15 @@ class TestTheoremCatalog:
         with pytest.raises(ValueError):
             theorem_catalog(14)
 
+    def test_buckets_built_once(self):
+        for k in range(14):
+            first = theorem_catalog(k)
+            again = theorem_catalog(k)
+            assert again == first
+            assert again is first
+        with pytest.raises(ValueError):
+            theorem_catalog(14)
+
     def test_instantiation_respects_caps(self):
         for spec, _ in instantiate_bucket(12, max_n=4, max_order=600):
             assert expected_order(spec) <= 600

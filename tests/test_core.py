@@ -5,6 +5,8 @@ oracles defined at the top of this file (naive set closures working on
 raw permutations or tables, no shared code with the package internals).
 """
 
+import random
+
 import pytest
 
 from npscensus.core import (
@@ -19,6 +21,7 @@ from npscensus.core import (
     element_order,
     element_orders,
     exponent,
+    generated_indices,
     generated_subgroup,
     group_from_generators,
     is_abelian,
@@ -49,6 +52,23 @@ def naive_perm_closure(degree, perms):
         if not new:
             return elems
         elems |= new
+
+
+def naive_closure(G, gens):
+    """Breadth-first closure from the identity, one element times one
+    generator at a time."""
+    elems = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = G.mul[x][g]
+                if y not in elems:
+                    elems.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return elems
 
 
 def naive_order(G, x):
@@ -370,6 +390,35 @@ class TestSubgroups:
             assert isinstance(sub, Subgroup)
 
 
+class TestGeneratedIndices:
+    """The coset closure against a breadth-first closure.  C(1) and C(2)
+    are in the set because a closure over the trivial subgroup picks
+    cosets of one element, where itemgetter returns a bare entry."""
+
+    @staticmethod
+    def check(G, gens):
+        elems = generated_indices(G, gens)
+        assert elems[0] == 0
+        assert len(elems) == len(set(elems))
+        assert set(elems) == naive_closure(G, gens)
+        assert generated_subgroup(G, gens).members == sum(1 << x for x in elems)
+
+    def test_every_zoo_group(self, zoo):
+        rng = random.Random(5)
+        for G in [cyclic_group(1), cyclic_group(2), *zoo.values()]:
+            for x in range(G.order):
+                self.check(G, [x])
+            self.check(G, G.generators)
+            for _ in range(3):
+                size = rng.randint(1, min(4, G.order))
+                self.check(G, rng.sample(range(G.order), size))
+
+    def test_repeated_and_identity_generators(self, q8):
+        self.check(q8, [0, 2, 2, 0, 4, 2])
+        assert generated_indices(q8, []) == [0]
+        assert generated_indices(q8, [0, 0]) == [0]
+
+
 def test_trivial_group():
     t = trivial_group()
     assert t.order == 1
@@ -527,6 +576,20 @@ class TestKernelsMatchPerCellLoops:
     @pytest.mark.parametrize("n", [1, 12])
     def test_cyclic_group(self, n):
         assert_same_table(cyclic_group(n), ref_cyclic_group(n))
+
+    def test_trivial_factors(self):
+        c1, c3 = cyclic_group(1), cyclic_group(3)
+        r1, r3 = ref_cyclic_group(1), ref_cyclic_group(3)
+        assert_same_table(direct_product(c1, c3), ref_direct_product(r1, r3))
+        assert_same_table(direct_product(c3, c1), ref_direct_product(r3, r1))
+        assert_same_table(
+            semidirect_product(c1, c3, [(0,)]), ref_semidirect_product(r1, r3, [(0,)])
+        )
+        inversion = [(0, 2, 1)]
+        assert_same_table(
+            semidirect_product(c3, cyclic_group(2), inversion),
+            ref_semidirect_product(r3, ref_cyclic_group(2), inversion),
+        )
 
     @pytest.mark.parametrize(
         "text", ["D(8)xD(8)", "Q(8)xC(2)xC(2)", "A(2)", "C3Q8", "X(2,5)", "Gn(3,5)"]

@@ -166,6 +166,13 @@ class TestAllSubgroups:
                     )
                     assert join.members in index
 
+    @pytest.mark.parametrize("p,a,b", [(2, 4, 6), (2, 5, 5), (3, 3, 3)])
+    def test_large_rank2_abelian_count(self, p, a, b):
+        # orders 1024, 1024 and 729, where a join picks cosets of up to 512
+        # elements at once; the pairwise-join reference is too slow here
+        g = direct_product(cyclic_group(p**a), cyclic_group(p**b))
+        assert counts(g, cap=1200).s == subgroup_count_rank2(p, a, b)
+
     def test_cap_exceeded(self):
         g = cyclic_group(32)
         with pytest.raises(CapExceeded):
