@@ -536,14 +536,18 @@ def group_from_generators(
             gen_cols[gi].append(j)
         i += 1
 
-    mul = table_by_columns(gen_cols, range(1, len(elems)), parent, genpos)
+    n = len(elems)
+    # the elements' permutations are not needed for the table: free them
+    # first, so that its rows can reuse their memory
+    del elems, index
+    mul = table_by_rows(gen_cols, range(1, n), parent, genpos)
     gen_idx = [gen_cols[gi][0] for gi in range(len(gens))]
     return Group(mul, gen_idx, label=label)
 
 
-def table_by_columns(
+def table_by_rows(
     perms: Sequence[Sequence[int]],
-    tree: Iterable[int],
+    tree: Sequence[int],
     parent: Sequence[int],
     via: Sequence[int],
 ) -> tuple[tuple[int, ...], ...]:
@@ -552,20 +556,25 @@ def table_by_columns(
     `perms[j]` maps each element x to x * s_j for a generator s_j.  Every
     element c != 0 is its spanning-tree parent times one generator,
     c = parent[c] * s_via[c], and `tree` lists those elements parents
-    first.  Column c of the table is then column parent[c] mapped through
-    perms[via[c]]; the columns are built whole and transposed into rows.
+    first.  Row c maps x to parent[c] * (s * x) for s = s_via[c]: it is row
+    parent[c] picked at the row of s, one itemgetter call per row.  The row
+    of each such s is walked down the same tree first, as
+    s * c = (s * parent[c]) * s_via[c].  Nothing as large as the table is
+    made besides the table itself, and every row shares the int objects of
+    row 0.
     """
     n = len(parent)
-    cols: list = [None] * n
-    cols[0] = tuple(range(n))
-    # map over a list's __getitem__ (a plain method, not a tuple's slot
-    # wrapper).  An itemgetter per column is a little faster, but the
-    # column copy it makes each time fragments the heap, and a later
-    # lattice then raised a census run's peak RSS by about 1.7 MB
-    picks = [list(p).__getitem__ for p in perms]
+    rows: list = [None] * n
+    rows[0] = tuple(range(n))
+    picks = {}
+    for j in dict.fromkeys(via[c] for c in tree):
+        left = [perms[j][0]] * n
+        for c in tree:
+            left[c] = perms[via[c]][left[parent[c]]]
+        picks[j] = getter(left)
     for c in tree:
-        cols[c] = tuple(map(picks[via[c]], cols[parent[c]]))
-    return tuple(zip(*cols))
+        rows[c] = picks[via[c]](rows[parent[c]])
+    return tuple(rows)
 
 
 def trivial_group(label: str | None = None) -> Group:

@@ -10,7 +10,7 @@ twice yields identical tables.
 from __future__ import annotations
 
 
-from .core import CapExceeded, Group, Record, table_by_columns
+from .core import CapExceeded, Group, Record, table_by_rows
 from .presentation import Presentation, Word
 
 DEFAULT_MAX_COSETS = 100_000
@@ -230,7 +230,7 @@ def group_from_coset_table(table: CosetTable, label: str | None = None) -> Group
     if not all(seen):
         raise ValueError("coset table is not transitive")
 
-    mul = table_by_columns(tuple(zip(*rows)), queue[1:], parent, colof)
+    mul = table_by_rows(tuple(zip(*rows)), queue[1:], parent, colof)
     gens = [rows[0][2 * i] for i in range(table.num_generators)]
     return Group(mul, list(dict.fromkeys(g for g in gens if g != 0)), label=label)
 

@@ -6,6 +6,8 @@ raw permutations or tables, no shared code with the package internals).
 """
 
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -127,6 +129,22 @@ class TestGroupFromGenerators:
         again = group_from_generators(3, [(1, 2, 0), (1, 0, 2)])
         assert again.mul == s3.mul
         assert again.generators == s3.generators
+
+    def test_regular_representation_peak_is_one_table(self):
+        # the closure's degree-n permutations are as large as the n x n
+        # table; they are freed before the table is made, and the table is
+        # made row by row, so the peak stays near one table
+        n = 300
+        cycle = tuple(range(1, n)) + (0,)
+        tracemalloc.start()
+        try:
+            g = group_from_generators(n, [cycle])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = sys.getsizeof(g.mul) + sum(map(sys.getsizeof, g.mul))
+        assert g.mul == cyclic_group(n).mul
+        assert peak < 1.5 * table
 
 
 class TestTableAxioms:
