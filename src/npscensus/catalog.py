@@ -56,6 +56,7 @@ from .families import (
     UnknownFamilyError,
     cyclic_spec,
     expected_order,
+    metacyclic_of,
     product_spec,
     validate,
 )
@@ -151,106 +152,96 @@ def _metacyclic_counts(p: int, n: int, q: int, m: int, r: int) -> _Counts | None
     return _Counts(s=nps + ps, ps=ps, nps=nps)
 
 
-def _family_counts(spec: FamilySpec) -> tuple[_Counts, str] | None:
-    """Full (s, ps, nps) with a source string, when known exactly."""
-    k, p = spec.kind, spec.params
-    if k == CYCLIC:
-        return _cyclic_counts(p[0]), "cyclic groups have no nonpower subgroups"
-    if k == DIHEDRAL:
-        order = p[0]
-        half = order // 2
-        fact = factorize(half)
-        if half > 1 and fact == {2: p_valuation(half, 2)}:
-            n = p_valuation(order, 2)
-            if n >= 3:
-                nps = 2**n - 1
-                return _Counts(nps + n, n, nps), "nps(D_2^n) = 2^n - 1"
-        if len(fact) == 1:
-            (q,) = fact
-            if q > 2:
-                mc = _metacyclic_counts(2, 1, q, fact[q], half - 1)
-                assert mc is not None
-                return mc, "nps(D_2q^m) = q(q^m - 1)/(q - 1)"
-        return None
-    if k == QUATERNION:
-        n = p_valuation(p[0], 2)
-        nps = 2 ** (n - 1) - 1
-        return _Counts(nps + n, n, nps), "nps(Q_2^n) = 2^(n-1) - 1"
-    if k == SEMIDIHEDRAL:
-        n = p_valuation(p[0], 2)
-        nps = 3 * 2 ** (n - 2) - 1
-        return _Counts(nps + n, n, nps), "nps(S_2^n) = 3*2^(n-2) - 1"
-    if k == MODULAR:
-        n, q = p
-        nps = q * (n - 1) + 1
-        return _Counts(nps + n, n, nps), "nps(M_n,p) = p(n-1) + 1"
-    if k == EXTRASPECIAL:
-        q = p[0]
-        nps = q * q + 2 * q + 2
-        return _Counts(nps + 2, 2, nps), "nps(M(p)) = p^2 + 2p + 2"
-    if k == GENERAL:
-        pp, n, q, m = p
-        assert spec.r is not None
-        mc = _metacyclic_counts(pp, n, q, m, spec.r)
-        if mc is None:
-            return None
-        if pp == q:
-            src = "nps matches C_{p^n} x C_{p^m} for odd p"
-        else:
-            src = "nps = k q (q^m - 1)/(q - 1), p^k the twist order"
-        return mc, src
-    if k == GSHORT:
-        n, q, m = p
-        if q == 2:
-            return None
-        mc = _metacyclic_counts(2, n, q, m, q**m - 1)
-        assert mc is not None
-        return mc, "nps(G_n,p^m) = p(p^m - 1)/(p - 1) for odd p"
-    if k == FFAMILY:
-        n, q = p
-        mc = _metacyclic_counts(3, n, q, 1, _spec_f_twist(spec))
-        assert mc is not None
-        return mc, "nps(F_n,p) = p"
-    if k == B2:
-        n, q = p
-        if n < 2:
-            return None
-        nps = q * q * (n - 1) + q * (n + 1) + 2
-        return _Counts(nps + n + 1, n + 1, nps), "nps(B2_n,p) = p^2(n-1) + p(n+1) + 2"
-    if k == B1:
-        n, q = p
-        if n < 2:
-            return None
-        nps = q * q * (2 * n - 1) + q * (n + 1) + 2
-        return _Counts(nps + n + 1, n + 1, nps), "nps(B1_n,p) = p^2(2n-1) + p(n+1) + 2"
-    if k == AFAMILY:
-        n = p[0]
-        nps = 3 * n + 4
-        return _Counts(nps + 2 * n + 1, 2 * n + 1, nps), "nps(A_n) = 3n + 4"
-    if k == ALT and p[0] == 4:
-        return _Counts(10, 3, 7), "nps(Alt(4)) = 7"
-    if k == SYM and p[0] == 3:
-        return _Counts(6, 3, 3), "nps(Sym(3)) = 3"
-    if k == SYM and p[0] == 4:
-        return _Counts(30, 4, 26), "direct calculation: nps(Sym(4)) = 26"
-    if k == SL23:
-        return _Counts(15, 4, 11), "direct calculation: nps(SL(2,3)) = 11"
-    if k == C3Q8:
-        return _Counts(18, 5, 13), "direct calculation: nps(C3 x| Q8) = 13"
-    if k == PRODUCT:
-        return _product_counts(spec)
+def _with_ps(nps: int, ps: int, source: str) -> tuple[_Counts, str]:
+    return _Counts(nps + ps, ps, nps), source
+
+
+def _dihedral_counts(spec: FamilySpec) -> tuple[_Counts, str] | None:
+    order = spec.params[0]
+    half = order // 2
+    fact = factorize(half)
+    if half > 1 and fact == {2: p_valuation(half, 2)}:
+        n = p_valuation(order, 2)
+        if n >= 3:
+            return _with_ps(2**n - 1, n, "nps(D_2^n) = 2^n - 1")
+    if len(fact) == 1:
+        (q,) = fact
+        if q > 2:
+            mc = _metacyclic_counts(2, 1, q, fact[q], half - 1)
+            assert mc is not None
+            return mc, "nps(D_2q^m) = q(q^m - 1)/(q - 1)"
     return None
 
 
-def _spec_f_twist(spec: FamilySpec) -> int:
-    from .families import _canonical_f_twist
+def _quaternion_counts(spec: FamilySpec) -> tuple[_Counts, str]:
+    n = p_valuation(spec.params[0], 2)
+    return _with_ps(2 ** (n - 1) - 1, n, "nps(Q_2^n) = 2^(n-1) - 1")
 
-    if spec.r is not None:
-        return spec.r
-    r = _canonical_f_twist(spec.params[1])
-    assert r is not None
-    return r
 
+def _semidihedral_counts(spec: FamilySpec) -> tuple[_Counts, str]:
+    n = p_valuation(spec.params[0], 2)
+    return _with_ps(3 * 2 ** (n - 2) - 1, n, "nps(S_2^n) = 3*2^(n-2) - 1")
+
+
+def _modular_counts(spec: FamilySpec) -> tuple[_Counts, str]:
+    n, q = spec.params
+    return _with_ps(q * (n - 1) + 1, n, "nps(M_n,p) = p(n-1) + 1")
+
+
+def _extraspecial_counts(spec: FamilySpec) -> tuple[_Counts, str]:
+    q = spec.params[0]
+    return _with_ps(q * q + 2 * q + 2, 2, "nps(M(p)) = p^2 + 2p + 2")
+
+
+def _twisted(spec: FamilySpec) -> _Counts | None:
+    """Counts from the family's metacyclic (p, n, q, m, r)."""
+    return _metacyclic_counts(*metacyclic_of(spec))  # type: ignore[misc]
+
+
+def _general_counts(spec: FamilySpec) -> tuple[_Counts, str] | None:
+    mc = _twisted(spec)
+    if mc is None:
+        return None
+    if spec.params[0] == spec.params[2]:
+        return mc, "nps matches C_{p^n} x C_{p^m} for odd p"
+    return mc, "nps = k q (q^m - 1)/(q - 1), p^k the twist order"
+
+
+def _gshort_counts(spec: FamilySpec) -> tuple[_Counts, str] | None:
+    if spec.params[1] == 2:
+        return None
+    return _twisted(spec), "nps(G_n,p^m) = p(p^m - 1)/(p - 1) for odd p"
+
+
+def _b1_counts(spec: FamilySpec) -> tuple[_Counts, str] | None:
+    n, q = spec.params
+    if n < 2:
+        return None
+    nps = q * q * (2 * n - 1) + q * (n + 1) + 2
+    return _with_ps(nps, n + 1, "nps(B1_n,p) = p^2(2n-1) + p(n+1) + 2")
+
+
+def _b2_counts(spec: FamilySpec) -> tuple[_Counts, str] | None:
+    n, q = spec.params
+    if n < 2:
+        return None
+    nps = q * q * (n - 1) + q * (n + 1) + 2
+    return _with_ps(nps, n + 1, "nps(B2_n,p) = p^2(n-1) + p(n+1) + 2")
+
+
+def _a_counts(spec: FamilySpec) -> tuple[_Counts, str]:
+    n = spec.params[0]
+    return _with_ps(3 * n + 4, 2 * n + 1, "nps(A_n) = 3n + 4")
+
+
+# single family instances with counts by direct calculation
+_CALCULATED = {
+    FamilySpec(ALT, (4,)): (_Counts(10, 3, 7), "nps(Alt(4)) = 7"),
+    FamilySpec(SYM, (3,)): (_Counts(6, 3, 3), "nps(Sym(3)) = 3"),
+    FamilySpec(SYM, (4,)): (_Counts(30, 4, 26), "direct calculation: nps(Sym(4)) = 26"),
+    FamilySpec(SL23): (_Counts(15, 4, 11), "direct calculation: nps(SL(2,3)) = 11"),
+    FamilySpec(C3Q8): (_Counts(18, 5, 13), "direct calculation: nps(C3 x| Q8) = 13"),
+}
 
 def _product_counts(spec: FamilySpec) -> tuple[_Counts, str] | None:
     """Compose counts over a direct product of factors with pairwise
@@ -301,6 +292,37 @@ def _product_counts(spec: FamilySpec) -> tuple[_Counts, str] | None:
     if len(blocks) > 1:
         return acc, "coprime product composition: " + "; ".join(dict.fromkeys(sources))
     return acc, sources[0]
+
+
+# family kind -> full (s, ps, nps) with a source string, None where unknown
+_COUNTS = {
+    CYCLIC: lambda spec: (
+        _cyclic_counts(spec.params[0]),
+        "cyclic groups have no nonpower subgroups",
+    ),
+    DIHEDRAL: _dihedral_counts,
+    QUATERNION: _quaternion_counts,
+    SEMIDIHEDRAL: _semidihedral_counts,
+    MODULAR: _modular_counts,
+    EXTRASPECIAL: _extraspecial_counts,
+    GENERAL: _general_counts,
+    GSHORT: _gshort_counts,
+    FFAMILY: lambda spec: (_twisted(spec), "nps(F_n,p) = p"),
+    B1: _b1_counts,
+    B2: _b2_counts,
+    AFAMILY: _a_counts,
+    ALT: _CALCULATED.get,
+    SYM: _CALCULATED.get,
+    SL23: _CALCULATED.get,
+    C3Q8: _CALCULATED.get,
+    PRODUCT: _product_counts,
+}
+
+
+def _family_counts(spec: FamilySpec) -> tuple[_Counts, str] | None:
+    """Full (s, ps, nps) with a source string, when known exactly."""
+    counts = _COUNTS.get(spec.kind)
+    return counts(spec) if counts else None
 
 
 def _match_cyclic(spec: FamilySpec) -> int | None:

@@ -55,7 +55,9 @@ from .families import (
     build,
     cyclic_spec,
     expected_order,
+    order_up_to,
     product_spec,
+    shape_error,
     validate,
 )
 from .isomorphism import are_isomorphic
@@ -65,6 +67,11 @@ from .specs import SpecError, parse_spec
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+# the largest order an over-cap message prints in digits: CPython refuses
+# to format an int with more digits than its limit (4300 by default, 0 for
+# none)
+_PRINTABLE = 10 ** (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300) - 1
 
 PASS = "pass"
 FAIL = "fail"
@@ -305,17 +312,22 @@ def cmd_nps(args) -> int:
     if path.is_file():
         text = path.read_text(encoding="utf-8").strip()
     spec = parse_spec(text)
+    # the cap comes before the family checks, which can take long on large
+    # parameters (a primality test), but after the shape check, without
+    # which the spec has no order
+    if shape_error(spec) is None:
+        order = order_up_to(spec, max(args.max_order, _PRINTABLE))
+        if order > args.max_order:
+            shown = order if order <= _PRINTABLE else f"of {spec}"
+            print(
+                f"order {shown} exceeds lattice cap {args.max_order} "
+                f"(raise --max-order)",
+                file=sys.stderr,
+            )
+            return 2
     err = validate(spec)
     if err:
         print(f"invalid spec {spec}: {err}", file=sys.stderr)
-        return 2
-    order = expected_order(spec)
-    if order > args.max_order:
-        print(
-            f"order {order} exceeds lattice cap {args.max_order} "
-            f"(raise --max-order)",
-            file=sys.stderr,
-        )
         return 2
     c = _counts_and_release(build(spec, cap=args.max_order), args.max_order)
     print(f"group: {spec}")
@@ -528,11 +540,13 @@ def cmd_present(args) -> int:
             if err:
                 print(f"invalid spec {spec}: {err}", file=sys.stderr)
                 return 2
-            other = build(spec, cap=max(args.max_order, expected_order(spec)))
-            same = are_isomorphic(
-                g, other, cap=max(args.max_order, g.order, other.order)
-            )
-            _release(other)
+            # groups of different orders are never isomorphic, and the
+            # order is known without building anything
+            same = order_up_to(spec, g.order) == g.order
+            if same:
+                other = build(spec, cap=args.max_order)
+                same = are_isomorphic(g, other, cap=args.max_order)
+                _release(other)
             print(f"isomorphic to {spec}: {'yes' if same else 'no'}")
             if not same:
                 return 1

@@ -367,27 +367,39 @@ def element_order(G: Group, x: int) -> int:
     return k
 
 
-def element_orders(G: Group) -> tuple[int, ...]:
-    """Order of every element, from one power walk per cyclic subgroup:
-    when x has order k, x^i has order k / gcd(i, k)."""
-    cached = G._cache.get("orders")
+def cyclic_subgroups(G: Group) -> list[list[int]]:
+    """The powers [1, x, x^2, ...] of one generator x of each distinct
+    cyclic subgroup, x the smallest, in order of x.  Every element
+    generates exactly one of them, so the same walk gives every element's
+    order for `element_orders`.  Both are cached on the group."""
+    cached = G._cache.get("cyclic")
     if cached is None:
         mul = G.mul
         orders = [0] * G.order
+        cached = []
         for x in range(G.order):
             if orders[x]:
-                continue
+                continue  # x generates a subgroup walked already
             powers = [0]
             y = x
             while y != 0:
                 powers.append(y)
                 y = mul[y][x]
             k = len(powers)
-            for i, y in enumerate(powers):
-                orders[y] = k // gcd(i, k)
-        cached = tuple(orders)
-        G._cache["orders"] = cached
+            for t in range(k):
+                if gcd(t, k) == 1:
+                    orders[powers[t]] = k
+            cached.append(powers)
+        G._cache["cyclic"] = cached
+        G._cache["orders"] = tuple(orders)
     return cached  # type: ignore[return-value]
+
+
+def element_orders(G: Group) -> tuple[int, ...]:
+    """Order of every element, from the walk of `cyclic_subgroups`."""
+    if "orders" not in G._cache:
+        cyclic_subgroups(G)
+    return G._cache["orders"]  # type: ignore[return-value]
 
 
 def exponent(G: Group) -> int:

@@ -1,6 +1,8 @@
 """Named group families: parameter validation and concrete construction.
 
-Each family has one canonical construction path.  Most are explicit
+Everything the package knows about a family kind sits in one row of
+`FAMILIES`: its spec syntax, its checks, its order, its construction, its
+built-in presentation and its display text.  Most families are explicit
 semidirect or direct products; the generalized quaternion groups, the
 exponent-p extraspecial groups M(p) and the two-generator groups B1(n,p)
 are realized by coset enumeration of their built-in presentations and
@@ -9,9 +11,11 @@ cross-checked against the expected order.
 
 from __future__ import annotations
 
+from itertools import chain, product, repeat
 from math import gcd
+from typing import Callable, Iterable
 
-from .arith import is_prime, multiplicative_order
+from .arith import factorize, is_prime, multiplicative_order
 from .core import (
     DEFAULT_ORDER_CAP,
     CapExceeded,
@@ -19,6 +23,7 @@ from .core import (
     Record,
     cyclic_group,
     direct_product,
+    group_from_generators,
     semidirect_product,
 )
 from .coset import coset_enumerate
@@ -58,51 +63,61 @@ class FamilySpec(Record):
     factors: tuple["FamilySpec", ...] = ()
 
     def __str__(self) -> str:
-        k, p = self.kind, self.params
-        if k == CYCLIC:
-            return f"C({p[0]})"
-        if k == DIHEDRAL:
-            return f"D({p[0]})"
-        if k == QUATERNION:
-            return f"Q({p[0]})"
-        if k == SEMIDIHEDRAL:
-            return f"S({p[0]})"
-        if k == MODULAR:
-            return f"M({p[0]},{p[1]})"
-        if k == EXTRASPECIAL:
-            return f"M({p[0]})"
-        if k == GENERAL:
-            pp, n, q, m = p
-            return f"G(r={self.r};p={pp},n={n};q={q},m={m})"
-        if k == GSHORT:
-            n, q, m = p
-            return f"Gn({n},{q ** m})"
-        if k == FFAMILY:
-            n, q = p
-            if self.r is not None and self.r != _canonical_f_twist(q):
-                return f"F({n},{q},{self.r})"
-            return f"F({n},{q})"
-        if k in (B1, B2):
-            return f"{k}({p[0]},{p[1]})"
-        if k == AFAMILY:
-            return f"A({p[0]})"
-        if k in (SYM, ALT):
-            return f"{k}({p[0]})"
-        if k in (SL23, C3Q8):
-            return k
-        if k == XFAMILY:
-            return f"X({p[0]},{p[1]})"
-        if k == PRODUCT:
-            return "x".join(str(f) for f in self.factors)
-        raise UnknownFamilyError(f"unknown family kind {k!r}")
+        fmt = _row(self.kind).fmt
+        if isinstance(fmt, str):
+            return fmt.format(*self.params, r=self.r)
+        return fmt(self)
 
 
-def _canonical_f_twist(q: int) -> int | None:
-    """Smallest residue of multiplicative order 3 mod q, if one exists."""
-    for r in range(2, q):
-        if pow(r, 3, q) == 1 and r != 1:
-            return r
-    return None
+class Family(Record):
+    """One row of the family table.
+
+    `fmt` is the display text: a format string over the parameters (and
+    `r`), or a function of the spec.  `check` runs after the shared arity
+    and positivity check and returns a diagnostic or None.  A family is
+    built from exactly one of `metacyclic`, `factors` (the direct factors,
+    in order) or `construct`, called as construct(spec, cap, label); its
+    built-in presentation comes from `metacyclic` or `presentation`.
+    `order`, `metacyclic` and `presentation` take the parameters, and
+    `metacyclic` also the twist r: `order` gives (base, exponent) pairs
+    whose powers multiply to the order, and `metacyclic` the (p, n, q, m, r)
+    of `metacyclic_of`.  `parse` turns parser arguments into a spec,
+    raising ValueError when they do not fit; without it the positional
+    arguments are the parameters.
+    """
+
+    kind: str
+    fmt: str | Callable[[FamilySpec], str]
+    names: tuple[str, ...] | None = None  # parser names; None: the kind
+    arity: int | None = 1  # None for a product, validated factor by factor
+    check: Callable[[FamilySpec], str | None] | None = None
+    order: Callable[..., Iterable[tuple[int, int]]] | None = None
+    metacyclic: Callable[..., tuple[int, int, int, int, int]] | None = None
+    factors: Callable[[FamilySpec], Iterable[FamilySpec]] | None = None
+    construct: Callable[[FamilySpec, int, str], Group] | None = None
+    presentation: Callable[..., str] | None = None
+    parse: Callable[[list[int], dict[str, int]], FamilySpec] | None = None
+    keywords: bool = False  # parse takes named arguments
+
+    @property
+    def parser_names(self) -> tuple[str, ...]:
+        """The names the spec parser knows the family by, lower case."""
+        return (self.kind.lower(),) if self.names is None else self.names
+
+
+def _row(kind: str) -> Family:
+    fam = FAMILIES.get(kind)
+    if fam is None:
+        raise UnknownFamilyError(f"unknown family kind {kind!r}")
+    return fam
+
+
+def _f_twist(q: int, r: int | None = None) -> int | None:
+    """r when given, else the smallest residue of multiplicative order 3
+    mod q, if one exists."""
+    if r is not None:
+        return r
+    return next((t for t in range(2, q) if pow(t, 3, q) == 1), None)
 
 
 def product_spec(*factors: FamilySpec) -> FamilySpec:
@@ -121,175 +136,69 @@ def cyclic_spec(n: int) -> FamilySpec:
     return FamilySpec(CYCLIC, (n,))
 
 
-def _is_power_of(n: int, base: int) -> int | None:
-    """Exponent e with base^e == n, else None."""
-    e = 0
-    m = 1
-    while m < n:
-        m *= base
-        e += 1
-    return e if m == n else None
-
-
 def validate(spec: FamilySpec) -> str | None:
     """None when the parameters satisfy the family's constraints, else a
     diagnostic naming the violated constraint.  Never raises."""
-    k, p = spec.kind, spec.params
+    return _diagnose(spec, True)
 
-    def need(count: int) -> str | None:
-        if len(p) != count:
-            return f"{k} expects {count} parameter(s), got {len(p)}"
-        if any(v < 1 for v in p):
-            return f"{k} parameters must be positive"
-        return None
 
-    if k == CYCLIC:
-        return need(1)
-    if k == DIHEDRAL:
-        err = need(1)
-        if err:
-            return err
-        if p[0] % 2 or p[0] < 2:
-            return "dihedral order must be even and >= 2"
-        return None
-    if k in (QUATERNION, SEMIDIHEDRAL):
-        err = need(1)
-        if err:
-            return err
-        e = _is_power_of(p[0], 2)
-        least = 3 if k == QUATERNION else 4
-        if e is None or e < least:
-            return f"{k} order must be 2^n with n >= {least}"
-        return None
-    if k == MODULAR:
-        err = need(2)
-        if err:
-            return err
-        n, q = p
-        if not is_prime(q):
-            return f"{q} is not prime"
-        if q == 2 and n < 4:
-            return "M(n,2) requires n >= 4"
-        if q > 2 and n < 3:
-            return "M(n,p) requires n >= 3 for odd p"
-        return None
-    if k == EXTRASPECIAL:
-        err = need(1)
-        if err:
-            return err
-        if not is_prime(p[0]) or p[0] == 2:
-            return "M(p) requires an odd prime p"
-        return None
-    if k == GENERAL:
-        err = need(4)
-        if err:
-            return err
-        pp, n, q, m = p
-        if not is_prime(pp):
-            return f"{pp} is not prime"
-        if not is_prime(q):
-            return f"{q} is not prime"
-        if spec.r is None:
-            return "G requires a twist parameter r"
-        if pow(spec.r, pp**n, q**m) != 1:
-            return f"r^(p^n) = {spec.r}^{pp ** n} is not 1 mod {q ** m}"
-        return None
-    if k == GSHORT:
-        err = need(3)
-        if err:
-            return err
-        n, q, m = p
-        if not is_prime(q):
-            return f"{q} is not prime"
-        return None
-    if k == FFAMILY:
-        err = need(2)
-        if err:
-            return err
-        n, q = p
-        if not is_prime(q):
-            return f"{q} is not prime"
-        if q % 3 != 1:
-            return f"F requires p = 1 mod 3, got {q}"
-        r = spec.r if spec.r is not None else _canonical_f_twist(q)
-        if r is None or gcd(r, q) != 1 or multiplicative_order(r, q) != 3:
-            return f"twist {r} does not have order 3 mod {q}"
-        return None
-    if k in (B1, B2):
-        err = need(2)
-        if err:
-            return err
-        if not is_prime(p[1]):
-            return f"{p[1]} is not prime"
-        return None
-    if k == AFAMILY:
-        return need(1)
-    if k in (SYM, ALT):
-        return need(1)
-    if k in (SL23, C3Q8):
-        return None if not p else f"{k} takes no parameters"
-    if k == XFAMILY:
-        err = need(2)
-        if err:
-            return err
-        if not is_prime(p[1]) or p[1] == 2:
-            return "X(n,p) requires an odd prime p"
-        return None
-    if k == PRODUCT:
+def shape_error(spec: FamilySpec) -> str | None:
+    """`validate` without the family checks: only the shared arity and
+    positivity check, quick for any parameters.  None exactly when the
+    spec has an order."""
+    return _diagnose(spec, False)
+
+
+def _diagnose(spec: FamilySpec, family_checks: bool) -> str | None:
+    fam = FAMILIES.get(spec.kind)
+    if fam is None:
+        return f"unknown family kind {spec.kind!r}"
+    k, p = fam.kind, spec.params
+    if fam.arity is None:
         if len(spec.factors) < 2:
             return "product needs at least two factors"
-        for f in spec.factors:
-            err = validate(f)
-            if err:
-                return err
-        return None
-    return f"unknown family kind {k!r}"
+        errs = (_diagnose(f, family_checks) for f in spec.factors)
+        return next(filter(None, errs), None)
+    if not fam.arity:
+        if p:
+            return f"{k} takes no parameters"
+    elif len(p) != fam.arity:
+        return f"{k} expects {fam.arity} parameter(s), got {len(p)}"
+    elif any(v < 1 for v in p):
+        return f"{k} parameters must be positive"
+    return fam.check(spec) if family_checks and fam.check else None
 
 
 def expected_order(spec: FamilySpec) -> int:
-    k, p = spec.kind, spec.params
-    if k == CYCLIC:
-        return p[0]
-    if k in (DIHEDRAL, QUATERNION, SEMIDIHEDRAL):
-        return p[0]
-    if k == MODULAR:
-        return p[1] ** p[0]
-    if k == EXTRASPECIAL:
-        return p[0] ** 3
-    if k == GENERAL:
-        pp, n, q, m = p
-        return pp**n * q**m
-    if k == GSHORT:
-        n, q, m = p
-        return 2**n * q**m
-    if k == FFAMILY:
-        return 3 ** p[0] * p[1]
-    if k in (B1, B2):
-        return p[1] ** (p[0] + 2)
-    if k == AFAMILY:
-        return 4 * 3 ** p[0]
-    if k == SYM:
-        out = 1
-        for i in range(2, p[0] + 1):
-            out *= i
-        return out
-    if k == ALT:
-        out = 1
-        for i in range(2, p[0] + 1):
-            out *= i
-        return max(1, out // 2)
-    if k == SL23:
-        return 24
-    if k == C3Q8:
-        return 24
-    if k == XFAMILY:
-        return 2 * p[1] * 3 ** p[0]
-    if k == PRODUCT:
-        out = 1
-        for f in spec.factors:
-            out *= expected_order(f)
-        return out
-    raise UnknownFamilyError(f"unknown family kind {k!r}")
+    return order_up_to(spec, None)
+
+
+def order_up_to(spec: FamilySpec, bound: int | None) -> int:
+    """expected_order(spec) when it is at most bound, else some number
+    above bound, found without forming the order itself (n! for Sym(n)).
+    The spec must pass `shape_error`."""
+    fam = _row(spec.kind)
+    if fam.factors is not None:
+        terms = ((order_up_to(f, bound), 1) for f in fam.factors(spec))
+    else:
+        terms = fam.order(*spec.params)  # type: ignore[misc]
+    out = 1
+    for base, e in terms:
+        if bound is not None and base > 1 and e > bound.bit_length():
+            return bound + 1
+        out *= base**e
+        if bound is not None and out > bound:
+            return out
+    return out
+
+
+def metacyclic_of(spec: FamilySpec) -> tuple[int, int, int, int, int] | None:
+    """The (p, n, q, m, r) of C_{q^m} x| C_{p^n} with the twist
+    a^-1 b a = b^r for a metacyclic family's spec, else None."""
+    fam = _row(spec.kind)
+    if fam.metacyclic is None:
+        return None
+    return fam.metacyclic(*spec.params, spec.r)
 
 
 def _metacyclic(
@@ -305,18 +214,33 @@ def _metacyclic(
     return semidirect_product(base, top, [action], cap=cap, label=label)
 
 
-def _sl23(cap: int, label: str) -> Group:
+def _metacyclic_text(p: int, n: int, q: int, m: int, r: int) -> str:
+    qm = q**m
+    rr = r % qm
+    if rr == qm - 1:
+        rr = -1
+    return f"a, b | a^{p ** n} = 1, b^{qm} = 1, a^-1 b a = b^{rr}"
+
+
+def _direct_product(factors: Iterable[FamilySpec], cap: int, label: str) -> Group:
+    """The factors' direct product, left to right; only the last product
+    carries the label."""
+    it = iter(factors)
+    g = build(next(it), cap=cap)
+    f = next(it)
+    for after in it:
+        g = direct_product(g, build(f, cap=cap), cap=cap)
+        f = after
+    return direct_product(g, build(f, cap=cap), cap=cap, label=label)
+
+
+def _sl23(spec: FamilySpec, cap: int, label: str) -> Group:
     """SL(2,3) by tabulating the 24 determinant-1 matrices over GF(3)."""
-    mats = []
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                for d in range(3):
-                    if (a * d - b * c) % 3 == 1:
-                        mats.append((a, b, c, d))
     ident = (1, 0, 0, 1)
-    mats.remove(ident)
-    mats = [ident] + sorted(mats)
+    mats = [ident] + sorted(
+        m for m in product(range(3), repeat=4)
+        if (m[0] * m[3] - m[1] * m[2]) % 3 == 1 and m != ident
+    )
     index = {mm: i for i, mm in enumerate(mats)}
 
     def mmul(x, y):
@@ -347,100 +271,58 @@ def _from_presentation(spec: FamilySpec, cap: int, label: str) -> Group:
     return group
 
 
+def _a_family(spec: FamilySpec, cap: int, label: str) -> Group:
+    v4 = direct_product(cyclic_group(2), cyclic_group(2))
+    # order-3 automorphism with (1,0) -> (1,1) -> (0,1) -> (1,0),
+    # chosen so conjugation by the cyclic generator cycles b -> c -> bc
+    action = (0, 2, 3, 1)
+    return semidirect_product(
+        v4, cyclic_group(3 ** spec.params[0]), [action], cap=cap, label=label
+    )
+
+
+def _symmetric(spec: FamilySpec, cap: int, label: str) -> Group:
+    n = spec.params[0]
+    if n < 3:
+        return cyclic_group(n, label=label)
+    cycle = tuple(list(range(1, n)) + [0])
+    swap = tuple([1, 0] + list(range(2, n)))
+    return group_from_generators(n, [cycle, swap], cap=cap, label=label)
+
+
+def _alternating(spec: FamilySpec, cap: int, label: str) -> Group:
+    n = spec.params[0]
+    if n < 3:
+        return cyclic_group(1, label=label)
+    gens = []
+    for i in range(n - 2):
+        perm = list(range(n))
+        perm[i], perm[i + 1], perm[i + 2] = perm[i + 1], perm[i + 2], perm[i]
+        gens.append(tuple(perm))
+    return group_from_generators(n, gens, cap=cap, label=label)
+
+
+def _c3q8(spec: FamilySpec, cap: int, label: str) -> Group:
+    q8 = build(FamilySpec(QUATERNION, (8,)), cap=cap)
+    inv3 = (0, 2, 1)
+    id3 = (0, 1, 2)
+    action = [inv3] + [id3] * (len(q8.generators) - 1)
+    return semidirect_product(cyclic_group(3), q8, action, cap=cap, label=label)
+
+
 def build(spec: FamilySpec, cap: int = DEFAULT_ORDER_CAP) -> Group:
     """Concrete group for a validated family spec."""
     err = validate(spec)
     if err:
         raise ValueError(f"invalid spec {spec}: {err}")
-    k, p = spec.kind, spec.params
+    fam = FAMILIES[spec.kind]
     label = str(spec)
-
-    if k == CYCLIC:
-        return cyclic_group(p[0], label=label)
-    if k == DIHEDRAL:
-        half = p[0] // 2
-        base = cyclic_group(half)
-        inv = tuple((-i) % half for i in range(half))
-        return semidirect_product(base, cyclic_group(2), [inv], cap=cap, label=label)
-    if k == QUATERNION:
-        return _from_presentation(spec, cap, label)
-    if k == SEMIDIHEDRAL:
-        n = _is_power_of(p[0], 2)
-        assert n is not None
-        return _metacyclic(2, 1, 2, n - 1, 2 ** (n - 2) - 1, cap, label)
-    if k == MODULAR:
-        n, q = p
-        return _metacyclic(q, 1, q, n - 1, 1 + q ** (n - 2), cap, label)
-    if k == EXTRASPECIAL:
-        return _from_presentation(spec, cap, label)
-    if k == GENERAL:
-        pp, n, q, m = p
-        assert spec.r is not None
-        return _metacyclic(pp, n, q, m, spec.r % q**m, cap, label)
-    if k == GSHORT:
-        n, q, m = p
-        return _metacyclic(2, n, q, m, q**m - 1, cap, label)
-    if k == FFAMILY:
-        n, q = p
-        r = spec.r if spec.r is not None else _canonical_f_twist(q)
-        assert r is not None
-        return _metacyclic(3, n, q, 1, r, cap, label)
-    if k == B1:
-        return _from_presentation(spec, cap, label)
-    if k == B2:
-        n, q = p
-        return _metacyclic(q, n, q, 2, q + 1, cap, label)
-    if k == AFAMILY:
-        v4 = direct_product(cyclic_group(2), cyclic_group(2))
-        # order-3 automorphism with (1,0) -> (1,1) -> (0,1) -> (1,0),
-        # chosen so conjugation by the cyclic generator cycles b -> c -> bc
-        action = (0, 2, 3, 1)
-        return semidirect_product(
-            v4, cyclic_group(3 ** p[0]), [action], cap=cap, label=label
-        )
-    if k == SYM:
-        n = p[0]
-        if n < 2:
-            return cyclic_group(1, label=label)
-        if n == 2:
-            return cyclic_group(2, label=label)
-        from .core import group_from_generators
-
-        cycle = tuple(list(range(1, n)) + [0])
-        swap = tuple([1, 0] + list(range(2, n)))
-        return group_from_generators(n, [cycle, swap], cap=cap, label=label)
-    if k == ALT:
-        n = p[0]
-        if n < 3:
-            return cyclic_group(1, label=label)
-        from .core import group_from_generators
-
-        gens = []
-        for i in range(n - 2):
-            perm = list(range(n))
-            perm[i], perm[i + 1], perm[i + 2] = perm[i + 1], perm[i + 2], perm[i]
-            gens.append(tuple(perm))
-        return group_from_generators(n, gens, cap=cap, label=label)
-    if k == SL23:
-        return _sl23(cap, label)
-    if k == C3Q8:
-        q8 = build(FamilySpec(QUATERNION, (8,)), cap=cap)
-        inv3 = (0, 2, 1)
-        id3 = (0, 1, 2)
-        action = [inv3] + [id3] * (len(q8.generators) - 1)
-        return semidirect_product(cyclic_group(3), q8, action, cap=cap, label=label)
-    if k == XFAMILY:
-        n, q = p
-        g = build(FamilySpec(DIHEDRAL, (2 * q,)), cap=cap)
-        for _ in range(n - 1):
-            g = direct_product(g, cyclic_group(3), cap=cap)
-        return direct_product(g, cyclic_group(3), cap=cap, label=label)
-    if k == PRODUCT:
-        g = build(spec.factors[0], cap=cap)
-        for f in spec.factors[1:-1]:
-            g = direct_product(g, build(f, cap=cap), cap=cap)
-        return direct_product(g, build(spec.factors[-1], cap=cap), cap=cap, label=label)
-    raise UnknownFamilyError(f"unknown family kind {k!r}")
+    twist = metacyclic_of(spec)
+    if twist is not None:
+        return _metacyclic(*twist, cap, label)
+    if fam.factors is not None:
+        return _direct_product(fam.factors(spec), cap, label)
+    return fam.construct(spec, cap, label)  # type: ignore[misc]
 
 
 def builtin_presentation(spec: FamilySpec) -> Presentation:
@@ -452,68 +334,274 @@ def builtin_presentation(spec: FamilySpec) -> Presentation:
     err = validate(spec)
     if err:
         raise ValueError(f"invalid spec {spec}: {err}")
-    k, p = spec.kind, spec.params
+    fam = FAMILIES[spec.kind]
+    twist = metacyclic_of(spec)
+    if twist is not None:
+        return parse_presentation(_metacyclic_text(*twist))
+    if fam.presentation is not None:
+        return parse_presentation(fam.presentation(*spec.params))
+    raise UnknownFamilyError(f"no presentation for family {spec}")
 
-    def metacyclic_text(pp: int, n: int, q: int, m: int, r: int) -> str:
-        qm = q**m
-        rr = r % qm
-        if rr == qm - 1:
-            rr = -1
-        return f"a, b | a^{pp ** n} = 1, b^{qm} = 1, a^-1 b a = b^{rr}"
 
-    if k == CYCLIC:
-        return parse_presentation(f"a | a^{p[0]} = 1")
-    if k == DIHEDRAL:
-        return parse_presentation(
-            f"a, b | a^2 = 1, b^{p[0] // 2} = 1, a^-1 b a = b^-1"
+# ---------------------------------------------------------------------------
+# the family table: checks, parsers and the rows themselves
+
+
+def _prime_at(i: int) -> Callable[[FamilySpec], str | None]:
+    def check(spec: FamilySpec) -> str | None:
+        q = spec.params[i]
+        return None if is_prime(q) else f"{q} is not prime"
+
+    return check
+
+
+def _two_power(least: int) -> Callable[[FamilySpec], str | None]:
+    def check(spec: FamilySpec) -> str | None:
+        o = spec.params[0]
+        if o & (o - 1) or o.bit_length() - 1 < least:
+            return f"{spec.kind} order must be 2^n with n >= {least}"
+        return None
+
+    return check
+
+
+def _check_dihedral(spec: FamilySpec) -> str | None:
+    o = spec.params[0]
+    return "dihedral order must be even and >= 2" if o % 2 or o < 2 else None
+
+
+def _check_modular(spec: FamilySpec) -> str | None:
+    n, q = spec.params
+    if not is_prime(q):
+        return f"{q} is not prime"
+    if q == 2 and n < 4:
+        return "M(n,2) requires n >= 4"
+    if q > 2 and n < 3:
+        return "M(n,p) requires n >= 3 for odd p"
+    return None
+
+
+def _check_extraspecial(spec: FamilySpec) -> str | None:
+    q = spec.params[0]
+    return None if is_prime(q) and q != 2 else "M(p) requires an odd prime p"
+
+
+def _check_general(spec: FamilySpec) -> str | None:
+    pp, n, q, m = spec.params
+    for v in (pp, q):
+        if not is_prime(v):
+            return f"{v} is not prime"
+    if spec.r is None:
+        return "G requires a twist parameter r"
+    if pow(spec.r, pp**n, q**m) != 1:
+        return f"r^(p^n) = {spec.r}^{pp ** n} is not 1 mod {q ** m}"
+    return None
+
+
+def _check_f(spec: FamilySpec) -> str | None:
+    q = spec.params[1]
+    if not is_prime(q):
+        return f"{q} is not prime"
+    if q % 3 != 1:
+        return f"F requires p = 1 mod 3, got {q}"
+    r = _f_twist(q, spec.r)
+    if r is None or gcd(r, q) != 1 or multiplicative_order(r, q) != 3:
+        return f"twist {r} does not have order 3 mod {q}"
+    return None
+
+
+def _check_x(spec: FamilySpec) -> str | None:
+    q = spec.params[1]
+    return None if is_prime(q) and q != 2 else "X(n,p) requires an odd prime p"
+
+
+def _fmt_f(spec: FamilySpec) -> str:
+    n, q = spec.params
+    if spec.r is not None and spec.r != _f_twist(q):
+        return f"F({n},{q},{spec.r})"
+    return f"F({n},{q})"
+
+
+def _parse_general(args: list[int], named: dict[str, int]) -> FamilySpec:
+    if args or any(k not in named for k in "rpnqm"):
+        raise ValueError(
+            "G uses named arguments r, p, n, q, m, e.g. G(r=2;p=2,n=3;q=5,m=1)"
         )
-    if k == QUATERNION:
-        n = _is_power_of(p[0], 2)
-        assert n is not None
-        return parse_presentation(
-            f"a, b, z | a^{2 ** (n - 2)} = b^2 = z, z^2 = 1, b^-1 a b = a^-1"
-        )
-    if k == SEMIDIHEDRAL:
-        n = _is_power_of(p[0], 2)
-        assert n is not None
-        return parse_presentation(metacyclic_text(2, 1, 2, n - 1, 2 ** (n - 2) - 1))
-    if k == MODULAR:
-        n, q = p
-        return parse_presentation(metacyclic_text(q, 1, q, n - 1, 1 + q ** (n - 2)))
-    if k == EXTRASPECIAL:
-        q = p[0]
-        return parse_presentation(
+    return FamilySpec(GENERAL, tuple(named[k] for k in "pnqm"), r=named["r"])
+
+
+def _parse_gshort(args: list[int], named: dict[str, int]) -> FamilySpec:
+    if len(args) != 2:
+        raise ValueError("Gn takes 2 arguments: n and a prime power")
+    n, qm = args
+    fact = factorize(qm) if qm > 1 else {}
+    if len(fact) != 1:
+        raise ValueError(f"{qm} is not a prime power")
+    ((q, m),) = fact.items()
+    return FamilySpec(GSHORT, (n, q, m))
+
+
+def _parse_f(args: list[int], named: dict[str, int]) -> FamilySpec:
+    if len(args) not in (2, 3):
+        raise ValueError("F takes 2 or 3 arguments: n, p[, r]")
+    return FamilySpec(FFAMILY, (args[0], args[1]), r=args[2] if args[2:] else None)
+
+
+_ROWS = (
+    Family(
+        CYCLIC,
+        "C({})",
+        order=lambda n: ((n, 1),),
+        construct=lambda s, cap, label: cyclic_group(s.params[0], label=label),
+        presentation=lambda n: f"a | a^{n} = 1",
+    ),
+    Family(
+        DIHEDRAL,
+        "D({})",
+        check=_check_dihedral,
+        order=lambda n: ((n, 1),),
+        metacyclic=lambda n, r: (2, 1, n // 2, 1, -1),
+    ),
+    Family(
+        QUATERNION,
+        "Q({})",
+        check=_two_power(3),
+        order=lambda n: ((n, 1),),
+        construct=_from_presentation,
+        presentation=lambda n: (
+            f"a, b, z | a^{n // 4} = b^2 = z, z^2 = 1, b^-1 a b = a^-1"
+        ),
+    ),
+    Family(
+        SEMIDIHEDRAL,
+        "S({})",
+        check=_two_power(4),
+        order=lambda n: ((n, 1),),
+        metacyclic=lambda n, r: (2, 1, 2, n.bit_length() - 2, n // 4 - 1),
+    ),
+    Family(
+        MODULAR,
+        "M({},{})",
+        arity=2,
+        check=_check_modular,
+        order=lambda n, q: ((q, n),),
+        metacyclic=lambda n, q, r: (q, 1, q, n - 1, 1 + q ** (n - 2)),
+    ),
+    Family(
+        EXTRASPECIAL,
+        "M({})",
+        names=("m",),
+        check=_check_extraspecial,
+        order=lambda q: ((q, 3),),
+        construct=_from_presentation,
+        presentation=lambda q: (
             f"x, y, z | x^{q} = y^{q} = z^{q} = 1, [x,z] = 1, [y,z] = 1, [x,y] = z"
-        )
-    if k == GENERAL:
-        pp, n, q, m = p
-        assert spec.r is not None
-        return parse_presentation(metacyclic_text(pp, n, q, m, spec.r))
-    if k == GSHORT:
-        n, q, m = p
-        return parse_presentation(metacyclic_text(2, n, q, m, -1))
-    if k == FFAMILY:
-        n, q = p
-        r = spec.r if spec.r is not None else _canonical_f_twist(q)
-        assert r is not None
-        return parse_presentation(metacyclic_text(3, n, q, 1, r))
-    if k == B1:
-        n, q = p
-        return parse_presentation(
+        ),
+    ),
+    Family(
+        GENERAL,
+        "G(r={r};p={},n={};q={},m={})",
+        arity=4,
+        check=_check_general,
+        order=lambda p, n, q, m: ((p, n), (q, m)),
+        metacyclic=lambda p, n, q, m, r: (p, n, q, m, r),
+        parse=_parse_general,
+        keywords=True,
+    ),
+    Family(
+        GSHORT,
+        lambda s: f"Gn({s.params[0]},{s.params[1] ** s.params[2]})",
+        arity=3,
+        check=_prime_at(1),
+        order=lambda n, q, m: ((2, n), (q, m)),
+        metacyclic=lambda n, q, m, r: (2, n, q, m, -1),
+        parse=_parse_gshort,
+    ),
+    Family(
+        FFAMILY,
+        _fmt_f,
+        arity=2,
+        check=_check_f,
+        order=lambda n, q: ((3, n), (q, 1)),
+        metacyclic=lambda n, q, r: (3, n, q, 1, _f_twist(q, r)),
+        parse=_parse_f,
+    ),
+    Family(
+        B1,
+        "B1({},{})",
+        arity=2,
+        check=_prime_at(1),
+        order=lambda n, q: ((q, n + 2),),
+        construct=_from_presentation,
+        presentation=lambda n, q: (
             f"a, b, c | [a,b] = c, a^{q} = 1, b^{q ** n} = 1, c^{q} = 1, "
-            f"[a,c] = 1, [b,c] = 1"
-        )
-    if k == B2:
-        n, q = p
-        return parse_presentation(metacyclic_text(q, n, q, 2, q + 1))
-    if k == AFAMILY:
-        n = p[0]
-        return parse_presentation(
+            "[a,c] = 1, [b,c] = 1"
+        ),
+    ),
+    Family(
+        B2,
+        "B2({},{})",
+        arity=2,
+        check=_prime_at(1),
+        order=lambda n, q: ((q, n + 2),),
+        metacyclic=lambda n, q, r: (q, n, q, 2, q + 1),
+    ),
+    Family(
+        AFAMILY,
+        "A({})",
+        order=lambda n: ((4, 1), (3, n)),
+        construct=_a_family,
+        presentation=lambda n: (
             f"a, b, c | a^{3 ** n} = 1, b^2 = 1, b c = c b, b^a = c, c^a = b c"
-        )
-    if k == C3Q8:
-        return parse_presentation(
+        ),
+    ),
+    Family(
+        SYM,
+        "Sym({})",
+        order=lambda n: ((i, 1) for i in range(2, n + 1)),
+        construct=_symmetric,
+    ),
+    Family(
+        ALT,
+        "Alt({})",
+        order=lambda n: ((i, 1) for i in range(3, n + 1)),
+        construct=_alternating,
+    ),
+    Family(
+        SL23,
+        SL23,
+        arity=0,
+        order=lambda: ((24, 1),),
+        construct=_sl23,
+    ),
+    Family(
+        C3Q8,
+        C3Q8,
+        arity=0,
+        order=lambda: ((24, 1),),
+        construct=_c3q8,
+        presentation=lambda: (
             "x, y, b | x^4 = y^4 = b^3 = [y,b] = 1, x^2 = y^2, "
             "[x,y] = x^2, b^x = b^-1"
-        )
-    raise UnknownFamilyError(f"no presentation for family {spec}")
+        ),
+    ),
+    Family(
+        XFAMILY,
+        "X({},{})",
+        arity=2,
+        check=_check_x,
+        factors=lambda s: chain(
+            (FamilySpec(DIHEDRAL, (2 * s.params[1],)),),
+            repeat(cyclic_spec(3), s.params[0]),
+        ),
+    ),
+    Family(
+        PRODUCT,
+        lambda s: "x".join(map(str, s.factors)),
+        names=(),
+        arity=None,
+        factors=lambda s: s.factors,
+    ),
+)
+
+FAMILIES: dict[str, Family] = {fam.kind: fam for fam in _ROWS}

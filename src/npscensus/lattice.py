@@ -44,6 +44,7 @@ from .core import (
     Subgroup,
     bit_table,
     coset_closure,
+    cyclic_subgroups,
     element_orders,
     exponent,
     generated_subgroup,
@@ -100,32 +101,17 @@ class Lattice(Record):
 
 
 def _cyclic_nodes(G: Group) -> list[_Node]:
-    """One node per distinct cyclic subgroup, in order of smallest generator.
-    Cached on the group."""
-    cached = G._cache.get("cyclic")
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    mul = G.mul
-    done = bytearray(G.order)
-    out: list[_Node] = []
-    for x in range(G.order):
-        if done[x]:
-            continue
-        elems = [0]
-        members = 1
-        y = x
-        while y != 0:
-            members |= 1 << y
-            elems.append(y)
-            y = mul[y][x]
-        size = len(elems)
-        # the other generators of <x> are larger than x and give no new node
-        for t in range(1, size):
-            if gcd(t, size) == 1:
-                done[elems[t]] = 1
-        out.append(_Node(members, size, elems, (x,) if x else ()))
-    G._cache["cyclic"] = out
-    return out
+    """One node per distinct cyclic subgroup, in order of smallest generator."""
+    bits = bit_table(G)
+    return [
+        _Node(
+            sum(getter(powers)(bits)),
+            len(powers),
+            powers,
+            (powers[1],) if len(powers) > 1 else (),
+        )
+        for powers in cyclic_subgroups(G)
+    ]
 
 
 def all_subgroups(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> Lattice:
@@ -240,7 +226,7 @@ def power_subgroup(G: Group, m: int) -> Subgroup:
     """
     if m < 1:
         raise ValueError("m must be positive")
-    return generated_subgroup(G, [c.elems[m % c.size] for c in _cyclic_nodes(G)])
+    return generated_subgroup(G, [c[m % len(c)] for c in cyclic_subgroups(G)])
 
 
 def power_subgroups(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> dict[int, Subgroup]:

@@ -12,28 +12,7 @@ Names are case-insensitive and whitespace is ignored.
 
 from __future__ import annotations
 
-from .arith import factorize
-from .families import (
-    AFAMILY,
-    ALT,
-    B1,
-    B2,
-    C3Q8,
-    CYCLIC,
-    DIHEDRAL,
-    EXTRASPECIAL,
-    FFAMILY,
-    GENERAL,
-    GSHORT,
-    MODULAR,
-    QUATERNION,
-    SEMIDIHEDRAL,
-    SL23,
-    SYM,
-    XFAMILY,
-    FamilySpec,
-    product_spec,
-)
+from .families import FAMILIES, Family, FamilySpec, product_spec
 
 
 class SpecError(ValueError):
@@ -46,25 +25,13 @@ class SpecError(ValueError):
         self.position = position
 
 
-# longest names first so e.g. "C3Q8" wins over "C"
-_NAMES: tuple[tuple[str, str], ...] = (
-    ("c3q8", C3Q8),
-    ("sl23", SL23),
-    ("sym", SYM),
-    ("alt", ALT),
-    ("gn", GSHORT),
-    ("b1", B1),
-    ("b2", B2),
-    ("c", CYCLIC),
-    ("d", DIHEDRAL),
-    ("q", QUATERNION),
-    ("s", SEMIDIHEDRAL),
-    ("m", None),  # arity decides: M(p) vs M(n,p)
-    ("g", GENERAL),
-    ("f", FFAMILY),
-    ("a", AFAMILY),
-    ("x", XFAMILY),
-)
+# parser name -> the table rows it names, longest names first so e.g. "C3Q8"
+# wins over "C"; rows that share a name (the two "M" rows) differ in arity
+_NAMES: dict[str, tuple[Family, ...]] = {}
+for _fam in FAMILIES.values():
+    for _name in _fam.parser_names:
+        _NAMES[_name] = _NAMES.get(_name, ()) + (_fam,)
+_NAMES = dict(sorted(_NAMES.items(), key=lambda item: -len(item[0])))
 
 
 def _parse_args(body: str, pos: int) -> tuple[list[int], dict[str, int]]:
@@ -91,48 +58,25 @@ def _parse_args(body: str, pos: int) -> tuple[list[int], dict[str, int]]:
     return positional, named
 
 
-def _make_spec(kind: str | None, args: list[int], named: dict[str, int], pos: int) -> FamilySpec:
-    if kind is None:  # the two "M" families
-        if len(args) == 1:
-            return FamilySpec(EXTRASPECIAL, tuple(args))
-        if len(args) == 2:
-            return FamilySpec(MODULAR, tuple(args))
+def _make_spec(
+    fams: tuple[Family, ...], args: list[int], named: dict[str, int], pos: int
+) -> FamilySpec:
+    if len(fams) > 1:  # arity decides: M(p) vs M(n,p)
+        for fam in fams:
+            if fam.arity == len(args):
+                return FamilySpec(fam.kind, tuple(args))
         raise SpecError("M takes 1 (extraspecial) or 2 (modular) arguments", pos)
-    if kind == GENERAL:
-        missing = [k for k in ("r", "p", "n", "q", "m") if k not in named]
-        if missing or args:
-            raise SpecError(
-                "G uses named arguments r, p, n, q, m, "
-                "e.g. G(r=2;p=2,n=3;q=5,m=1)",
-                pos,
-            )
-        return FamilySpec(
-            GENERAL,
-            (named["p"], named["n"], named["q"], named["m"]),
-            r=named["r"],
-        )
-    if named:
-        raise SpecError(f"{kind} takes positional arguments only", pos)
-    if kind == GSHORT:
-        if len(args) != 2:
-            raise SpecError("Gn takes 2 arguments: n and a prime power", pos)
-        n, qm = args
-        fact = factorize(qm) if qm > 1 else {}
-        if len(fact) != 1:
-            raise SpecError(f"{qm} is not a prime power", pos)
-        ((q, m),) = fact.items()
-        return FamilySpec(GSHORT, (n, q, m))
-    if kind == FFAMILY:
-        if len(args) == 2:
-            return FamilySpec(FFAMILY, tuple(args))
-        if len(args) == 3:
-            return FamilySpec(FFAMILY, (args[0], args[1]), r=args[2])
-        raise SpecError("F takes 2 or 3 arguments: n, p[, r]", pos)
-    if kind in (SL23, C3Q8):
-        if args:
-            raise SpecError(f"{kind} takes no arguments", pos)
-        return FamilySpec(kind, ())
-    return FamilySpec(kind, tuple(args))
+    (fam,) = fams
+    if named and not fam.keywords:
+        raise SpecError(f"{fam.kind} takes positional arguments only", pos)
+    if fam.parse is not None:
+        try:
+            return fam.parse(args, named)
+        except ValueError as exc:
+            raise SpecError(str(exc), pos) from None
+    if args and not fam.arity:
+        raise SpecError(f"{fam.kind} takes no arguments", pos)
+    return FamilySpec(fam.kind, tuple(args))
 
 
 def parse_spec(text: str) -> FamilySpec:
@@ -145,20 +89,20 @@ def parse_spec(text: str) -> FamilySpec:
     factors: list[FamilySpec] = []
     while True:
         matched = None
-        for name, kind in _NAMES:
+        for name, fams in _NAMES.items():
             if low.startswith(name, pos):
                 after = pos + len(name)
                 nxt = low[after] if after < len(low) else ""
                 if nxt == "" or nxt in "(x":
                     # a product separator directly after a parameterized
                     # name is only valid for the no-argument families
-                    if nxt != "(" and kind not in (SL23, C3Q8):
+                    if nxt != "(" and fams[0].arity != 0:
                         continue
-                    matched = (name, kind, after)
+                    matched = (name, fams, after)
                     break
         if matched is None:
             raise SpecError(f"unrecognized family name in {text!r}", pos)
-        name, kind, after = matched
+        name, fams, after = matched
         pos = after
         if pos < len(low) and low[pos] == "(":
             depth = 0
@@ -178,7 +122,7 @@ def parse_spec(text: str) -> FamilySpec:
             args, named = _parse_args(body, start)
         else:
             args, named = [], {}
-        factors.append(_make_spec(kind, args, named, pos))
+        factors.append(_make_spec(fams, args, named, pos))
         if pos >= len(low):
             break
         if low[pos] != "x":

@@ -5,7 +5,10 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 import npscensus
 from npscensus.cli import (
@@ -77,6 +80,25 @@ class TestNps:
         assert code == 2
         assert out == ""
         assert err == "order 20000 exceeds lattice cap 600 (raise --max-order)\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["Sym(3000)", "Sym(200000)", "M(3,1000000000000000003)", "X(100000,3)"],
+    )
+    def test_huge_parameters_rejected_quickly(self, capsys, monkeypatch, text):
+        # no n!, no order past the int-to-text limit, no primality test
+        monkeypatch.delenv("NPS_MAX_ORDER", raising=False)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "nps", text)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "cap 600" in err
+
+    def test_unprintable_order_named_by_its_spec(self, capsys, monkeypatch):
+        monkeypatch.delenv("NPS_MAX_ORDER", raising=False)
+        code, _, err = run(capsys, "nps", "Sym(3000)")
+        assert err == "order of Sym(3000) exceeds lattice cap 600 (raise --max-order)\n"
 
     def test_raising_the_cap_unlocks_larger_groups(self, capsys):
         code, out, _ = run(capsys, "nps", "B1(2,5)", "--max-order", "700")
@@ -321,6 +343,19 @@ class TestPresent:
         assert code == 2
         assert out == "presentation: a | a^5000\norder: 5000\n"
         assert "order 5000 exceeds lattice cap 600" in err
+
+    def test_iso_check_of_another_order_builds_nothing(self, capsys, monkeypatch):
+        import npscensus.cli
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(npscensus.cli, "build", no_build)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "present", "a | a^2 = 1", "--iso-check", "C(20000)")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out.endswith("isomorphic to C(20000): no\n")
 
     def test_presentation_from_file(self, capsys, tmp_path):
         path = tmp_path / "pres.txt"

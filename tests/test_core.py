@@ -205,6 +205,21 @@ class TestElementOrder:
             walks = tuple(element_order(g, x) for x in range(g.order))
             assert element_orders(g) == walks, g.label
 
+    def test_orders_before_and_after_the_lattice(self, zoo):
+        # one power walk serves both the orders and the lattice's cyclic
+        # subgroups, whichever asks first
+        from npscensus.lattice import all_subgroups
+
+        for g in zoo.values():
+            naive = tuple(naive_order(g, x) for x in range(g.order))
+            first = Group(g.mul, g.generators, label=g.label)
+            assert element_orders(first) == naive, g.label
+            later = Group(g.mul, g.generators, label=g.label)
+            lattice = all_subgroups(later)
+            assert element_orders(later) == naive, g.label
+            members = [h.members for h in lattice.subgroups]
+            assert [h.members for h in all_subgroups(first).subgroups] == members
+
     def test_orders_divide_exponent_divides_order(self, zoo):
         for g in zoo.values():
             e = exponent(g)

@@ -7,6 +7,7 @@ from npscensus.coset import coset_enumerate
 from npscensus.families import (
     AFAMILY,
     EXTRASPECIAL,
+    FAMILIES,
     FFAMILY,
     GENERAL,
     GSHORT,
@@ -213,3 +214,88 @@ class TestSpecDisplay:
     def test_build_labels_groups(self):
         g = build(parse_spec("M(4,3)"))
         assert g.label == "M(4,3)"
+
+
+# every table row at its smallest admissible parameters
+SMALLEST = {
+    "C": "C(1)",
+    "D": "D(2)",
+    "Q": "Q(8)",
+    "S": "S(16)",
+    "M": "M(3,3)",
+    "MP": "M(3)",
+    "G": "G(r=1;p=2,n=1;q=2,m=1)",
+    "GN": "Gn(1,2)",
+    "F": "F(1,7)",
+    "B1": "B1(1,2)",
+    "B2": "B2(1,2)",
+    "A": "A(1)",
+    "Sym": "Sym(1)",
+    "Alt": "Alt(1)",
+    "SL23": "SL23",
+    "C3Q8": "C3Q8",
+    "X": "X(1,3)",
+    "prod": "C(1)xC(1)",
+}
+
+
+class TestFamilyTable:
+    def test_every_kind_constant_has_a_row(self):
+        from npscensus import families
+
+        kinds = {
+            getattr(families, name)
+            for name in (
+                "CYCLIC", "DIHEDRAL", "QUATERNION", "SEMIDIHEDRAL", "MODULAR",
+                "EXTRASPECIAL", "GENERAL", "GSHORT", "FFAMILY", "B1", "B2",
+                "AFAMILY", "SYM", "ALT", "SL23", "C3Q8", "XFAMILY", "PRODUCT",
+            )
+        }
+        assert kinds == set(FAMILIES) == set(SMALLEST)
+
+    def test_catalog_counts_only_table_kinds(self):
+        from npscensus.catalog import _COUNTS
+
+        assert set(_COUNTS) <= set(FAMILIES)
+
+    @pytest.mark.parametrize("kind", sorted(SMALLEST))
+    def test_row_at_smallest_parameters(self, kind):
+        spec = parse_spec(SMALLEST[kind])
+        assert spec.kind == kind
+        assert validate(spec) is None
+        assert parse_spec(str(spec)) == spec
+        g = build(spec)
+        assert expected_order(spec) == g.order
+        fam = FAMILIES[kind]
+        if fam.metacyclic is None and fam.presentation is None:
+            with pytest.raises(UnknownFamilyError, match="no presentation"):
+                builtin_presentation(spec)
+            return
+        order, presented = coset_enumerate(builtin_presentation(spec))
+        assert order == g.order
+        assert are_isomorphic(presented, g)
+
+    @pytest.mark.parametrize("kind", sorted(SMALLEST))
+    def test_row_parameters_just_below_are_rejected(self, kind):
+        # lowering any one parameter of the smallest spec leaves the family
+        spec = parse_spec(SMALLEST[kind])
+        for i, v in enumerate(spec.params):
+            lower = spec.params[:i] + (v - 1,) + spec.params[i + 1:]
+            assert validate(FamilySpec(kind, lower, r=spec.r)) is not None, lower
+
+    def test_parser_names_documented(self):
+        import re
+        from pathlib import Path
+
+        from npscensus.cli import _build_parser
+
+        epilog = _build_parser().epilog
+        readme = Path(__file__).resolve().parents[1].joinpath("README.md")
+        text = readme.read_text(encoding="utf-8")
+        spec_list = text.split("### Family spec mini-language")[1].split("###")[0]
+        for fam in FAMILIES.values():
+            for name in fam.parser_names:
+                tail = r"\(" if fam.arity else r"\b"
+                pattern = rf"(?<![A-Za-z0-9]){re.escape(name)}{tail}"
+                assert re.search(pattern, epilog, re.IGNORECASE), name
+                assert re.search(pattern, spec_list, re.IGNORECASE), name
