@@ -2,23 +2,71 @@
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd, log2
+
+
+# the first 13 primes: as Miller-Rabin bases they decide primality exactly
+# for every n below 3317044064679887385961981 (Sorenson and Webster 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
+    """Miller-Rabin over the first 13 prime bases: exact below 3.3 * 10^24,
+    and above that wrong only for a strong pseudoprime to all 13 bases."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    r = isqrt(n)
-    while f <= r:
-        if n % f == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def integer_root(n: int, k: int) -> int:
+    """The largest r >= 0 with r^k <= n, for n >= 0 and k >= 1."""
+    if n < 2 or k == 1:
+        return n
+    e = log2(n) / k
+    # Newton's step from any x above the root decreases to it; start just
+    # above the float estimate where that is finite, else at a power of two
+    x = int(2**e * (1 + 2**-30)) + 2 if e < 1000 else 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(q, m) with n = q^m and q prime, else None.  q is found as an
+    integer root, not by factorizing, so this is quick also when q is
+    large."""
+    if n < 2:
+        return None
+    for q in _MR_BASES:
+        if n % q == 0:
+            m = p_valuation(n, q)
+            return (q, m) if q**m == n else None
+    # q > 41 now, so q^m = n needs m < log2(n) / 5; the largest m with an
+    # exact root is the only one whose root can be prime
+    for m in range(n.bit_length() // 5, 0, -1):
+        q = integer_root(n, m)
+        if q**m == n:
+            return (q, m) if is_prime(q) else None
+    return None
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -49,6 +97,14 @@ def divisors(n: int) -> list[int]:
                 large.append(n // f)
         f += 1
     return small + large[::-1]
+
+
+def totient(n: int) -> int:
+    """Euler's phi: the number of generators of C_n."""
+    out = n
+    for p in factorize(n):
+        out -= out // p
+    return out
 
 
 def p_part(n: int, p: int) -> int:

@@ -15,6 +15,12 @@ Two catalogs live here:
 
 For coprime direct products A x B the counts compose:
 ps(AxB) = ps(A) ps(B) and nps(AxB) = nps(A) s(B) + ps(A) nps(B).
+
+The brute-force side of a check is `lattice.counts` on the built group,
+except for a product spec with a cyclic factor C(n): the CLI counts it as
+A x C(n) by Goursat's lemma from the lattice of A
+(`lattice.counts_times_cyclic`).  The full lattice stays the oracle for
+every other spec and in the tests, which compare the two.
 """
 
 from __future__ import annotations

@@ -58,10 +58,11 @@ from .families import (
     order_up_to,
     product_spec,
     shape_error,
+    split_cyclic,
     validate,
 )
 from .isomorphism import are_isomorphic
-from .lattice import DEFAULT_LATTICE_CAP, CountSummary, counts
+from .lattice import DEFAULT_LATTICE_CAP, CountSummary, counts, counts_times_cyclic
 from .presentation import PresentationError, parse_presentation
 from .specs import SpecError, parse_spec
 
@@ -203,21 +204,35 @@ def _counts_and_release(g: Group, max_order: int) -> CountSummary:
     return c
 
 
+def _spec_counts(spec: FamilySpec, max_order: int) -> CountSummary:
+    """counts() of the group of a spec.  A valid spec of direct factors
+    within the cap, one of them a cyclic C(n), is counted as A x C(n) from
+    the lattice of A alone; every other spec, and every spec that fails,
+    takes build and the full lattice, so errors read as they always did."""
+    split = None
+    if shape_error(spec) is None and order_up_to(spec, max_order) <= max_order:
+        split = split_cyclic(spec)
+    if split is None or validate(spec):
+        return _counts_and_release(build(spec, cap=max_order), max_order)
+    rest, n = split
+    a = build(rest, cap=max_order)
+    c = counts_times_cyclic(a, n, max_order)
+    _release(a)
+    return c
+
+
 def _formula_worker(args: tuple[FamilySpec, int]) -> VerifyRecord:
     spec, max_order = args
     exp = expected_nps(spec)
-    g = build(spec, cap=max_order)
-    c = _counts_and_release(g, max_order)
-    return _record(spec, exp, c.nps)
+    return _record(spec, exp, _spec_counts(spec, max_order).nps)
 
 
 def _theorem_worker(args: tuple[int, FamilySpec, str, int]) -> VerifyRecord:
     k, spec, template, max_order = args
-    g = build(spec, cap=max_order)
-    c = _counts_and_release(g, max_order)
+    c = _spec_counts(spec, max_order)
     return VerifyRecord(
         label=str(spec),
-        order=g.order,
+        order=c.order,
         expected=str(k),
         kind=EXACT,
         computed=c.nps,
@@ -329,7 +344,7 @@ def cmd_nps(args) -> int:
     if err:
         print(f"invalid spec {spec}: {err}", file=sys.stderr)
         return 2
-    c = _counts_and_release(build(spec, cap=args.max_order), args.max_order)
+    c = _spec_counts(spec, args.max_order)
     print(f"group: {spec}")
     print(f"order: {c.order}")
     print(f"exponent: {c.exponent}")

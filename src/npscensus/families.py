@@ -15,7 +15,7 @@ from itertools import chain, product, repeat
 from math import gcd
 from typing import Callable, Iterable
 
-from .arith import factorize, is_prime, multiplicative_order
+from .arith import is_prime, multiplicative_order, prime_power
 from .core import (
     DEFAULT_ORDER_CAP,
     CapExceeded,
@@ -63,7 +63,11 @@ class FamilySpec(Record):
     factors: tuple["FamilySpec", ...] = ()
 
     def __str__(self) -> str:
-        fmt = _row(self.kind).fmt
+        fam = _row(self.kind)
+        if fam.arity and len(self.params) < fam.arity:
+            # too few parameters to fill the row's text: show them as given
+            return f"{self.kind}({','.join(map(str, self.params))})"
+        fmt = fam.fmt
         if isinstance(fmt, str):
             return fmt.format(*self.params, r=self.r)
         return fmt(self)
@@ -134,6 +138,22 @@ def product_spec(*factors: FamilySpec) -> FamilySpec:
 
 def cyclic_spec(n: int) -> FamilySpec:
     return FamilySpec(CYCLIC, (n,))
+
+
+def split_cyclic(spec: FamilySpec) -> tuple[FamilySpec, int] | None:
+    """(A, n) with spec = A x C(n), for a spec made of direct factors of
+    which at least one is cyclic: C(n) is the cyclic factor of largest
+    order (the last of equal ones) and A the product of the others, in
+    order.  None for any other spec."""
+    fam = _row(spec.kind)
+    if fam.factors is None:
+        return None
+    fs = list(fam.factors(spec))
+    cyclic = [i for i, f in enumerate(fs) if f.kind == CYCLIC]
+    if not cyclic:
+        return None
+    i = max(cyclic, key=lambda i: (fs[i].params[0], i))
+    return product_spec(*fs[:i], *fs[i + 1 :]), fs[i].params[0]
 
 
 def validate(spec: FamilySpec) -> str | None:
@@ -434,11 +454,10 @@ def _parse_gshort(args: list[int], named: dict[str, int]) -> FamilySpec:
     if len(args) != 2:
         raise ValueError("Gn takes 2 arguments: n and a prime power")
     n, qm = args
-    fact = factorize(qm) if qm > 1 else {}
-    if len(fact) != 1:
+    split = prime_power(qm)
+    if split is None:
         raise ValueError(f"{qm} is not a prime power")
-    ((q, m),) = fact.items()
-    return FamilySpec(GSHORT, (n, q, m))
+    return FamilySpec(GSHORT, (n, *split))
 
 
 def _parse_f(args: list[int], named: dict[str, int]) -> FamilySpec:

@@ -33,10 +33,11 @@ Subgroup identity is bitset equality and all outputs are sorted by
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
+from typing import Iterable
 
-from .arith import divisors, factorize, p_part, p_valuation
+from .arith import divisors, factorize, p_part, p_valuation, totient
 from .core import (
     CapExceeded,
     Group,
@@ -238,32 +239,112 @@ def power_subgroups(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> dict[int, Subgr
 def counts(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> CountSummary:
     """s(G), ps(G), nps(G) and the per-prime (f, k) profile."""
     lat = all_subgroups(G, cap)
-    e = exponent(G)
     s = len(lat.subgroups)
     power_idx = lat.power_subgroup_indices
     ps = len(power_idx)
-    orders = element_orders(G)
-
-    per_prime: list[PrimeData] = []
-    for p in sorted(factorize(G.order)):
-        f = max(p_valuation(o, p) for o in orders)
-        k = 0
-        for i in power_idx:
-            sub = lat.subgroups[i]
-            sz = sub.size
-            if sz == 1 or p_part(sz, p) != sz:
-                continue
-            if _is_cyclic_subgroup(G, sub):
-                k = max(k, p_valuation(sz, p))
-        per_prime.append(PrimeData(p=p, f=f, k=k))
-
+    cyclic_powers = [
+        sub.size
+        for sub in (lat.subgroups[i] for i in power_idx)
+        if sub.size > 1 and len(factorize(sub.size)) == 1 and _is_cyclic_subgroup(G, sub)
+    ]
     return CountSummary(
         order=G.order,
-        exponent=e,
+        exponent=exponent(G),
         s=s,
         ps=ps,
         nps=s - ps,
-        per_prime=tuple(per_prime),
+        per_prime=_per_prime(G.order, element_orders(G), cyclic_powers),
+    )
+
+
+def counts_times_cyclic(A: Group, n: int, cap: int = DEFAULT_LATTICE_CAP) -> CountSummary:
+    """counts() of A x C_n, from the lattice of A alone.
+
+    By Goursat's lemma the subgroups of A x B match the pairs of sections
+    A1/A2 of A and B1/B2 of B (A2 normal in A1 <= A, the same in B)
+    together with an isomorphism A1/A2 -> B1/B2.  In B = C_n the sections
+    isomorphic to C_k, for k | n, are C_d / C_{d/k} for the tau(n/k)
+    multiples d of k dividing n, and C_k has phi(k) automorphisms, so
+
+        s(A x C_n) = sum over k | n of tau(n/k) * phi(k) * N_A(k)
+
+    with N_A(k) the number of sections A1/A2 of A isomorphic to C_k.  Such
+    a section is A2<x> / A2 for each of the phi(k) * |A2| elements x of A1
+    whose coset generates it, so phi(k) * |A2| * N_A(k) sums, over the
+    subgroups A2, the x that normalize A2 and have order k modulo A2.
+    Those x are counted by the cyclic subgroups <x>, whose generators
+    behave alike, and for one A2 per conjugacy class.
+
+    (A x C_n)^m = A^m x C_n^m, so the power subgroups are the distinct
+    pairs (A^m, gcd(m, n)).  The cap applies to the order of A x C_n, as
+    for counts() of the product.
+    """
+    order = A.order * n
+    if order > cap:
+        raise CapExceeded(f"order {order} exceeds lattice cap {cap}")
+    lat = all_subgroups(A, cap)
+    cyclics = _cyclic_nodes(A)
+    mul, bits = A.mul, bit_table(A)
+    conj: dict[int, tuple[int, ...]] = {}  # x -> bit of x^-1 y x for each y
+    sections = dict.fromkeys(divisors(n), 0)  # k -> N_A(k)
+    for cls in lat.conjugacy_classes:
+        sub = lat.subgroups[cls[0]]
+        m2 = sub.members
+        take = None if len(cls) == 1 else getter(list(sub.elements()))
+        found: dict[int, int] = {}  # k -> elements of order k modulo A2
+        for z in cyclics:
+            k = z.size // (z.members & m2).bit_count()
+            if k not in sections:
+                continue
+            # x normalizes A2 when A2 is normal or holds x (k = 1)
+            if take is not None and k > 1:
+                x = z.elems[1]
+                if x not in conj:
+                    column = tuple(map(itemgetter(x), mul))
+                    conj[x] = getter(getter(mul[A.inv[x]])(column))(bits)
+                if sum(take(conj[x])) != m2:
+                    continue  # x does not normalize A2
+            found[k] = found.get(k, 0) + totient(z.size)
+        for k, elements in found.items():
+            sections[k] += len(cls) * elements // (totient(k) * sub.size)
+    s = sum(len(divisors(n // k)) * totient(k) * N for k, N in sections.items())
+
+    e = exponent(A)
+    powers = {
+        (lat.power_index[gcd(m, e)], gcd(m, n)) for m in divisors(lcm(e, n))
+    }
+    cyclic_powers = []
+    for i, g in powers:
+        sub = lat.subgroups[i]
+        size = sub.size * (n // g)
+        # a product of two nontrivial p-groups is not cyclic
+        if size > 1 and len(factorize(size)) == 1 and (
+            sub.size == 1 or g == n and _is_cyclic_subgroup(A, sub)
+        ):
+            cyclic_powers.append(size)
+    return CountSummary(
+        order=order,
+        exponent=lcm(e, n),
+        s=s,
+        ps=len(powers),
+        nps=s - len(powers),
+        per_prime=_per_prime(order, element_orders(A) + (n,), cyclic_powers),
+    )
+
+
+def _per_prime(
+    order: int, orders: Iterable[int], cyclic_powers: list[int]
+) -> tuple[PrimeData, ...]:
+    """The per-prime profile.  The largest p-part of `orders` (the element
+    orders, say) is the largest p-element order; `cyclic_powers` holds the
+    orders of the power subgroups that are cyclic of prime-power order > 1."""
+    return tuple(
+        PrimeData(
+            p=p,
+            f=max(p_valuation(o, p) for o in orders),
+            k=max((p_valuation(c, p) for c in cyclic_powers if c % p == 0), default=0),
+        )
+        for p in sorted(factorize(order))
     )
 
 

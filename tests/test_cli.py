@@ -83,10 +83,17 @@ class TestNps:
 
     @pytest.mark.parametrize(
         "text",
-        ["Sym(3000)", "Sym(200000)", "M(3,1000000000000000003)", "X(100000,3)"],
+        [
+            "Sym(3000)",
+            "Sym(200000)",
+            "M(3,1000000000000000003)",
+            "X(100000,3)",
+            "Gn(1,1000000000000000003)",
+        ],
     )
     def test_huge_parameters_rejected_quickly(self, capsys, monkeypatch, text):
-        # no n!, no order past the int-to-text limit, no primality test
+        # no n!, no order past the int-to-text limit, no primality test, no
+        # trial division to split a prime power
         monkeypatch.delenv("NPS_MAX_ORDER", raising=False)
         start = time.perf_counter()
         code, out, err = run(capsys, "nps", text)
@@ -99,6 +106,43 @@ class TestNps:
         monkeypatch.delenv("NPS_MAX_ORDER", raising=False)
         code, _, err = run(capsys, "nps", "Sym(3000)")
         assert err == "order of Sym(3000) exceeds lattice cap 600 (raise --max-order)\n"
+
+    def test_product_with_cyclic_factor_is_counted_from_the_rest(
+        self, capsys, monkeypatch
+    ):
+        import npscensus.cli
+
+        built = []
+
+        def record(spec, cap):
+            built.append(str(spec))
+            return build(spec, cap=cap)
+
+        monkeypatch.setattr(npscensus.cli, "build", record)
+        code, out, _ = run(capsys, "nps", "D(8)xC(2)xC(2)xC(2)")
+        assert code == 0
+        assert "subgroups: 937" in out
+        assert built == ["D(8)xC(2)xC(2)"]
+
+    def test_product_without_cyclic_factor_takes_the_lattice(
+        self, capsys, monkeypatch
+    ):
+        import npscensus.cli
+
+        def no_goursat(*args, **kwargs):
+            raise AssertionError("counted from the factors")
+
+        monkeypatch.setattr(npscensus.cli, "counts_times_cyclic", no_goursat)
+        code, out, _ = run(capsys, "nps", "D(8)xD(8)")
+        assert code == 0
+        assert "subgroups: 389" in out
+
+    @pytest.mark.parametrize("text", ["D()", "C()"])
+    def test_missing_parameter_exits_2(self, capsys, text):
+        code, out, err = run(capsys, "nps", text)
+        assert code == 2
+        assert out == ""
+        assert err == f"invalid spec {text}: {text[0]} expects 1 parameter(s), got 0\n"
 
     def test_raising_the_cap_unlocks_larger_groups(self, capsys):
         code, out, _ = run(capsys, "nps", "B1(2,5)", "--max-order", "700")
@@ -356,6 +400,29 @@ class TestPresent:
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert out.endswith("isomorphic to C(20000): no\n")
+
+    def test_iso_check_with_a_huge_prime_is_quick(self, capsys):
+        # M(3,p) for the prime p = 10^18 + 3 is a valid spec of another order
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "present", "a | a^2 = 1", "--iso-check", "M(3,1000000000000000003)"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out.endswith("isomorphic to M(3,1000000000000000003): no\n")
+
+    def test_iso_check_with_a_huge_composite_exits_2_quickly(self, capsys):
+        # (10^9 + 7)(10^9 + 9): no factor below 10^9 for trial division to find
+        start = time.perf_counter()
+        code, _, err = run(
+            capsys, "present", "a | a^2 = 1", "--iso-check", "M(3,1000000016000000063)"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err == (
+            "invalid spec M(3,1000000016000000063): "
+            "1000000016000000063 is not prime\n"
+        )
 
     def test_presentation_from_file(self, capsys, tmp_path):
         path = tmp_path / "pres.txt"

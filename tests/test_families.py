@@ -1,7 +1,10 @@
 """Family spec validation, construction, and built-in presentations."""
 
+from math import isqrt
+
 import pytest
 
+from npscensus.arith import factorize, integer_root, is_prime, prime_power
 from npscensus.core import CapExceeded, exponent, is_abelian
 from npscensus.coset import coset_enumerate
 from npscensus.families import (
@@ -66,6 +69,50 @@ class TestValidate:
 
     def test_never_raises(self):
         assert validate(FamilySpec("nonsense", (1,))) is not None
+
+
+def _trial_division_primes(limit):
+    return [n for n in range(2, limit) if all(n % d for d in range(2, isqrt(n) + 1))]
+
+
+class TestPrimality:
+    def test_is_prime_matches_trial_division(self):
+        primes = set(_trial_division_primes(100_000))
+        assert [n for n in range(100_000) if is_prime(n)] == sorted(primes)
+
+    @pytest.mark.parametrize(
+        "n, prime",
+        [
+            (2**61 - 1, True),
+            (2**89 - 1, True),
+            (1000000000000000003, True),
+            (561, False),  # Carmichael
+            (3215031751, False),  # strong pseudoprime to bases 2, 3, 5 and 7
+            (3825123056546413051, False),  # strong pseudoprime to bases 2..23
+            (1000000007 * 1000000009, False),
+        ],
+    )
+    def test_is_prime_large(self, n, prime):
+        assert is_prime(n) is prime
+
+    def test_prime_power_matches_factorize(self):
+        for n in range(1, 5000):
+            fact = factorize(n)
+            want = next(iter(fact.items())) if len(fact) == 1 else None
+            assert prime_power(n) == want, n
+
+    def test_prime_power_large(self):
+        q = 2**61 - 1
+        assert prime_power(q**5) == (q, 5)
+        assert prime_power(q**2 * 43) is None
+        assert prime_power(43**7 * 47) is None
+        assert prime_power(3**200) == (3, 200)
+
+    def test_integer_root(self):
+        for n in list(range(200)) + [10**40, 10**40 - 1, 2**300 + 5]:
+            for k in range(1, 12):
+                r = integer_root(n, k)
+                assert r**k <= n < (r + 1) ** k, (n, k)
 
 
 class TestBuildOrders:

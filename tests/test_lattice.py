@@ -23,12 +23,14 @@ from npscensus.core import (
     is_normal_subgroup,
     subgroup_group,
 )
-from npscensus.families import build
+from npscensus.cli import formula_sweep
+from npscensus.families import build, split_cyclic
 from npscensus.isomorphism import are_isomorphic
 from npscensus.lattice import (
     all_subgroups,
     conjugates,
     counts,
+    counts_times_cyclic,
     cyclic_nonpower_p_count,
     frattini,
     is_normal,
@@ -38,7 +40,7 @@ from npscensus.lattice import (
     power_subgroups,
     sylow,
 )
-from npscensus.specs import parse_spec
+from npscensus.specs import SpecError, parse_spec
 
 
 def brute_force_subgroup_count(G):
@@ -287,6 +289,61 @@ class TestCounts:
         (pd,) = c.per_prime
         # D8^2 is cyclic of order 2, the largest cyclic power 2-subgroup
         assert (pd.p, pd.f, pd.k) == (2, 2, 1)
+
+
+# products with a cyclic factor beyond the sweep's: deeper, with more
+# factors, or with a factor of order 5 next to 2 and 3
+DEEP_PRODUCTS = [
+    "C(2)xC(2)xC(2)xC(2)xC(2)xC(2)",
+    "D(8)xC(2)xC(2)xC(2)",
+    "C(3)xC(3)xC(3)xC(2)xC(2)",
+    "Q(8)xC(2)xC(3)xC(5)",
+    "C(8)xC(8)xC(2)",
+    "D(16)xC(2)",
+]
+SWEEP_PRODUCTS = [str(s) for s in formula_sweep(6, 1200) if split_cyclic(s)]
+
+
+def times_cyclic(spec, cap=1200):
+    rest, n = split_cyclic(spec)
+    return counts_times_cyclic(build(rest, cap=cap), n, cap)
+
+
+class TestCountsTimesCyclic:
+    """Goursat's count of A x C(n) from the lattice of A, against the
+    full lattice of the product."""
+
+    def test_sweep_has_products(self):
+        assert len(SWEEP_PRODUCTS) == 47
+
+    @pytest.mark.parametrize("text", SWEEP_PRODUCTS + DEEP_PRODUCTS)
+    def test_matches_lattice(self, text):
+        spec = parse_spec(text)
+        assert times_cyclic(spec) == counts(build(spec, cap=1200), cap=1200)
+
+    def test_matches_lattice_on_zoo_products(self, zoo):
+        checked = 0
+        for label, g in zoo.items():
+            try:
+                spec = parse_spec(label)
+            except SpecError:
+                continue  # a group built without a spec
+            if split_cyclic(spec):
+                assert times_cyclic(spec) == counts(g), label
+                checked += 1
+        assert checked >= 10
+
+    def test_split_takes_the_largest_cyclic_factor(self):
+        rest, n = split_cyclic(parse_spec("C(2)xQ(8)xC(4)xC(3)"))
+        assert (str(rest), n) == ("C(2)xQ(8)xC(3)", 4)
+        rest, n = split_cyclic(parse_spec("X(2,5)"))
+        assert (str(rest), n) == ("D(10)xC(3)", 3)
+        assert split_cyclic(parse_spec("D(8)xD(8)")) is None
+        assert split_cyclic(parse_spec("C(12)")) is None
+
+    def test_cap_on_the_product_order(self):
+        with pytest.raises(CapExceeded, match="order 16 exceeds lattice cap 15"):
+            counts_times_cyclic(cyclic_group(8), 2, cap=15)
 
 
 class TestNormalityAndConjugates:

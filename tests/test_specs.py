@@ -33,6 +33,13 @@ class TestAtoms:
     def test_gshort_prime_power(self):
         assert parse_spec("Gn(2,9)") == FamilySpec(GSHORT, (2, 3, 2))
 
+    def test_gshort_large_prime_power(self):
+        q = 1000000000000000003
+        assert parse_spec(f"Gn(1,{q})") == FamilySpec(GSHORT, (1, q, 1))
+        assert parse_spec(f"Gn(1,{q ** 3})") == FamilySpec(GSHORT, (1, q, 3))
+        with pytest.raises(SpecError, match="not a prime power"):
+            parse_spec(f"Gn(1,{1000000007 * 1000000009})")
+
     def test_f_optional_twist(self):
         assert parse_spec("F(1,7)").r is None
         assert parse_spec("F(1,7,4)").r == 4
