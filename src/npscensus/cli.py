@@ -324,7 +324,11 @@ def _verify_rows_as_dicts(records: list[VerifyRecord]) -> list[dict]:
 def cmd_nps(args) -> int:
     text = args.spec
     path = Path(text)
-    if path.is_file():
+    try:
+        is_file = path.is_file()
+    except OSError:  # e.g. a spec longer than the file-name limit
+        is_file = False
+    if is_file:
         text = path.read_text(encoding="utf-8").strip()
     spec = parse_spec(text)
     # the cap comes before the family checks, which can take long on large

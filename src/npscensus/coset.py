@@ -5,6 +5,11 @@ every relator, then define any still-undefined entries in ascending column
 order.  Coincidences are resolved with a union-find over cosets.  The
 procedure is fully deterministic, so enumerating the same presentation
 twice yields identical tables.
+
+A relator that is a proper power w^k is not scanned again from the cosets
+c w, c w^2, ... once its scan from c is done: its cycle is already closed
+there, so the scan could change nothing.  The table is the one plain HLT
+gives, and a cyclic relator such as a^n costs time linear in n, not n^2.
 """
 
 from __future__ import annotations
@@ -46,6 +51,15 @@ class CosetTable(Record):
 def _columns(word: Word) -> tuple[int, ...]:
     """Relator word as a sequence of table column indices."""
     return tuple(2 * g if s > 0 else 2 * g + 1 for g, s in word)
+
+
+def _period(rel: tuple[int, ...]) -> int:
+    """Length of the shortest word w with rel = w^k."""
+    n = len(rel)
+    for d in range(1, n):
+        if n % d == 0 and rel[d:] == rel[:-d]:
+            return d
+    return n
 
 
 def _inv_col(col: int) -> int:
@@ -151,20 +165,42 @@ class _Enumerator:
             i += 1
 
     def run(self) -> None:
+        table, p = self.table, self.p
+        # A relator w^k, |w| = d, is closed along its whole cycle from c once
+        # its scan from c is done; rotating it by d gives it back, so it is
+        # also closed at c w, c w^2, ...  Those cosets go in `closed`, and
+        # their scans of it, which could change nothing, are skipped.  A
+        # coincidence maps a closed cycle onto a closed one, and a coset
+        # that dies is never scanned, so a mark stays true.
+        # `walk` pairs each column of w^(k-1) with whether a w ends there.
+        scans = []
+        for rel in self.relators:
+            d = _period(rel)
+            walk = tuple((col, not i % d) for i, col in enumerate(rel[:-d], 1))
+            scans.append((rel, walk, set()))
         c = 0
-        while c < len(self.table):
+        while c < len(table):
             if self.capped:
                 return
-            if self.rep(c) != c:
+            if p[c] != c:
                 c += 1
                 continue
-            for rel in self.relators:
+            for rel, walk, closed in scans:
+                if c in closed:
+                    continue
                 self.scan_and_fill(c, rel)
-                if self.capped or self.rep(c) != c:
+                if self.capped or p[c] != c:
                     break
-            if not self.capped and self.rep(c) == c:
+                x = c
+                for col, ends_w in walk:
+                    x = table[x][col]
+                    if p[x] != x:
+                        x = self.rep(x)
+                    if ends_w:
+                        closed.add(x)
+            if not self.capped and p[c] == c:
                 for col in range(self.ncols):
-                    if self.table[c][col] == UNDEF:
+                    if table[c][col] == UNDEF:
                         if self.define(c, col) == UNDEF:
                             return
             c += 1

@@ -64,8 +64,8 @@ class FamilySpec(Record):
 
     def __str__(self) -> str:
         fam = _row(self.kind)
-        if fam.arity and len(self.params) < fam.arity:
-            # too few parameters to fill the row's text: show them as given
+        if fam.arity and len(self.params) != fam.arity:
+            # the row's text needs exactly its arity: show the spec as given
             return f"{self.kind}({','.join(map(str, self.params))})"
         fmt = fam.fmt
         if isinstance(fmt, str):

@@ -144,6 +144,30 @@ class TestNps:
         assert out == ""
         assert err == f"invalid spec {text}: {text[0]} expects 1 parameter(s), got 0\n"
 
+    def test_extra_parameter_quoted_as_given(self, capsys):
+        code, out, err = run(capsys, "nps", "D(8,2)")
+        assert code == 2
+        assert out == ""
+        assert err == "invalid spec D(8,2): D expects 1 parameter(s), got 2\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("C(" + ",".join(["1"] * 300) + ")", "C expects 1 parameter(s), got 300"),
+            (f"Gn(1,{2**1000 - 1})", "is not a prime power"),
+            (f"C({2**1000})", "exceeds lattice cap"),
+        ],
+        ids=["300 parameters", "Gn(1,2^1000-1)", "C(2^1000)"],
+    )
+    def test_spec_longer_than_a_file_name_is_parsed(self, capsys, text, message):
+        # Path(text).is_file() raises OSError past the file-name limit
+        assert len(text) > 255
+        code, out, err = run(capsys, "nps", text)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Errno" not in err
+
     def test_raising_the_cap_unlocks_larger_groups(self, capsys):
         code, out, _ = run(capsys, "nps", "B1(2,5)", "--max-order", "700")
         assert code == 0
@@ -387,6 +411,25 @@ class TestPresent:
         assert code == 2
         assert out == "presentation: a | a^5000\norder: 5000\n"
         assert "order 5000 exceeds lattice cap 600" in err
+
+    @pytest.mark.parametrize(
+        "text, order",
+        [
+            ("a | a^5000 = 1", 5000),
+            ("a, b | a^2 = 1, b^1000 = 1, a^-1 b a = b^-1", 2000),
+        ],
+    )
+    def test_cyclic_relators_enumerate_in_linear_time(
+        self, capsys, monkeypatch, text, order
+    ):
+        # a relator a^n is scanned once per cycle, not from each of n cosets
+        monkeypatch.delenv("NPS_MAX_ORDER", raising=False)
+        start = time.process_time()
+        code, out, err = run(capsys, "present", text)
+        assert time.process_time() - start < 1.0
+        assert code == 2
+        assert f"order: {order}\n" in out
+        assert "lattice cap 600" in err
 
     def test_iso_check_of_another_order_builds_nothing(self, capsys, monkeypatch):
         import npscensus.cli

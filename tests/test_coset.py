@@ -1,16 +1,21 @@
 """Coset enumeration over the trivial subgroup."""
 
+import random
+
 import pytest
 
 from npscensus.core import CapExceeded, center, exponent, is_abelian
 from npscensus.coset import (
+    DEFAULT_MAX_COSETS,
     CosetTable,
     coset_enumerate,
     enumerate_cosets,
     group_from_coset_table,
 )
+from npscensus.families import builtin_presentation
 from npscensus.lattice import counts
 from npscensus.presentation import Presentation, parse_presentation
+from npscensus.specs import parse_spec
 
 
 class TestEnumeration:
@@ -109,3 +114,161 @@ class TestCosetTable:
             seen.append(x)
         assert x == 0
         assert len(set(seen)) == 6
+
+
+class _ReferenceHLT:
+    """Plain HLT: scans every relator from every live coset, skipping none.
+
+    Same definition order, union-find and cap as `enumerate_cosets`, so the
+    two must give equal tables; kept apart from the module on purpose.
+    """
+
+    def __init__(self, pres, max_cosets):
+        self.ncols = 2 * len(pres.generators)
+        self.relators = [
+            tuple(2 * g if s > 0 else 2 * g + 1 for g, s in r) for r in pres.relators if r
+        ]
+        self.max_cosets = max_cosets
+        self.table = [[-1] * self.ncols]
+        self.p = [0]
+        self.capped = False
+
+    def rep(self, c):
+        while self.p[c] != c:
+            c = self.p[c]
+        return c
+
+    def define(self, c, col):
+        if len(self.table) >= self.max_cosets:
+            self.capped = True
+            return -1
+        d = len(self.table)
+        self.table.append([-1] * self.ncols)
+        self.p.append(d)
+        self.table[c][col] = d
+        self.table[d][col ^ 1] = c
+        return d
+
+    def coincidence(self, a, b):
+        queue = [(a, b)]
+        while queue:
+            a, b = map(self.rep, queue.pop())
+            if a == b:
+                continue
+            a, b = min(a, b), max(a, b)
+            self.p[b] = a
+            for col, e in enumerate(self.table[b]):
+                if e == -1:
+                    continue
+                self.table[b][col] = -1
+                u, f = self.rep(a), self.rep(e)
+                if self.table[u][col] != -1:
+                    queue.append((self.table[u][col], f))
+                    continue
+                self.table[u][col] = f
+                if self.table[f][col ^ 1] != -1:
+                    queue.append((self.table[f][col ^ 1], u))
+                else:
+                    self.table[f][col ^ 1] = u
+
+    def scan_and_fill(self, c, rel):
+        i, j = 0, len(rel) - 1
+        f = b = c
+        while True:
+            while i <= j and self.table[f][rel[i]] != -1:
+                f = self.rep(self.table[f][rel[i]])
+                i += 1
+            if i > j:
+                if f != b:
+                    self.coincidence(f, b)
+                return
+            while j >= i and self.table[b][rel[j] ^ 1] != -1:
+                b = self.rep(self.table[b][rel[j] ^ 1])
+                j -= 1
+            if j < i:
+                self.coincidence(f, b)
+                return
+            if j == i:
+                self.table[f][rel[i]] = b
+                self.table[b][rel[i] ^ 1] = f
+                return
+            f = self.define(f, rel[i])
+            if f == -1:
+                return
+            i += 1
+
+    def rows_and_status(self):
+        c = 0
+        while c < len(self.table) and not self.capped:
+            if self.rep(c) == c:
+                for rel in self.relators:
+                    self.scan_and_fill(c, rel)
+                    if self.capped or self.rep(c) != c:
+                        break
+                if not self.capped and self.rep(c) == c:
+                    for col in range(self.ncols):
+                        if self.table[c][col] == -1 and self.define(c, col) == -1:
+                            break
+            c += 1
+        live = [c for c in range(len(self.table)) if self.rep(c) == c]
+        remap = {c: i for i, c in enumerate(live)}
+        rows = tuple(
+            tuple(remap[self.rep(v)] if v != -1 else -1 for v in self.table[c])
+            for c in live
+        )
+        return rows, "capped" if self.capped else "complete"
+
+
+def _random_presentation(rng):
+    """Generators of order at most 4 and 5, a power of a random word, and
+    half the time one more relator."""
+
+    def word():
+        return " ".join(
+            rng.choice("ab") + rng.choice(["", "", "^-1", "^2"])
+            for _ in range(rng.randint(2, 4))
+        )
+
+    rels = [f"a^{rng.randint(2, 4)}", f"b^{rng.randint(2, 5)}"]
+    rels.append(f"({word()})^{rng.randint(2, 4)}")
+    if rng.random() < 0.5:
+        rels.append(word())
+    return "a, b | " + ", ".join(rels)
+
+
+# this seed gives eight finite groups (orders 1 to 24), so the default cap
+# stays quick; the two infinite presentations above cover the cap itself
+_rng = random.Random(17)
+EQUIVALENCE_CASES = (
+    [f"a | a^{n} = 1" for n in (*range(1, 14), 31, 59, 1000)]
+    + [f"a, b | a^2 = 1, b^{n} = 1, a^-1 b a = b^-1" for n in (*range(1, 10), 39, 302)]
+    + [
+        "r, s | r^2 = 1, s^2 = 1, (r s)^3 = 1",
+        "r, s | r^2 = 1, s^2 = 1, (r s)^6 = 1",
+        "a, b | a^3 = 1, b^3 = 1, (a b)^3 = 1, (a b^2)^2 = 1",
+        "a, b | (a b)^3 = 1, (a b^2)^2 = 1, a^4 = 1",
+        "a, b | a^2 = b^3 = (a b)^5 = 1",
+        "a | a^2 = 1, a^3 = 1",
+        "b | b = b^2",
+        # infinite: the enumeration stops at the cap
+        "a, b | a^2 = 1",
+        "a, b | (a b)^3 = 1",
+    ]
+    + [
+        builtin_presentation(parse_spec(spec)).to_text()
+        for spec in ("Q(8)", "Q(32)", "M(3)", "M(5)", "B1(2,3)", "C3Q8", "A(1)")
+    ]
+    + [_random_presentation(_rng) for _ in range(8)]
+)
+
+
+class TestSkippedScansChangeNothing:
+    """A relator w^k is not rescanned where its cycle is already closed;
+    the table must be the one the plain HLT gives, complete or capped."""
+
+    @pytest.mark.parametrize("cap", [37, 200, DEFAULT_MAX_COSETS])
+    @pytest.mark.parametrize("text", EQUIVALENCE_CASES)
+    def test_same_rows_and_status_as_plain_hlt(self, text, cap):
+        pres = parse_presentation(text)
+        table = enumerate_cosets(pres, cap)
+        assert (table.rows, table.status) == _ReferenceHLT(pres, cap).rows_and_status()

@@ -258,6 +258,10 @@ class TestSpecDisplay:
         spec = parse_spec(text)
         assert parse_spec(str(spec)) == spec
 
+    @pytest.mark.parametrize("text", ["D(8,2)", "Sym(3,3)", "C(2)xD(8,2)", "D()"])
+    def test_wrong_parameter_count_shown_as_given(self, text):
+        assert str(parse_spec(text)) == text
+
     def test_build_labels_groups(self):
         g = build(parse_spec("M(4,3)"))
         assert g.label == "M(4,3)"
