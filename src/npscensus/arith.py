@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from math import gcd, log2
+from typing import Iterable, Iterator
 
 
 # the first 13 primes: as Miller-Rabin bases they decide primality exactly
@@ -153,8 +154,53 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
+def conjugate_partition(parts: Iterable[int]) -> list[int]:
+    """The conjugate of a partition: its i-th part is the number of parts
+    >= i, for i = 1 .. the largest part.  Zero parts are ignored."""
+    parts = [x for x in parts if x > 0]
+    return [sum(x >= i for x in parts) for i in range(1, max(parts, default=0) + 1)]
+
+
+def _below(bound: list[int], top: int) -> Iterator[list[int]]:
+    """Every non-increasing sequence m with m[i] <= bound[i] and m[0] <= top."""
+    if not bound:
+        yield []
+        return
+    for first in range(min(bound[0], top) + 1):
+        for rest in _below(bound[1:], first):
+            yield [first] + rest
+
+
+def subgroup_count_abelian(p: int, partition: Iterable[int]) -> int:
+    """Total subgroup count of the abelian p-group of type `partition`,
+    the product of the C_{p^l} for l in it.
+
+    By Birkhoff (Proc. LMS 1935; Butler, Mem. AMS 539, 1994), with l' and
+    m' conjugate partitions, a group of type l has
+
+        prod over i >= 1 of  p^(m'_{i+1} (l'_i - m'_i))
+                             * [l'_i - m'_{i+1} choose m'_i - m'_{i+1}]_p
+
+    subgroups of type m, for each m inside l (m'_i <= l'_i for every i).
+    """
+    conj = conjugate_partition(partition)
+    total = 0
+    for mu in _below(conj, conj[0] if conj else 0):
+        term = 1
+        for i, (l, m) in enumerate(zip(conj, mu)):
+            nxt = mu[i + 1] if i + 1 < len(mu) else 0
+            term *= p ** (nxt * (l - m)) * gaussian_binomial(l - nxt, m - nxt, p)
+        total += term
+    return total
+
+
 def subgroup_count_elementary_abelian(p: int, n: int) -> int:
-    """Total subgroup count of (C_p)^n."""
+    """Total subgroup count of (C_p)^n, as a sum of Gaussian binomials.
+
+    Kept apart from `subgroup_count_abelian`, which it is a special case
+    of: the catalog and the benchmark reference use it as a source
+    independent of the general formula, so that checking one against the
+    other compares two formulas, not one formula with itself."""
     return sum(gaussian_binomial(n, k, p) for k in range(n + 1))
 
 
@@ -162,5 +208,7 @@ def subgroup_count_rank2(p: int, n1: int, n2: int) -> int:
     """Total subgroup count of C_{p^n1} x C_{p^n2}.
 
     Divisor-sum form: sum over (a | p^n1, b | p^n2) of gcd(a, p^n2 / b).
+    Kept apart from `subgroup_count_abelian` as an independent source, as
+    for `subgroup_count_elementary_abelian`.
     """
     return sum(p ** min(i, n2 - j) for i in range(n1 + 1) for j in range(n2 + 1))

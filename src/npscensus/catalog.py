@@ -16,11 +16,16 @@ Two catalogs live here:
 For coprime direct products A x B the counts compose:
 ps(AxB) = ps(A) ps(B) and nps(AxB) = nps(A) s(B) + ps(A) nps(B).
 
-The brute-force side of a check is `lattice.counts` on the built group,
+The computed side of a check is `lattice.counts` on the built group,
 except for a product spec with a cyclic factor C(n): the CLI counts it as
 A x C(n) by Goursat's lemma from the lattice of A
-(`lattice.counts_times_cyclic`).  The full lattice stays the oracle for
-every other spec and in the tests, which compare the two.
+(`lattice.counts_times_cyclic`).  Both count an abelian group from its
+type by Birkhoff's formula (`arith.subgroup_count_abelian`) instead.  The
+full lattice stays the oracle for every other group and in the tests,
+which compare each path with it.  The abelian values here come from their
+own formulas (`arith.subgroup_count_rank2`,
+`arith.subgroup_count_elementary_abelian`), not from Birkhoff's, so an
+abelian row checks one formula against another.
 """
 
 from __future__ import annotations
@@ -111,9 +116,29 @@ def printed_rank2_formula(p: int, n1: int, n2: int) -> Fraction:
     return Fraction(num, (p - 1) ** 2)
 
 
+def corrected_rank2_formula(p: int, a: int, b: int) -> int:
+    """nps(C_{p^a} x C_{p^b}), a <= b: the printed closed form with its two
+    wrong terms mended, the coefficient of p (b - a - 1) where it prints
+    (b - a + 1), and the constant a where it prints b.  Exact; the
+    reports still show the printed form, under review."""
+    num = (
+        (b - a + 1) * p ** (a + 2)
+        - (b - a - 1) * p ** (a + 1)
+        - (b + 1) * p**2
+        + (b - a - 1) * p
+        + a
+    )
+    nps, rest = divmod(num, (p - 1) ** 2)
+    assert rest == 0
+    return nps
+
+
 def abelian_rank2_counts(p: int, n1: int, n2: int) -> _Counts:
     """Reference counts for C_{p^n1} x C_{p^n2} from the divisor-sum
-    subgroup total and the power-subgroup chain G >= G^p >= ... >= 1."""
+    subgroup total and the power-subgroup chain G >= G^p >= ... >= 1.
+    Kept on `arith.subgroup_count_rank2`, not on the general abelian count
+    that `lattice.counts` uses, so that verify-formulas checks one formula
+    against another, not against itself."""
     s = subgroup_count_rank2(p, min(n1, n2), max(n1, n2))
     ps = max(n1, n2) + 1
     return _Counts(s=s, ps=ps, nps=s - ps)

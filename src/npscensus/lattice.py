@@ -29,15 +29,28 @@ is the whole rule, so its joins, the zuppos themselves, need no closure.
 
 Subgroup identity is bitset equality and all outputs are sorted by
 (size, bitset value) for reproducibility.
+
+`counts` of an abelian group builds no lattice: it reads the group's type
+off its element orders and counts by Birkhoff's formula
+(`arith.subgroup_count_abelian`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable
 
-from .arith import divisors, factorize, p_part, p_valuation, totient
+from .arith import (
+    conjugate_partition,
+    divisors,
+    factorize,
+    p_part,
+    p_valuation,
+    subgroup_count_abelian,
+    totient,
+)
 from .core import (
     CapExceeded,
     Group,
@@ -50,6 +63,7 @@ from .core import (
     exponent,
     generated_subgroup,
     getter,
+    is_abelian,
 )
 
 DEFAULT_LATTICE_CAP = 600
@@ -237,7 +251,19 @@ def power_subgroups(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> dict[int, Subgr
 
 
 def counts(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> CountSummary:
-    """s(G), ps(G), nps(G) and the per-prime (f, k) profile."""
+    """s(G), ps(G), nps(G) and the per-prime (f, k) profile: from the type
+    for an abelian group, from the lattice for the rest.  The cap applies
+    to both."""
+    if G.order > cap:
+        raise CapExceeded(f"order {G.order} exceeds lattice cap {cap}")
+    if is_abelian(G):
+        return _abelian_counts(_abelian_type(G))
+    return _lattice_counts(G, cap)
+
+
+def _lattice_counts(G: Group, cap: int) -> CountSummary:
+    """counts() from the full lattice of G; the tests' oracle for the
+    abelian and the Goursat paths."""
     lat = all_subgroups(G, cap)
     s = len(lat.subgroups)
     power_idx = lat.power_subgroup_indices
@@ -277,11 +303,17 @@ def counts_times_cyclic(A: Group, n: int, cap: int = DEFAULT_LATTICE_CAP) -> Cou
 
     (A x C_n)^m = A^m x C_n^m, so the power subgroups are the distinct
     pairs (A^m, gcd(m, n)).  The cap applies to the order of A x C_n, as
-    for counts() of the product.
+    for counts() of the product.  For an abelian A the product is
+    abelian too, and is counted from its type as counts() does.
     """
     order = A.order * n
     if order > cap:
         raise CapExceeded(f"order {order} exceeds lattice cap {cap}")
+    if is_abelian(A):
+        types = _abelian_type(A)
+        for p, m in factorize(n).items():
+            types.setdefault(p, []).append(m)
+        return _abelian_counts(types)
     lat = all_subgroups(A, cap)
     cyclics = _cyclic_nodes(A)
     mul, bits = A.mul, bit_table(A)
@@ -329,6 +361,49 @@ def counts_times_cyclic(A: Group, n: int, cap: int = DEFAULT_LATTICE_CAP) -> Cou
         ps=len(powers),
         nps=s - len(powers),
         per_prime=_per_prime(order, element_orders(A) + (n,), cyclic_powers),
+    )
+
+
+def _abelian_type(G: Group) -> dict[int, list[int]]:
+    """The type of an abelian G: for each prime p dividing |G|, the
+    partition l with Sylow p-subgroup C_{p^l_1} x C_{p^l_2} x ...
+
+    The elements of order dividing p^j form a subgroup of order
+    p^(l'_1 + ... + l'_j), l' the conjugate partition, and there are such
+    elements of every order p^j up to the largest."""
+    tally = Counter(element_orders(G))
+    out = {}
+    for p in factorize(G.order):
+        conj = []
+        below, q = 1, p
+        while q in tally:
+            size = below + tally[q]
+            conj.append(p_valuation(size // below, p))
+            below, q = size, q * p
+        out[p] = conjugate_partition(conj)
+    return out
+
+
+def _abelian_counts(types: dict[int, list[int]]) -> CountSummary:
+    """counts() of the abelian group of the given type, prime -> partition.
+
+    s is the product over the primes of Birkhoff's count.  G^m is G^d for
+    d = gcd(m, exp G) and has exponent exp(G) / d, so the power subgroups
+    are the tau(exp G) distinct G^d.  Those of p-power order are the
+    G_p^(p^j), of type (l_1 - j, l_2 - j, ...) without its parts <= 0;
+    one is cyclic of order > 1 when l_2 <= j < l_1, so f = l_1 and
+    k = l_1 - l_2."""
+    order = exp = s = ps = 1
+    per_prime = []
+    for p, parts in sorted(types.items()):
+        lam = sorted(parts, reverse=True) + [0]
+        order *= p ** sum(lam)
+        exp *= p ** lam[0]
+        s *= subgroup_count_abelian(p, lam)
+        ps *= lam[0] + 1
+        per_prime.append(PrimeData(p=p, f=lam[0], k=lam[0] - lam[1]))
+    return CountSummary(
+        order=order, exponent=exp, s=s, ps=ps, nps=s - ps, per_prime=tuple(per_prime)
     )
 
 

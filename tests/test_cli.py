@@ -137,6 +137,32 @@ class TestNps:
         assert code == 0
         assert "subgroups: 389" in out
 
+    def test_abelian_group_past_the_lattice(self, capsys, monkeypatch):
+        # C(2)^8 by Birkhoff's formula; its lattice, or that of C(2)^7
+        # behind the Goursat count, takes seconds
+        import npscensus.lattice
+
+        def no_lattice(*args, **kwargs):
+            raise AssertionError("a lattice was built")
+
+        monkeypatch.delenv("NPS_MAX_ORDER", raising=False)
+        monkeypatch.setattr(npscensus.lattice, "all_subgroups", no_lattice)
+        start = time.process_time()
+        code, out, _ = run(capsys, "nps", "x".join(["C(2)"] * 8))
+        assert time.process_time() - start < 1.0
+        assert code == 0
+        assert "order: 256\n" in out
+        assert "subgroups: 417199\n" in out
+        assert "power subgroups: 2\n" in out
+
+    @pytest.mark.parametrize("text", ["x".join(["C(2)"] * 10), "C(911)"])
+    def test_abelian_group_over_the_cap(self, capsys, monkeypatch, text):
+        monkeypatch.delenv("NPS_MAX_ORDER", raising=False)
+        code, out, err = run(capsys, "nps", text)
+        assert code == 2
+        assert out == ""
+        assert "cap 600" in err
+
     @pytest.mark.parametrize("text", ["D()", "C()"])
     def test_missing_parameter_exits_2(self, capsys, text):
         code, out, err = run(capsys, "nps", text)
@@ -367,6 +393,24 @@ class TestPresent:
         assert code == 0
         assert "order: 27" in out
         assert "nonpower subgroups: 17" in out
+
+    def test_abelian_counts_match_the_lattice(self, capsys):
+        from npscensus.coset import complete_coset_table, group_from_coset_table
+        from npscensus.lattice import _lattice_counts
+        from npscensus.presentation import parse_presentation
+
+        text = "a, b | a^4, b^6, a^-1 b^-1 a b"
+        code, out, _ = run(capsys, "present", text)
+        assert code == 0
+        g = group_from_coset_table(complete_coset_table(parse_presentation(text)))
+        c = _lattice_counts(g, 600)
+        assert out.splitlines()[1:] == [
+            f"order: {c.order}",
+            f"exponent: {c.exponent}",
+            f"subgroups: {c.s}",
+            f"power subgroups: {c.ps}",
+            f"nonpower subgroups: {c.nps}",
+        ]
 
     def test_cyclic_word(self, capsys):
         code, out, _ = run(capsys, "present", "a | a^6")
