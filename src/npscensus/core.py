@@ -110,6 +110,30 @@ class Group:
         generators: Sequence[int],
         label: str | None = None,
     ):
+        self._setup(mul, None, generators, label)
+
+    @classmethod
+    def _with_inverses(
+        cls,
+        mul: Sequence[Sequence[int]],
+        inv: Sequence[int],
+        generators: Sequence[int],
+        label: str | None = None,
+    ) -> "Group":
+        """A group whose builder knows its inverses.  They are checked in
+        O(n), x * inv[x] = 0 = inv[x] * x for every x, instead of being
+        found by scanning every row of the table for the identity."""
+        G = cls.__new__(cls)
+        G._setup(mul, inv, generators, label)
+        return G
+
+    def _setup(
+        self,
+        mul: Sequence[Sequence[int]],
+        given_inv: Sequence[int] | None,
+        generators: Sequence[int],
+        label: str | None,
+    ) -> None:
         n = len(mul)
         if n == 0:
             raise ValueError("a group needs at least the identity element")
@@ -120,16 +144,24 @@ class Group:
         ident = tuple(range(n))
         if mul[0] != ident or tuple(row[0] for row in mul) != ident:
             raise ValueError("element 0 is not a two-sided identity")
-        inv = []
-        for x, row in enumerate(mul):
-            try:
-                y = row.index(0)
-            except ValueError:
-                y = -1
-            if y < 0 or mul[y][x] != 0:
-                raise ValueError(f"element {x} has no two-sided inverse")
-            inv.append(y)
-        self.inv = tuple(inv)
+        if given_inv is None:
+            inv = []
+            for x, row in enumerate(mul):
+                try:
+                    y = row.index(0)
+                except ValueError:
+                    y = -1
+                if y < 0 or mul[y][x] != 0:
+                    raise ValueError(f"element {x} has no two-sided inverse")
+                inv.append(y)
+            self.inv = tuple(inv)
+        else:
+            self.inv = tuple(given_inv)
+            if len(self.inv) != n:
+                raise ValueError("inverse table has wrong length")
+            for x, y in enumerate(self.inv):
+                if not 0 <= y < n or mul[x][y] or mul[y][x]:
+                    raise ValueError(f"{y} is not a two-sided inverse of element {x}")
         gens: list[int] = []
         for g in generators:
             if not 0 <= g < n:
@@ -597,9 +629,11 @@ def cyclic_group(n: int, label: str | None = None) -> Group:
     if n < 1:
         raise ValueError("order must be positive")
     r = tuple(range(n))
-    mul = tuple(r[i:] + r[:i] for i in range(n))
+    rr = r + r
+    mul = tuple(rr[i:i + n] for i in range(n))
     gens = [1] if n > 1 else []
-    return Group(mul, gens, label=label or f"C{n}")
+    # -i mod n: 0, n-1, ..., 1
+    return Group._with_inverses(mul, r[:1] + r[:0:-1], gens, label=label or f"C{n}")
 
 
 def direct_product(
@@ -610,7 +644,9 @@ def direct_product(
     if n1 * n2 > cap:
         raise CapExceeded(f"product order {n1 * n2} exceeds cap {cap}")
     gens = [g * n2 for g in G.generators] + list(H.generators)
-    return Group(_pair_table(G.mul, H.mul, None), gens, label=label)
+    return Group._with_inverses(
+        _pair_table(G.mul, H.mul, None), _pair_inverses(G.inv, H.inv, None), gens, label
+    )
 
 
 def _pair_table(
@@ -642,6 +678,20 @@ def _pair_table(
     return tuple(rows)
 
 
+def _pair_inverses(
+    ninv: Sequence[int], kinv: Sequence[int], auts: Sequence[Sequence[int]] | None
+) -> tuple[int, ...]:
+    """Inverses in the table of `_pair_table`, with auts[k] the action of
+    k on N (None for the direct product):
+
+        (n, k)^-1 = (auts[k^-1](n^-1), k^-1)
+    """
+    nk = len(kinv)
+    if auts is None:
+        return tuple(a * nk + b for a in ninv for b in kinv)
+    return tuple(auts[b][a] * nk + b for a in ninv for b in kinv)
+
+
 def semidirect_product(
     N: Group,
     K: Group,
@@ -653,8 +703,10 @@ def semidirect_product(
 
     `action` assigns to each generator of K (in K.generators order) an
     automorphism of N as an element permutation.  The assignment must
-    extend to a homomorphism K -> Aut(N); this is verified against K's
-    full multiplication table.  Multiplication on pairs:
+    extend to a homomorphism K -> Aut(N); this is verified as
+    act(k * g) = act(k) o act(g) for every k in K and every generator g,
+    which gives it for every pair by induction on the length of a word in
+    the generators.  Multiplication on pairs:
 
         (n1, k1) * (n2, k2) = (n1 * act(k1)(n2), k1 * k2)
 
@@ -698,18 +750,20 @@ def semidirect_product(
                 queue.append(y)
     if any(a is None for a in auts):
         raise ValueError("K's generators do not generate K")
-    act = [getter(a) for a in auts]  # type: ignore[arg-type]
-    for k1, krow in enumerate(K.mul):
-        a1 = auts[k1]
-        for k2, k12 in enumerate(krow):
-            if auts[k12] != act[k2](a1):
+    for k, ak in enumerate(auts):
+        krow = K.mul[k]
+        for gi, g in enumerate(K.generators):
+            if auts[krow[g]] != gen_gets[gi](ak):
                 raise ValueError(
                     "generator images do not extend to a homomorphism "
                     "K -> Aut(N)"
                 )
 
+    act = [getter(a) for a in auts]  # type: ignore[arg-type]
     gens = [g * nk for g in N.generators] + list(K.generators)
-    return Group(_pair_table(N.mul, K.mul, act), gens, label=label)
+    return Group._with_inverses(
+        _pair_table(N.mul, K.mul, act), _pair_inverses(N.inv, K.inv, auts), gens, label
+    )
 
 
 def is_normal_subgroup(G: Group, H: Subgroup) -> bool:

@@ -23,6 +23,7 @@ from .core import (
     Record,
     cyclic_group,
     direct_product,
+    getter,
     group_from_generators,
     semidirect_product,
 )
@@ -225,13 +226,51 @@ def _metacyclic(
     p: int, n: int, q: int, m: int, r: int, cap: int, label: str
 ) -> Group:
     """C_{q^m} x| C_{p^n} with the twist a^-1 b a = b^r (a the C_{p^n}
-    generator, b the C_{q^m} generator)."""
-    qm = q**m
-    base = cyclic_group(qm)
-    top = cyclic_group(p**n)
-    rinv = pow(r, -1, qm)
-    action = tuple(rinv * i % qm for i in range(qm))
-    return semidirect_product(base, top, [action], cap=cap, label=label)
+    generator, b the C_{q^m} generator), numbered as the semidirect product
+    of the two cyclic groups: (v, k), standing for b^v a^k, is v * P + k
+    for Q = q^m and P = p^n.
+
+    With s = r^-k1 mod Q, (v1, k1) * (v2, k2) = (v1 + s * v2, k1 + k2), so
+    row (v1, k1) is Q blocks of P entries, block v2 being
+    B(v1 + s * v2) = (v1 + s * v2) * P + the row k1 of C_P.  As
+    v1 + s * v2 = s * (v2 + t) for t = r^k1 * v1, the row is
+    W = B(0) B(s) B(2s) ... B((Q-1)s) rotated by t blocks: one slice of
+    W twice over.  W is the row of a^k1 itself; the row of a is made of
+    slices of doubled blocks of range(QP), and the row of a^(k1+1) is
+    the row of a^k1 picked at the row of a, so the whole table shares one
+    int object per element.  The inverse of (v, k) is (-r^k * v, -k).
+
+    The cap is checked before anything is made, and then r^P = 1 mod Q,
+    which is what makes v -> r^-1 * v an automorphism of C_Q whose P-th
+    power is the identity; the errors are those of `semidirect_product`.
+    """
+    qq, pp = q**m, p**n
+    order = qq * pp
+    if order > cap:
+        raise CapExceeded(f"product order {order} exceeds cap {cap}")
+    if pow(r, pp, qq) != 1 % qq:
+        raise ValueError(
+            "generator images do not extend to a homomorphism K -> Aut(N)"
+        )
+    rinv = pow(r, -1, qq)
+    whole = tuple(range(order))
+    doubled = [whole[i:i + pp] * 2 for i in range(0, order, pp)]
+    times_a = getter(
+        tuple(chain.from_iterable(doubled[rinv * v % qq][1:1 + pp] for v in range(qq)))
+    )
+    rows: list = [None] * order
+    inv: list = [None] * order
+    w = whole  # the row of a^k1
+    rk = 1  # r^k1 mod Q
+    for k1 in range(pp):
+        ww = w + w
+        starts = [rk * v % qq * pp for v in range(qq)]
+        rows[k1::pp] = [ww[t:t + order] for t in starts]
+        inv[k1::pp] = [-t % order + -k1 % pp for t in starts]
+        w = times_a(w)
+        rk = rk * r % qq
+    gens = ([pp] if qq > 1 else []) + ([1] if pp > 1 else [])
+    return Group._with_inverses(rows, inv, gens, label)
 
 
 def _metacyclic_text(p: int, n: int, q: int, m: int, r: int) -> str:

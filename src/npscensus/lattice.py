@@ -130,12 +130,13 @@ def _cyclic_nodes(G: Group) -> list[_Node]:
 
 
 def all_subgroups(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> Lattice:
-    """The complete subgroup lattice of G.  Cached on the group object."""
+    """The complete subgroup lattice of G.  Cached on the group object;
+    the cap applies to a cached lattice too."""
+    if G.order > cap:
+        raise CapExceeded(f"order {G.order} exceeds lattice cap {cap}")
     cached = G._cache.get("lattice")
     if cached is not None:
         return cached  # type: ignore[return-value]
-    if G.order > cap:
-        raise CapExceeded(f"order {G.order} exceeds lattice cap {cap}")
 
     mul = G.mul
     bits = bit_table(G)

@@ -177,6 +177,17 @@ class TestTableAxioms:
         with pytest.raises(ValueError, match="element 1 has no two-sided inverse"):
             Group([[0, 1, 2], [1, 2, 0], [2, 2, 1]], [1, 2])
 
+    def test_given_inverses_are_checked(self):
+        mul = cyclic_group(3).mul
+        g = Group._with_inverses(mul, (0, 2, 1), [1], label="C3")
+        assert g.inv == Group(mul, [1]).inv
+        assert (g.generators, g.label) == ((1,), "C3")
+        for bad in ((0, 1, 2), (0, 2, 0), (0, 2, 3), (0, 2)):
+            with pytest.raises(ValueError, match="inverse"):
+                Group._with_inverses(mul, bad, [1])
+        with pytest.raises(ValueError, match="element 0 is not a two-sided identity"):
+            Group._with_inverses([[1, 0], [0, 1]], (0, 1), [1])
+
     def test_zoo_tables_valid(self, zoo):
         for label, g in zoo.items():
             if g.order <= 256:
@@ -344,6 +355,29 @@ class TestSemidirectProduct:
             match="generator images do not extend to a homomorphism K -> Aut",
         ):
             semidirect_product(cyclic_group(3), cyclic_group(3), [(0, 2, 1)])
+
+    def test_rejects_generator_image_of_wrong_order(self):
+        # multiplication by 2 has order 4 mod 5, not a valid image of a C2
+        # generator
+        with pytest.raises(
+            ValueError,
+            match="generator images do not extend to a homomorphism K -> Aut",
+        ):
+            semidirect_product(cyclic_group(5), cyclic_group(2), [(0, 2, 4, 1, 3)])
+
+    def test_two_generators_checked_one_by_one(self):
+        v4 = direct_product(cyclic_group(2), cyclic_group(2))
+        c5 = cyclic_group(5)
+        inversion, ident = (0, 4, 3, 2, 1), tuple(range(5))
+        assert_same_table(
+            semidirect_product(c5, v4, [inversion, ident]),
+            ref_semidirect_product(c5, v4, [inversion, ident]),
+        )
+        with pytest.raises(
+            ValueError,
+            match="generator images do not extend to a homomorphism K -> Aut",
+        ):
+            semidirect_product(c5, v4, [inversion, (0, 2, 4, 1, 3)])
 
     def test_conjugation_convention(self):
         # in C7 x| C6 with action i -> 3i: k^-1 n k = act(k^-1)(n)
@@ -625,7 +659,7 @@ class TestKernelsMatchPerCellLoops:
         )
 
     @pytest.mark.parametrize(
-        "text", ["D(8)xD(8)", "Q(8)xC(2)xC(2)", "A(2)", "C3Q8", "X(2,5)", "Gn(3,5)"]
+        "text", ["D(8)xD(8)", "Q(8)xC(2)xC(2)", "A(2)", "C3Q8", "X(2,5)"]
     )
     def test_products(self, text, monkeypatch):
         from npscensus import families
@@ -639,6 +673,39 @@ class TestKernelsMatchPerCellLoops:
         monkeypatch.setattr(families, "coset_enumerate", ref_coset_enumerate)
         ref = families.build(spec)
         assert isinstance(ref, RefGroup)
+        assert_same_table(new, ref)
+        assert new.label == text
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "D(2)",
+            "D(12)",
+            "S(32)",
+            "M(4,3)",
+            "G(r=1;p=2,n=2;q=3,m=1)",
+            "G(r=4;p=3,n=2;q=3,m=2)",
+            "Gn(3,5)",
+            "Gn(3,9)",
+            "F(2,7)",
+            "B2(2,3)",
+        ],
+    )
+    def test_metacyclic(self, text):
+        # one spec per metacyclic family, a trivial twist and a prime-power
+        # C_{q^m} among them: the rotated table against the per-cell
+        # semidirect product of the two cyclic groups
+        from npscensus.families import build, metacyclic_of
+        from npscensus.specs import parse_spec
+
+        spec = parse_spec(text)
+        p, n, q, m, r = metacyclic_of(spec)
+        qm = q**m
+        action = tuple(pow(r, -1, qm) * i % qm for i in range(qm))
+        new = build(spec)
+        ref = ref_semidirect_product(
+            ref_cyclic_group(qm), ref_cyclic_group(p**n), [action]
+        )
         assert_same_table(new, ref)
         assert new.label == text
 

@@ -161,6 +161,56 @@ class TestBuildOrders:
             build(parse_spec(text), cap=600)
 
 
+def _metacyclic_sweep_specs() -> list[str]:
+    """Every metacyclic spec of the default formula sweep and of the
+    theorem buckets, once each."""
+    from npscensus.catalog import instantiate_bucket
+    from npscensus.cli import formula_sweep
+    from npscensus.families import metacyclic_of
+
+    specs = formula_sweep(6, 1200)
+    for k in range(14):
+        specs += [spec for spec, _ in instantiate_bucket(k, 6, 600)]
+    return list(dict.fromkeys(str(s) for s in specs if metacyclic_of(s)))
+
+
+class TestMetacyclicTables:
+    @pytest.mark.parametrize("text", _metacyclic_sweep_specs())
+    def test_same_as_semidirect_product_of_cyclic_groups(self, text):
+        from npscensus.core import cyclic_group, semidirect_product
+        from npscensus.families import metacyclic_of
+
+        spec = parse_spec(text)
+        p, n, q, m, r = metacyclic_of(spec)
+        qm = q**m
+        action = tuple(pow(r, -1, qm) * i % qm for i in range(qm))
+        old = semidirect_product(
+            cyclic_group(qm), cyclic_group(p**n), [action], cap=1200, label=text
+        )
+        new = build(spec, cap=1200)
+        assert (new.mul, new.inv) == (old.mul, old.inv)
+        assert (new.generators, new.label) == (old.generators, old.label)
+
+    def test_cap_checked_first(self):
+        from npscensus.families import _metacyclic
+
+        # C_5 x| C_2 with the twist 2, which has order 4 mod 5
+        with pytest.raises(CapExceeded, match="product order 10 exceeds cap 9"):
+            _metacyclic(2, 1, 5, 1, 2, 9, "x")
+        with pytest.raises(CapExceeded, match="product order 600 exceeds cap 599"):
+            build(parse_spec("D(600)"), cap=599)
+
+    @pytest.mark.parametrize("p,n,q,m,r", [(2, 1, 5, 1, 2), (2, 2, 9, 1, 3)])
+    def test_twist_must_have_order_dividing_p_to_the_n(self, p, n, q, m, r):
+        from npscensus.families import _metacyclic
+
+        with pytest.raises(
+            ValueError,
+            match="generator images do not extend to a homomorphism K -> Aut",
+        ):
+            _metacyclic(p, n, q, m, r, 600, "x")
+
+
 class TestClaimedIsomorphisms:
     def test_a1_is_alt4(self):
         assert are_isomorphic(build(parse_spec("A(1)")), build(parse_spec("Alt(4)")))

@@ -181,6 +181,19 @@ class TestAllSubgroups:
         with pytest.raises(CapExceeded):
             all_subgroups(g, cap=16)
 
+    def test_cap_applies_to_a_cached_lattice(self):
+        g = cyclic_group(32)
+        whole = all_subgroups(g, 600).subgroups[-1]
+        assert "lattice" in g._cache
+        for call in (
+            lambda: all_subgroups(g, cap=16),
+            lambda: sylow(g, 2, cap=16),
+            lambda: is_normal(g, whole, cap=16),
+        ):
+            with pytest.raises(CapExceeded, match="order 32 exceeds lattice cap 16"):
+                call()
+        assert all_subgroups(g, 32).subgroups[-1] == whole
+
 
 class TestAgainstPairwiseJoinReference:
     def test_subgroups_in_order(self, reference_group):
