@@ -103,7 +103,9 @@ class _Counts(Record):
 
 def printed_rank2_formula(p: int, n1: int, n2: int) -> Fraction:
     """The printed closed form for nps(C_{p^n1} x C_{p^n2}), n1 <= n2,
-    evaluated literally.  Known to disagree with enumeration."""
+    evaluated literally.  Known to disagree with enumeration, which it
+    matches once the coefficient of p is (n2 - n1 - 1) where the paper
+    prints (n2 - n1 + 1), and the constant is n1 where it prints n2."""
     from fractions import Fraction  # only the rank-2 rows need it
 
     num = (
@@ -114,23 +116,6 @@ def printed_rank2_formula(p: int, n1: int, n2: int) -> Fraction:
         + n2
     )
     return Fraction(num, (p - 1) ** 2)
-
-
-def corrected_rank2_formula(p: int, a: int, b: int) -> int:
-    """nps(C_{p^a} x C_{p^b}), a <= b: the printed closed form with its two
-    wrong terms mended, the coefficient of p (b - a - 1) where it prints
-    (b - a + 1), and the constant a where it prints b.  Exact; the
-    reports still show the printed form, under review."""
-    num = (
-        (b - a + 1) * p ** (a + 2)
-        - (b - a - 1) * p ** (a + 1)
-        - (b + 1) * p**2
-        + (b - a - 1) * p
-        + a
-    )
-    nps, rest = divmod(num, (p - 1) ** 2)
-    assert rest == 0
-    return nps
 
 
 def abelian_rank2_counts(p: int, n1: int, n2: int) -> _Counts:

@@ -32,7 +32,7 @@ from .catalog import (
     instantiate_bucket,
     theorem_catalog,
 )
-from .core import CapExceeded, Group, Record, element_orders
+from .core import CapExceeded, Record, element_orders
 from .corpus import CorpusEntry, CorpusError, load_corpus
 from .coset import DEFAULT_MAX_COSETS, complete_coset_table, group_from_coset_table
 from .families import (
@@ -190,20 +190,6 @@ def formula_sweep(max_n: int = 4, max_order: int = DEFAULT_LATTICE_CAP) -> list[
     return [s for s in specs if expected_order(s) <= max_order]
 
 
-def _release(*groups: Group) -> None:
-    """Empty each group's cache.  A cached lattice refers back to its group,
-    so otherwise a finished group is freed only by the cycle collector, and
-    a run keeps several dead large tables alive at once."""
-    for g in groups:
-        g._cache.clear()
-
-
-def _counts_and_release(g: Group, max_order: int) -> CountSummary:
-    c = counts(g, cap=max_order)
-    _release(g)
-    return c
-
-
 def _spec_counts(spec: FamilySpec, max_order: int) -> CountSummary:
     """counts() of the group of a spec.  A valid spec of direct factors
     within the cap, one of them a cyclic C(n), is counted as A x C(n) from
@@ -213,12 +199,9 @@ def _spec_counts(spec: FamilySpec, max_order: int) -> CountSummary:
     if shape_error(spec) is None and order_up_to(spec, max_order) <= max_order:
         split = split_cyclic(spec)
     if split is None or validate(spec):
-        return _counts_and_release(build(spec, cap=max_order), max_order)
+        return counts(build(spec, cap=max_order), cap=max_order)
     rest, n = split
-    a = build(rest, cap=max_order)
-    c = counts_times_cyclic(a, n, max_order)
-    _release(a)
-    return c
+    return counts_times_cyclic(build(rest, cap=max_order), n, max_order)
 
 
 def _formula_worker(args: tuple[FamilySpec, int]) -> VerifyRecord:
@@ -245,7 +228,7 @@ def _census_worker(args: tuple[CorpusEntry, int]) -> dict[str, object]:
     entry, max_order = args
     try:
         g = entry.group(cap=max_order)
-        c = _counts_and_release(g, max_order)
+        c = counts(g, cap=max_order)
         return {
             "name": entry.name,
             "order": g.order,
@@ -434,7 +417,6 @@ def cmd_verify_theorems(args) -> int:
             for j in range(i + 1, len(groups)):
                 if are_isomorphic(groups[i][1], groups[j][1], cap=args.max_order):
                     clashes.append(f"{groups[i][0]} ~ {groups[j][0]}")
-        _release(*(g for _, g in groups))
         if clashes:
             distinct_ok = False
             distinct_lines.append(f"k={k}: isomorphic pair(s): " + "; ".join(clashes))
@@ -457,12 +439,10 @@ def cmd_verify_theorems(args) -> int:
                 continue
             k = c.nps
             if not args.k_min <= k <= args.k_max:
-                _release(g)
                 corpus_lines.append(f"{entry.name}: nps={k}, outside k range")
                 continue
             if k == 0:
                 ok = g.order in element_orders(g)
-                _release(g)
                 corpus_lines.append(
                     f"{entry.name}: nps=0, cyclic={'yes' if ok else 'NO'}"
                 )
@@ -471,13 +451,9 @@ def cmd_verify_theorems(args) -> int:
                 continue
             hit = None
             for cand in _bucket_candidates_for_order(k, g.order):
-                other = build(cand, cap=args.max_order)
-                same = are_isomorphic(g, other, cap=args.max_order)
-                _release(other)
-                if same:
+                if are_isomorphic(g, build(cand, cap=args.max_order), cap=args.max_order):
                     hit = str(cand)
                     break
-            _release(g)
             if hit:
                 corpus_lines.append(f"{entry.name}: nps={k}, matches {hit}")
             else:
@@ -547,31 +523,26 @@ def cmd_present(args) -> int:
         )
         return 2
     g = group_from_coset_table(table)
-    try:
-        c = counts(g, cap=args.max_order)
-        print(f"exponent: {c.exponent}")
-        print(f"subgroups: {c.s}")
-        print(f"power subgroups: {c.ps}")
-        print(f"nonpower subgroups: {c.nps}")
-        if args.iso_check:
-            spec = parse_spec(args.iso_check)
-            err = validate(spec)
-            if err:
-                print(f"invalid spec {spec}: {err}", file=sys.stderr)
-                return 2
-            # groups of different orders are never isomorphic, and the
-            # order is known without building anything
-            same = order_up_to(spec, g.order) == g.order
-            if same:
-                other = build(spec, cap=args.max_order)
-                same = are_isomorphic(g, other, cap=args.max_order)
-                _release(other)
-            print(f"isomorphic to {spec}: {'yes' if same else 'no'}")
-            if not same:
-                return 1
-        return 0
-    finally:
-        _release(g)
+    c = counts(g, cap=args.max_order)
+    print(f"exponent: {c.exponent}")
+    print(f"subgroups: {c.s}")
+    print(f"power subgroups: {c.ps}")
+    print(f"nonpower subgroups: {c.nps}")
+    if args.iso_check:
+        spec = parse_spec(args.iso_check)
+        err = validate(spec)
+        if err:
+            print(f"invalid spec {spec}: {err}", file=sys.stderr)
+            return 2
+        # groups of different orders are never isomorphic, and the order is
+        # known without building anything
+        same = order_up_to(spec, g.order) == g.order and are_isomorphic(
+            g, build(spec, cap=args.max_order), cap=args.max_order
+        )
+        print(f"isomorphic to {spec}: {'yes' if same else 'no'}")
+        if not same:
+            return 1
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,7 @@ from .core import (
     exponent,
     generating_sequence,
 )
-from .lattice import counts
-
-DEFAULT_ISO_CAP = 600
+from .lattice import DEFAULT_LATTICE_CAP, counts
 
 
 def conjugacy_class_sizes(G: Group) -> tuple[int, ...]:
@@ -106,7 +104,7 @@ def _extend(
     return False
 
 
-def are_isomorphic(G: Group, H: Group, cap: int = DEFAULT_ISO_CAP) -> bool:
+def are_isomorphic(G: Group, H: Group, cap: int = DEFAULT_LATTICE_CAP) -> bool:
     """Decide isomorphism between two concrete groups of order <= cap."""
     if G.order > cap or H.order > cap:
         raise CapExceeded(f"isomorphism test capped at order {cap}")

@@ -30,6 +30,12 @@ is the whole rule, so its joins, the zuppos themselves, need no closure.
 Subgroup identity is bitset equality and all outputs are sorted by
 (size, bitset value) for reproducibility.
 
+The lattice is cached on the group as plain data: the subgroups' bitsets
+and sizes, the normal flags, the conjugacy classes and the power
+subgroups' positions.  The cache never refers back to the group, so a
+group is freed by reference counting once the last reference to it goes;
+`all_subgroups` wraps the data in a `Lattice` of `Subgroup`s on each call.
+
 `counts` of an abelian group builds no lattice: it reads the group's type
 off its element orders and counts by Birkhoff's formula
 (`arith.subgroup_count_abelian`).
@@ -56,6 +62,7 @@ from .core import (
     Group,
     Record,
     Subgroup,
+    _bits,
     bit_table,
     coset_closure,
     cyclic_subgroups,
@@ -115,6 +122,19 @@ class Lattice(Record):
         return set(self.power_index.values())
 
 
+class _LatticeData(Record):
+    """The cached lattice of a group, with no reference to the group: the
+    subgroups' bitsets and sizes in lattice order, and the rest as in
+    `Lattice`."""
+
+    members: tuple[int, ...]
+    sizes: tuple[int, ...]
+    normal_flags: tuple[bool, ...]
+    conjugacy_classes: tuple[tuple[int, ...], ...]
+    power_index: dict[int, int]
+    index: dict[int, int]
+
+
 def _cyclic_nodes(G: Group) -> list[_Node]:
     """One node per distinct cyclic subgroup, in order of smallest generator."""
     bits = bit_table(G)
@@ -129,9 +149,30 @@ def _cyclic_nodes(G: Group) -> list[_Node]:
     ]
 
 
+def _conjugation_bits(G: Group, x: int) -> tuple[int, ...]:
+    """The bit of x^-1 y x for every element y: column x of the table read
+    at the row of x^-1."""
+    column = tuple(map(itemgetter(x), G.mul))
+    return getter(getter(G.mul[G.inv[x]])(column))(bit_table(G))
+
+
 def all_subgroups(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> Lattice:
-    """The complete subgroup lattice of G.  Cached on the group object;
-    the cap applies to a cached lattice too."""
+    """The complete subgroup lattice of G, wrapped on each call around the
+    data cached on the group; the cap applies to a cached lattice too."""
+    lat = _lattice_data(G, cap)
+    return Lattice(
+        group=G,
+        subgroups=tuple(Subgroup(G, m, size) for m, size in zip(lat.members, lat.sizes)),
+        normal_flags=lat.normal_flags,
+        conjugacy_classes=lat.conjugacy_classes,
+        power_index=lat.power_index,
+        index=lat.index,
+    )
+
+
+def _lattice_data(G: Group, cap: int) -> _LatticeData:
+    """The lattice of G as plain data, cached on the group; the cap
+    applies to a cached lattice too."""
     if G.order > cap:
         raise CapExceeded(f"order {G.order} exceeds lattice cap {cap}")
     cached = G._cache.get("lattice")
@@ -184,17 +225,11 @@ def all_subgroups(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> Lattice:
             stack.append((J, j + 1))
 
     order = sorted(nodes.values(), key=lambda nd: (nd.size, nd.members))
-    subgroups = tuple(Subgroup(G, nd.members, nd.size) for nd in order)
-    index = {sub.members: i for i, sub in enumerate(subgroups)}
+    index = {nd.members: i for i, nd in enumerate(order)}
 
-    # conjugacy classes of subgroups via orbits under generator conjugation;
-    # conj_bits holds one list per generator g, whose entry x is the bit of
-    # g^-1 x g, read off column g of the table at the row of g^-1
-    conj_bits = []
-    for g in G.generators:
-        column = tuple(map(itemgetter(g), mul))
-        conj_bits.append(getter(getter(mul[G.inv[g]])(column))(bits))
-    visited = [False] * len(subgroups)
+    # conjugacy classes of subgroups via orbits under generator conjugation
+    conj_bits = [_conjugation_bits(G, g) for g in G.generators]
+    visited = [False] * len(order)
     classes: list[tuple[int, ...]] = []
     for i in range(len(order)):
         if visited[i]:
@@ -211,7 +246,7 @@ def all_subgroups(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> Lattice:
                     visited[c] = True
                     orbit.append(c)
         classes.append(tuple(sorted(orbit)))
-    normal_flags = [False] * len(subgroups)
+    normal_flags = [False] * len(order)
     for cls in classes:
         if len(cls) == 1:
             normal_flags[cls[0]] = True
@@ -222,9 +257,9 @@ def all_subgroups(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> Lattice:
         sub = power_subgroup(G, m)
         power_index[m] = index[sub.members]
 
-    lat = Lattice(
-        group=G,
-        subgroups=subgroups,
+    lat = _LatticeData(
+        members=tuple(nd.members for nd in order),
+        sizes=tuple(nd.size for nd in order),
         normal_flags=tuple(normal_flags),
         conjugacy_classes=tuple(classes),
         power_index=power_index,
@@ -265,14 +300,14 @@ def counts(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> CountSummary:
 def _lattice_counts(G: Group, cap: int) -> CountSummary:
     """counts() from the full lattice of G; the tests' oracle for the
     abelian and the Goursat paths."""
-    lat = all_subgroups(G, cap)
-    s = len(lat.subgroups)
-    power_idx = lat.power_subgroup_indices
+    lat = _lattice_data(G, cap)
+    s = len(lat.members)
+    power_idx = set(lat.power_index.values())
     ps = len(power_idx)
     cyclic_powers = [
-        sub.size
-        for sub in (lat.subgroups[i] for i in power_idx)
-        if sub.size > 1 and len(factorize(sub.size)) == 1 and _is_cyclic_subgroup(G, sub)
+        size
+        for members, size in ((lat.members[i], lat.sizes[i]) for i in power_idx)
+        if size > 1 and len(factorize(size)) == 1 and _is_cyclic(G, members, size)
     ]
     return CountSummary(
         order=G.order,
@@ -315,15 +350,13 @@ def counts_times_cyclic(A: Group, n: int, cap: int = DEFAULT_LATTICE_CAP) -> Cou
         for p, m in factorize(n).items():
             types.setdefault(p, []).append(m)
         return _abelian_counts(types)
-    lat = all_subgroups(A, cap)
+    lat = _lattice_data(A, cap)
     cyclics = _cyclic_nodes(A)
-    mul, bits = A.mul, bit_table(A)
     conj: dict[int, tuple[int, ...]] = {}  # x -> bit of x^-1 y x for each y
     sections = dict.fromkeys(divisors(n), 0)  # k -> N_A(k)
     for cls in lat.conjugacy_classes:
-        sub = lat.subgroups[cls[0]]
-        m2 = sub.members
-        take = None if len(cls) == 1 else getter(list(sub.elements()))
+        m2, size2 = lat.members[cls[0]], lat.sizes[cls[0]]
+        take = None if len(cls) == 1 else getter(list(_bits(m2)))
         found: dict[int, int] = {}  # k -> elements of order k modulo A2
         for z in cyclics:
             k = z.size // (z.members & m2).bit_count()
@@ -333,13 +366,12 @@ def counts_times_cyclic(A: Group, n: int, cap: int = DEFAULT_LATTICE_CAP) -> Cou
             if take is not None and k > 1:
                 x = z.elems[1]
                 if x not in conj:
-                    column = tuple(map(itemgetter(x), mul))
-                    conj[x] = getter(getter(mul[A.inv[x]])(column))(bits)
+                    conj[x] = _conjugation_bits(A, x)
                 if sum(take(conj[x])) != m2:
                     continue  # x does not normalize A2
             found[k] = found.get(k, 0) + totient(z.size)
         for k, elements in found.items():
-            sections[k] += len(cls) * elements // (totient(k) * sub.size)
+            sections[k] += len(cls) * elements // (totient(k) * size2)
     s = sum(len(divisors(n // k)) * totient(k) * N for k, N in sections.items())
 
     e = exponent(A)
@@ -348,11 +380,10 @@ def counts_times_cyclic(A: Group, n: int, cap: int = DEFAULT_LATTICE_CAP) -> Cou
     }
     cyclic_powers = []
     for i, g in powers:
-        sub = lat.subgroups[i]
-        size = sub.size * (n // g)
+        size = lat.sizes[i] * (n // g)
         # a product of two nontrivial p-groups is not cyclic
         if size > 1 and len(factorize(size)) == 1 and (
-            sub.size == 1 or g == n and _is_cyclic_subgroup(A, sub)
+            lat.sizes[i] == 1 or g == n and _is_cyclic(A, lat.members[i], lat.sizes[i])
         ):
             cyclic_powers.append(size)
     return CountSummary(
@@ -424,9 +455,10 @@ def _per_prime(
     )
 
 
-def _is_cyclic_subgroup(G: Group, H: Subgroup) -> bool:
+def _is_cyclic(G: Group, members: int, size: int) -> bool:
+    """Whether the subgroup of G with this bitset and size is cyclic."""
     orders = element_orders(G)
-    return any(orders[x] == H.size for x in H.elements())
+    return any(orders[x] == size for x in _bits(members))
 
 
 def is_normal(G: Group, H: Subgroup, cap: int = DEFAULT_LATTICE_CAP) -> bool:
@@ -505,7 +537,7 @@ def cyclic_nonpower_p_count(G: Group, p: int, cap: int = DEFAULT_LATTICE_CAP) ->
             continue
         if i in power_idx:
             continue
-        if _is_cyclic_subgroup(G, sub):
+        if _is_cyclic(G, sub.members, sz):
             count += 1
     return count
 

@@ -1,8 +1,8 @@
 """Shared corpus of constructed groups.
 
-One Group object per label, built once per session; the lattice cache
-lives on the objects, so counts computed in one test are reused by the
-rest of the suite.
+One Group object per label, built once per session; each object caches
+its lattice as plain data (bitsets, never the group itself), so counts
+computed in one test are reused by the rest of the suite.
 """
 
 from __future__ import annotations

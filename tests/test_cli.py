@@ -526,9 +526,10 @@ class TestPresent:
 
 class TestWorkersFreeGroups:
     """A worker's group is freed by reference counting when the worker
-    returns, and so is every group the CLI compares for isomorphism.  The
-    cached lattice refers back to its group, and a group left to the cycle
-    collector keeps its table alive while the next is built."""
+    returns, and so is every group the CLI compares for isomorphism: the
+    cached lattice is plain data that never refers back to its group.  A
+    group left to the cycle collector would keep its table alive while the
+    next is built."""
 
     @staticmethod
     def groups_left_for_collector(worker, arg):

@@ -8,6 +8,7 @@ divisor-sum subgroup formula for abelian groups where available, and by a
 reference lattice built by the pairwise-join closure of cyclic subgroups.
 """
 
+import gc
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from npscensus.arith import divisors, subgroup_count_rank2
 from npscensus.core import (
     CapExceeded,
+    Group,
     center,
     cyclic_group,
     direct_product,
@@ -440,3 +442,57 @@ class TestCyclicNonpowerCount:
         # 13 subgroups of order 3 in the extraspecial group of exponent 3
         assert got == 13
         assert got >= 3 * 1 - 0 + 1
+
+
+def groups_left_for_collector(call):
+    """The groups that `call()` leaves for the cycle collector, that is,
+    does not free by reference counting."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return [repr(o) for o in gc.garbage if isinstance(o, Group)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+class TestCacheFreesGroups:
+    """The cached lattice is plain data that never refers back to its
+    group, so a group is freed by reference counting when the last
+    reference to it goes, lattice and all."""
+
+    def test_counts_of_a_non_abelian_group(self):
+        assert groups_left_for_collector(lambda: counts(build(parse_spec("D(8)")))) == []
+
+    def test_counts_times_cyclic(self):
+        q8 = parse_spec("Q(8)")
+        assert groups_left_for_collector(lambda: counts_times_cyclic(build(q8), 3)) == []
+
+    def test_are_isomorphic_on_an_isomorphic_pair(self):
+        # the pair agrees on every invariant, so both lattices are computed
+        def call():
+            assert are_isomorphic(build(parse_spec("D(8)")), build(parse_spec("B2(1,2)")))
+
+        assert groups_left_for_collector(call) == []
+
+    def test_lattice_queries(self):
+        def call():
+            g = build(parse_spec("Sym(4)"))
+            lat = all_subgroups(g)
+            p = sylow(g, 2)
+            assert not is_normal(g, p)
+            assert len(conjugates(g, p)) == 3
+            assert lat.subgroups[lat.index_of(p.members)] == p
+
+        assert groups_left_for_collector(call) == []
+
+    @pytest.mark.parametrize("text", ["Sym(4)", "Q(8)xC(2)", "D(16)", "C(12)"])
+    def test_repeated_calls_give_equal_lattices(self, text):
+        g = build(parse_spec(text))
+        first = all_subgroups(g)
+        assert all_subgroups(g) == first
+        assert repr(all_subgroups(g)) == repr(first)
