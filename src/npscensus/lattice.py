@@ -34,7 +34,10 @@ The lattice is cached on the group as plain data: the subgroups' bitsets
 and sizes, the normal flags, the conjugacy classes and the power
 subgroups' positions.  The cache never refers back to the group, so a
 group is freed by reference counting once the last reference to it goes;
-`all_subgroups` wraps the data in a `Lattice` of `Subgroup`s on each call.
+`all_subgroups` wraps the data in a `Lattice` of `Subgroup`s on each call,
+and the other queries wrap only the subgroups they return.  A lattice is
+computed only inside `all_subgroups`, the call that `bench/trace_child.py`
+times as the lattice layer.
 
 `counts` of an abelian group builds no lattice: it reads the group's type
 off its element orders and counts by Birkhoff's formula
@@ -157,9 +160,14 @@ def _conjugation_bits(G: Group, x: int) -> tuple[int, ...]:
 
 
 def all_subgroups(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> Lattice:
-    """The complete subgroup lattice of G, wrapped on each call around the
-    data cached on the group; the cap applies to a cached lattice too."""
-    lat = _lattice_data(G, cap)
+    """The complete subgroup lattice of G, computed on the first call and
+    cached on the group as plain data, which each call wraps in a fresh
+    `Lattice`; the cap applies to a cached lattice too."""
+    if G.order > cap:
+        raise CapExceeded(f"order {G.order} exceeds lattice cap {cap}")
+    lat = G._cache.get("lattice")
+    if lat is None:
+        lat = G._cache["lattice"] = _compute_lattice(G)
     return Lattice(
         group=G,
         subgroups=tuple(Subgroup(G, m, size) for m, size in zip(lat.members, lat.sizes)),
@@ -171,14 +179,15 @@ def all_subgroups(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> Lattice:
 
 
 def _lattice_data(G: Group, cap: int) -> _LatticeData:
-    """The lattice of G as plain data, cached on the group; the cap
-    applies to a cached lattice too."""
-    if G.order > cap:
-        raise CapExceeded(f"order {G.order} exceeds lattice cap {cap}")
-    cached = G._cache.get("lattice")
-    if cached is not None:
-        return cached  # type: ignore[return-value]
+    """The lattice of G as the plain data cached on the group, computed
+    through `all_subgroups` when it is not cached yet."""
+    if G.order > cap or "lattice" not in G._cache:
+        all_subgroups(G, cap)
+    return G._cache["lattice"]  # type: ignore[return-value]
 
+
+def _compute_lattice(G: Group) -> _LatticeData:
+    """The lattice of G by cyclic extension, then its classes and powers."""
     mul = G.mul
     bits = bit_table(G)
     cyclics = _cyclic_nodes(G)
@@ -257,7 +266,7 @@ def _lattice_data(G: Group, cap: int) -> _LatticeData:
         sub = power_subgroup(G, m)
         power_index[m] = index[sub.members]
 
-    lat = _LatticeData(
+    return _LatticeData(
         members=tuple(nd.members for nd in order),
         sizes=tuple(nd.size for nd in order),
         normal_flags=tuple(normal_flags),
@@ -265,8 +274,6 @@ def _lattice_data(G: Group, cap: int) -> _LatticeData:
         power_index=power_index,
         index=index,
     )
-    G._cache["lattice"] = lat
-    return lat
 
 
 def power_subgroup(G: Group, m: int) -> Subgroup:
@@ -282,8 +289,10 @@ def power_subgroup(G: Group, m: int) -> Subgroup:
 
 def power_subgroups(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> dict[int, Subgroup]:
     """G^m for every divisor m of the exponent; G^m = G^gcd(m, e) in general."""
-    lat = all_subgroups(G, cap)
-    return {m: lat.subgroups[i] for m, i in sorted(lat.power_index.items())}
+    lat = _lattice_data(G, cap)
+    return {
+        m: Subgroup(G, lat.members[i], lat.sizes[i]) for m, i in sorted(lat.power_index.items())
+    }
 
 
 def counts(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> CountSummary:
@@ -464,19 +473,19 @@ def _is_cyclic(G: Group, members: int, size: int) -> bool:
 def is_normal(G: Group, H: Subgroup, cap: int = DEFAULT_LATTICE_CAP) -> bool:
     if H.parent is not G:
         raise ValueError("subgroup does not belong to this group")
-    lat = all_subgroups(G, cap)
-    return lat.normal_flags[lat.index_of(H.members)]
+    lat = _lattice_data(G, cap)
+    return lat.normal_flags[lat.index[H.members]]
 
 
 def conjugates(G: Group, H: Subgroup, cap: int = DEFAULT_LATTICE_CAP) -> list[Subgroup]:
     """All distinct conjugates of H in G (H's conjugacy class)."""
     if H.parent is not G:
         raise ValueError("subgroup does not belong to this group")
-    lat = all_subgroups(G, cap)
-    i = lat.index_of(H.members)
+    lat = _lattice_data(G, cap)
+    i = lat.index[H.members]
     for cls in lat.conjugacy_classes:
         if i in cls:
-            return [lat.subgroups[j] for j in cls]
+            return [Subgroup(G, lat.members[j], lat.sizes[j]) for j in cls]
     raise AssertionError("subgroup missing from its own lattice")
 
 
@@ -484,31 +493,23 @@ def sylow(G: Group, p: int, cap: int = DEFAULT_LATTICE_CAP) -> Subgroup:
     """A Sylow p-subgroup (first in lattice order); trivial if p does not
     divide the group order."""
     part = p_part(G.order, p)
-    lat = all_subgroups(G, cap)
-    for sub in lat.subgroups:
-        if sub.size == part:
-            return sub
+    lat = _lattice_data(G, cap)
+    for members, size in zip(lat.members, lat.sizes):
+        if size == part:
+            return Subgroup(G, members, size)
     raise AssertionError("Sylow subgroup missing from lattice")
 
 
 def frattini(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> Subgroup:
     """Intersection of all maximal subgroups."""
-    lat = all_subgroups(G, cap)
-    subs = lat.subgroups
-    proper = [s for s in subs if s.size < G.order]
-    maximals = [
-        s
-        for s in proper
-        if not any(
-            t.size > s.size and s.members & ~t.members == 0 for t in proper
-        )
-    ]
-    if not maximals:
-        return subs[0]
+    lat = _lattice_data(G, cap)
+    proper = [(m, size) for m, size in zip(lat.members, lat.sizes) if size < G.order]
     members = (1 << G.order) - 1
-    for s in maximals:
-        members &= s.members
-    return subs[lat.index_of(members)]
+    for m, size in proper:
+        if not any(t_size > size and m & ~t == 0 for t, t_size in proper):
+            members &= m  # m is maximal
+    i = lat.index[members]
+    return Subgroup(G, members, lat.sizes[i])
 
 
 def omega(G: Group, i: int, cap: int = DEFAULT_LATTICE_CAP) -> Subgroup:
@@ -528,16 +529,15 @@ def omega(G: Group, i: int, cap: int = DEFAULT_LATTICE_CAP) -> Subgroup:
 def cyclic_nonpower_p_count(G: Group, p: int, cap: int = DEFAULT_LATTICE_CAP) -> int:
     """Number of cyclic subgroups of p-power order (> 1) that are not power
     subgroups of G."""
-    lat = all_subgroups(G, cap)
-    power_idx = lat.power_subgroup_indices
+    lat = _lattice_data(G, cap)
+    power_idx = set(lat.power_index.values())
     count = 0
-    for i, sub in enumerate(lat.subgroups):
-        sz = sub.size
+    for i, (members, sz) in enumerate(zip(lat.members, lat.sizes)):
         if sz == 1 or p_part(sz, p) != sz:
             continue
         if i in power_idx:
             continue
-        if _is_cyclic(G, sub.members, sz):
+        if _is_cyclic(G, members, sz):
             count += 1
     return count
 

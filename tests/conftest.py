@@ -1,4 +1,5 @@
-"""Shared corpus of constructed groups.
+"""Shared corpus of constructed groups, and a probe for groups left to
+the cycle collector.
 
 One Group object per label, built once per session; each object caches
 its lattice as plain data (bitsets, never the group itself), so counts
@@ -7,9 +8,11 @@ computed in one test are reused by the rest of the suite.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
-from npscensus import cyclic_group, parse_spec, semidirect_product
+from npscensus import Group, cyclic_group, parse_spec, semidirect_product
 from npscensus.catalog import instantiate_bucket
 from npscensus.families import build
 
@@ -71,3 +74,24 @@ def build_zoo() -> dict[str, object]:
 @pytest.fixture(scope="session")
 def zoo():
     return build_zoo()
+
+
+def _groups_left_for_collector(call) -> list[str]:
+    """The groups that `call()` leaves for the cycle collector, that is,
+    does not free by reference counting."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return [repr(o) for o in gc.garbage if isinstance(o, Group)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+@pytest.fixture
+def groups_left_for_collector():
+    return _groups_left_for_collector

@@ -1,6 +1,5 @@
 """Command-line behavior: output, exit codes, determinism."""
 
-import gc
 import json
 import os
 import subprocess
@@ -18,7 +17,6 @@ from npscensus.cli import (
     formula_sweep,
     main,
 )
-from npscensus.core import Group
 from npscensus.corpus import CorpusEntry, dump_corpus, entry_from_group
 from npscensus.families import build, expected_order
 from npscensus.specs import parse_spec
@@ -531,33 +529,19 @@ class TestWorkersFreeGroups:
     group left to the cycle collector would keep its table alive while the
     next is built."""
 
-    @staticmethod
-    def groups_left_for_collector(worker, arg):
-        gc.collect()
-        gc.disable()
-        try:
-            worker(arg)
-            gc.set_debug(gc.DEBUG_SAVEALL)
-            gc.collect()
-            return [repr(o) for o in gc.garbage if isinstance(o, Group)]
-        finally:
-            gc.set_debug(0)
-            gc.garbage.clear()
-            gc.enable()
-
-    def test_formula_worker(self):
+    def test_formula_worker(self, groups_left_for_collector):
         arg = (parse_spec("Q(8)xC(2)"), 600)
-        assert self.groups_left_for_collector(_formula_worker, arg) == []
+        assert groups_left_for_collector(lambda: _formula_worker(arg)) == []
 
-    def test_theorem_worker(self):
+    def test_theorem_worker(self, groups_left_for_collector):
         arg = (7, parse_spec("D(8)"), "D(8)", 600)
-        assert self.groups_left_for_collector(_theorem_worker, arg) == []
+        assert groups_left_for_collector(lambda: _theorem_worker(arg)) == []
 
-    def test_census_worker(self):
+    def test_census_worker(self, groups_left_for_collector):
         entry = CorpusEntry("Sym(3)", 3, ((1, 2, 0), (1, 0, 2)))
-        assert self.groups_left_for_collector(_census_worker, (entry, 600)) == []
+        assert groups_left_for_collector(lambda: _census_worker((entry, 600))) == []
 
-    def test_verify_theorems_distinctness(self, capsys, monkeypatch):
+    def test_verify_theorems_distinctness(self, groups_left_for_collector, capsys, monkeypatch):
         import npscensus.cli
 
         # an isomorphic pair agrees on every invariant, so are_isomorphic
@@ -565,10 +549,10 @@ class TestWorkersFreeGroups:
         pair = [(parse_spec("D(8)"), "D(8)"), (parse_spec("B2(1,2)"), "B2(1,2)")]
         monkeypatch.setattr(npscensus.cli, "_minimal_instances", lambda k, cap: pair)
         argv = ["verify-theorems", "--k-min", "1", "--k-max", "1"]
-        assert self.groups_left_for_collector(main, argv) == []
+        assert groups_left_for_collector(lambda: main(argv)) == []
         assert "isomorphic pair(s): D(8) ~ B2(1,2)" in capsys.readouterr().out
 
-    def test_verify_theorems_corpus(self, capsys, tmp_path):
+    def test_verify_theorems_corpus(self, groups_left_for_collector, capsys, tmp_path):
         entries = [
             entry_from_group("q8", build(parse_spec("Q(8)"))),
             entry_from_group("c12", build(parse_spec("C(12)"))),
@@ -578,17 +562,17 @@ class TestWorkersFreeGroups:
         dump_corpus(entries, path)
         argv = ["verify-theorems", "--k-min", "0", "--k-max", "3", "--max-n", "2",
                 "--corpus", str(path)]
-        assert self.groups_left_for_collector(main, argv) == []
+        assert groups_left_for_collector(lambda: main(argv)) == []
         out = capsys.readouterr().out
         assert "q8: nps=3, matches Q(8)" in out
         assert "c12: nps=0, cyclic=yes" in out
         assert "c2xc4: nps=5, outside k range" in out
 
-    def test_present_iso_check(self, capsys):
+    def test_present_iso_check(self, groups_left_for_collector, capsys):
         for other in ("D(8)", "Q(8)"):
             argv = ["present", "a,b,z | a^2 = b^2 = z, z^2 = 1, b^-1 a b = a^-1",
                     "--iso-check", other]
-            assert self.groups_left_for_collector(main, argv) == []
+            assert groups_left_for_collector(lambda: main(argv)) == []
         out = capsys.readouterr().out
         assert "isomorphic to D(8): no" in out
         assert "isomorphic to Q(8): yes" in out

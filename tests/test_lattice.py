@@ -8,7 +8,6 @@ divisor-sum subgroup formula for abelian groups where available, and by a
 reference lattice built by the pairwise-join closure of cyclic subgroups.
 """
 
-import gc
 from itertools import combinations
 
 import pytest
@@ -16,7 +15,6 @@ import pytest
 from npscensus.arith import divisors, subgroup_count_rank2
 from npscensus.core import (
     CapExceeded,
-    Group,
     center,
     cyclic_group,
     direct_product,
@@ -444,42 +442,26 @@ class TestCyclicNonpowerCount:
         assert got >= 3 * 1 - 0 + 1
 
 
-def groups_left_for_collector(call):
-    """The groups that `call()` leaves for the cycle collector, that is,
-    does not free by reference counting."""
-    gc.collect()
-    gc.disable()
-    try:
-        call()
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        gc.collect()
-        return [repr(o) for o in gc.garbage if isinstance(o, Group)]
-    finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
-        gc.enable()
-
-
 class TestCacheFreesGroups:
     """The cached lattice is plain data that never refers back to its
     group, so a group is freed by reference counting when the last
     reference to it goes, lattice and all."""
 
-    def test_counts_of_a_non_abelian_group(self):
+    def test_counts_of_a_non_abelian_group(self, groups_left_for_collector):
         assert groups_left_for_collector(lambda: counts(build(parse_spec("D(8)")))) == []
 
-    def test_counts_times_cyclic(self):
+    def test_counts_times_cyclic(self, groups_left_for_collector):
         q8 = parse_spec("Q(8)")
         assert groups_left_for_collector(lambda: counts_times_cyclic(build(q8), 3)) == []
 
-    def test_are_isomorphic_on_an_isomorphic_pair(self):
+    def test_are_isomorphic_on_an_isomorphic_pair(self, groups_left_for_collector):
         # the pair agrees on every invariant, so both lattices are computed
         def call():
             assert are_isomorphic(build(parse_spec("D(8)")), build(parse_spec("B2(1,2)")))
 
         assert groups_left_for_collector(call) == []
 
-    def test_lattice_queries(self):
+    def test_lattice_queries(self, groups_left_for_collector):
         def call():
             g = build(parse_spec("Sym(4)"))
             lat = all_subgroups(g)
@@ -489,6 +471,29 @@ class TestCacheFreesGroups:
             assert lat.subgroups[lat.index_of(p.members)] == p
 
         assert groups_left_for_collector(call) == []
+
+    def test_a_lattice_is_computed_inside_all_subgroups(self, monkeypatch):
+        # bench/trace_child.py times all_subgroups as the lattice layer, so a
+        # lattice computed on any path must be computed inside that call,
+        # and a cached one must not go through it again
+        import npscensus.lattice as lattice
+
+        calls = []
+
+        def traced(G, cap=lattice.DEFAULT_LATTICE_CAP):
+            calls.append("lattice" in G._cache)
+            return all_subgroups(G, cap)
+
+        monkeypatch.setattr(lattice, "all_subgroups", traced)
+        g = build(parse_spec("D(8)"))
+        counts(g)
+        counts(g)
+        counts_times_cyclic(g, 3)
+        sylow(g, 2)
+        assert calls == [False]
+        h = build(parse_spec("Q(8)"))
+        counts_times_cyclic(h, 3)
+        assert calls == [False, False]
 
     @pytest.mark.parametrize("text", ["Sym(4)", "Q(8)xC(2)", "D(16)", "C(12)"])
     def test_repeated_calls_give_equal_lattices(self, text):
