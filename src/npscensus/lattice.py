@@ -21,11 +21,20 @@ produced exactly once.
 A join is grown by `core.coset_closure` as a union of left cosets y*S, each
 one C-level pick of row y of the table at S's elements.  J - S is the union
 of the new cosets, so the rule is checked coset by coset: zidx[x] is the
-number of the zuppo that x generates (k for an element that generates
-none), and the join is abandoned as soon as a new coset holds an element
-with zidx below j.  Before any coset, a join is skipped when z_j itself
-holds a generator g_i with i < j that S lacks; for the trivial S that test
-is the whole rule, so its joins, the zuppos themselves, need no closure.
+number of the zuppo that x generates, for every generator x of every zuppo
+(k for an element that generates none), and the join is abandoned as soon
+as a new coset holds an element with zidx below j.  This rejects the same
+joins as a test of the g_i alone: J - S holds a generator x of z_i, i < j,
+exactly when J holds z_i and S does not, and then g_i, which generates z_i
+too, lies in J - S; g_i is itself such an x.
+
+Two tests reject a join before any coset.  It is skipped when z_j itself
+holds a generator of a lower zuppo that S lacks; for the trivial S that
+test is the whole rule, so its joins, the zuppos themselves, need no
+closure.  It is also skipped, by one bitset AND, when S holds an element of
+early[j], the set of the g_j^-1 x over the generators x of the zuppos below
+j: g_j*S, the first coset the closure builds, then holds such an x, and it
+is disjoint from S since g_j is not in S.
 
 Subgroup identity is bitset equality and all outputs are sorted by
 (size, bitset value) for reproducibility.
@@ -194,6 +203,7 @@ def _compute_lattice(G: Group) -> _LatticeData:
     zuppos = [c for c in cyclics if c.size > 1 and len(factorize(c.size)) == 1]
     zgens = [z.gens[0] for z in zuppos]
     k = len(zuppos)
+    orders = element_orders(G)
     trivial = cyclics[0]
     nodes: dict[int, _Node] = {trivial.members: trivial}
     # (node, index of the first zuppo it may be extended by)
@@ -202,11 +212,19 @@ def _compute_lattice(G: Group) -> _LatticeData:
     zidx = [k] * G.order
     # inner[j]: the generators of zuppos below j that lie in z_j itself
     inner: list[int] = []
-    below = 0
+    # early[j]: the bits of g_j^-1 x for the generators x of zuppos below j;
+    # S meets it exactly when g_j*S, the first coset of the join, holds an x
+    early: list[int] = []
+    low: list[int] = []  # the generators of the zuppos below j
+    below = 0  # their bits
     for j, z in enumerate(zuppos):
-        zidx[zgens[j]] = j
         inner.append(z.members & below)
-        below |= 1 << zgens[j]
+        early.append(sum(getter(getter(low)(mul[G.inv[zgens[j]]]))(bits)) if low else 0)
+        for x in z.elems:
+            if orders[x] == z.size:
+                zidx[x] = j
+                low.append(x)
+                below |= bits[x]
         # the trivial subgroup joined with z_j is z_j itself
         if not inner[j]:
             nodes[z.members] = z
@@ -219,8 +237,9 @@ def _compute_lattice(G: Group) -> _LatticeData:
         sset = set(S.elems)
         for j in range(start, k):
             g = zgens[j]
-            # z_j brings in the generators in inner[j] that S lacks
-            if g in sset or inner[j] & lack:
+            # z_j brings in the generators in inner[j] that S lacks, and the
+            # first coset g_j*S brings in one when S meets early[j]
+            if g in sset or inner[j] & lack or early[j] & sm:
                 continue
             gens = S.gens + (g,)
             new = coset_closure(mul, take, sset.copy(), gens, zidx, j)

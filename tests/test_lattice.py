@@ -12,12 +12,15 @@ from itertools import combinations
 
 import pytest
 
-from npscensus.arith import divisors, subgroup_count_rank2
+from npscensus.arith import divisors, factorize, subgroup_count_rank2
 from npscensus.core import (
     CapExceeded,
     center,
+    coset_closure,
     cyclic_group,
+    cyclic_subgroups,
     direct_product,
+    element_orders,
     exponent,
     generated_subgroup,
     is_normal_subgroup,
@@ -98,6 +101,10 @@ REFERENCE_ZOO = [
     "X(2,3)",
     "Gn(2,5)",
     "B1(2,3)",
+    # groups where most joins are skipped before their first coset
+    "D(72)",
+    "D(128)",
+    "Sym(5)",
 ]
 
 
@@ -176,6 +183,17 @@ class TestAllSubgroups:
         g = direct_product(cyclic_group(p**a), cyclic_group(p**b))
         assert _lattice_counts(g, cap=1200).s == subgroup_count_rank2(p, a, b)
 
+    @pytest.mark.parametrize(
+        "n,s",
+        [(3, 6), (4, 10), (9, 16), (16, 36), (30, 80), (49, 60), (64, 134),
+         (97, 100), (105, 200), (128, 263), (210, 592), (300, 886)],
+    )
+    def test_dihedral_count(self, n, s):
+        # D(2n) has the cyclic <r^(n/d)> and the n/d dihedral <r^(n/d), r^i s>
+        # for each d | n, so s(D(2n)) = tau(n) + sigma(n)
+        assert len(divisors(n)) + sum(divisors(n)) == s
+        assert len(all_subgroups(build(parse_spec(f"D({2 * n})"))).subgroups) == s
+
     def test_cap_exceeded(self):
         g = cyclic_group(32)
         with pytest.raises(CapExceeded):
@@ -235,6 +253,52 @@ class TestAgainstPairwiseJoinReference:
             assert set(power_subgroup(g, m).elements()) == (
                 naive_power_subgroup_members(g, m)
             ), m
+
+
+class TestJoinsSkippedEarly:
+    """A join of S with the zuppo z_j that canonical augmentation rejects
+    because the first coset g_j*S holds a generator of a lower zuppo is
+    skipped before any coset is built, and a rejected join is abandoned at
+    the first coset that holds any generator of a lower zuppo.  The counts
+    are deterministic, and each bound is the count itself."""
+
+    @pytest.mark.parametrize(
+        "text,subgroups,joins,cosets",
+        [
+            ("D(8)xD(8)", 389, 414, 784),
+            ("D(128)", 134, 63, 321),
+            ("Sym(5)", 156, 376, 953),
+            ("Sym(4)xSym(3)", 372, 1225, 3041),
+        ],
+    )
+    def test_join_counts(self, monkeypatch, text, subgroups, joins, cosets):
+        import npscensus.lattice as lattice
+
+        g = build(parse_spec(text))
+        orders = element_orders(g)
+        zuppos = [c for c in cyclic_subgroups(g) if len(factorize(len(c))) == 1]
+        # the number of the zuppo that each of its generators generates
+        znum = {x: i for i, c in enumerate(zuppos) for x in c if orders[x] == len(c)}
+        # per join started: whether its first coset holds a lower generator
+        started = []
+        cosets_built = []
+
+        def counted(mul, take, seen, gens, zidx, bound):
+            j = znum[gens[-1]]
+            first = [mul[gens[-1]][y] for y in seen]
+            started.append(min(znum.get(x, j) for x in first) < j)
+
+            def counted_take(row):
+                cosets_built.append(row)
+                return take(row)
+
+            return coset_closure(mul, counted_take, seen, gens, zidx, bound)
+
+        monkeypatch.setattr(lattice, "coset_closure", counted)
+        assert len(all_subgroups(g).subgroups) == subgroups
+        assert not any(started), "a join started whose first coset holds a lower generator"
+        assert len(started) <= joins
+        assert len(cosets_built) <= cosets
 
 
 class TestPowerSubgroups:
