@@ -13,7 +13,7 @@ Run:  python demos/05_export_corpora.py
 from pathlib import Path
 
 from npscensus import CorpusEntry, dump_corpus, entry_from_group, parse_spec
-from npscensus.cli import _minimal_instances
+from npscensus.catalog import minimal_instances
 from npscensus.families import build
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -46,7 +46,7 @@ def main() -> None:
     bucket_entries: list[CorpusEntry] = []
     seen: set[str] = set()
     for k in range(14):
-        for spec, _template in _minimal_instances(k, max_order=600):
+        for spec, _template in minimal_instances(k, max_order=600):
             label = f"k={k}: {spec}"
             if str(spec) in seen or spec.params == (1,):
                 continue

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import gcd
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .arith import (
     divisors,
@@ -71,6 +71,7 @@ from .families import (
     product_spec,
     validate,
 )
+from .lattice import DEFAULT_LATTICE_CAP
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -471,10 +472,17 @@ class BucketMember(Record):
     lowest_n: int | None  # None for fixed members
     make: object  # FamilySpec | callable n -> FamilySpec
 
-    def instances(self, max_n: int) -> list[FamilySpec]:
+    def instances(self, max_n: int | None = None) -> Iterator[FamilySpec]:
+        """The member's instances in order of n, from `lowest_n` up to
+        `max_n` (without end when None); a fixed member yields its one
+        spec.  Every member's order rises strictly with n."""
         if self.lowest_n is None:
-            return [self.make]  # type: ignore[list-item]
-        return [self.make(n) for n in range(self.lowest_n, max_n + 1)]  # type: ignore[operator]
+            yield self.make  # type: ignore[misc]
+            return
+        n = self.lowest_n
+        while max_n is None or n <= max_n:
+            yield self.make(n)  # type: ignore[operator]
+            n += 1
 
 
 def _fixed(template: str, spec: FamilySpec, constraints: str = "") -> BucketMember:
@@ -625,7 +633,7 @@ _SAMPLED_CYCLIC_ORDERS = (1, 2, 6, 12)
 
 
 def instantiate_bucket(
-    k: int, max_n: int = 4, max_order: int = 600
+    k: int, max_n: int = 4, max_order: int = DEFAULT_LATTICE_CAP
 ) -> list[tuple[FamilySpec, str]]:
     """Concrete bucket members within the sweep bounds, with templates."""
     out: list[tuple[FamilySpec, str]] = []
@@ -637,4 +645,31 @@ def instantiate_bucket(
         for spec in specs:
             if expected_order(spec) <= max_order:
                 out.append((spec, member.template))
+    return out
+
+
+def minimal_instances(k: int, max_order: int) -> list[tuple[FamilySpec, str]]:
+    """The first instance of each member of bucket k, in member order, with
+    its template; a member whose first instance exceeds `max_order` is left
+    out."""
+    out = []
+    for member in theorem_catalog(k):
+        spec = next(member.instances())
+        if expected_order(spec) <= max_order:
+            out.append((spec, member.template))
+    return out
+
+
+def instances_of_order(k: int, order: int) -> list[FamilySpec]:
+    """The instances of the members of bucket k that have exactly `order`,
+    at most one per member, in member order.  A member's walk stops at its
+    first instance of at least `order`."""
+    out = []
+    for member in theorem_catalog(k):
+        for spec in member.instances():
+            o = expected_order(spec)
+            if o >= order:
+                if o == order:
+                    out.append(spec)
+                break
     return out

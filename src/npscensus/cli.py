@@ -9,7 +9,8 @@ Subcommands:
   present          coset-enumerate a presentation and count its subgroups
 
 Exit codes: 0 all checks pass (under-review rows do not fail a run),
-1 verification failure, 2 input error.
+1 verification failure (a corpus entry that matches no bucket member
+among them), 2 input error.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import io
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -29,10 +31,11 @@ from .catalog import (
     UNDER_REVIEW,
     ExpectedNps,
     expected_nps,
+    instances_of_order,
     instantiate_bucket,
-    theorem_catalog,
+    minimal_instances,
 )
-from .core import CapExceeded, Record, element_orders
+from .core import CapExceeded, element_orders
 from .corpus import CorpusEntry, CorpusError, load_corpus
 from .coset import DEFAULT_MAX_COSETS, complete_coset_table, group_from_coset_table
 from .families import (
@@ -78,15 +81,8 @@ PASS = "pass"
 FAIL = "fail"
 LOWER_OK = "lower_bound_ok"
 
-
-class VerifyRecord(Record):
-    label: str
-    order: int
-    expected: str
-    kind: str
-    computed: int
-    status: str
-    source: str
+_VERIFY_COLUMNS = ("label", "order", "expected", "kind", "computed", "status", "source")
+_CENSUS_COLUMNS = ("name", "order", "exponent", "s", "ps", "nps", "status")
 
 
 def _fmt_expected(value: int | Fraction) -> str:
@@ -96,22 +92,17 @@ def _fmt_expected(value: int | Fraction) -> str:
     return str(int(value))
 
 
-def _record(spec: FamilySpec, exp: ExpectedNps, computed: int) -> VerifyRecord:
+def _record(spec: FamilySpec, exp: ExpectedNps, computed: int) -> dict[str, object]:
+    """A verify report row, keyed by `_VERIFY_COLUMNS`."""
     if exp.kind == EXACT:
         status = PASS if computed == exp.value else FAIL
     elif exp.kind == LOWER_BOUND:
         status = LOWER_OK if computed >= exp.value else FAIL
     else:
         status = UNDER_REVIEW
-    return VerifyRecord(
-        label=str(spec),
-        order=expected_order(spec),
-        expected=_fmt_expected(exp.value),
-        kind=exp.kind,
-        computed=computed,
-        status=status,
-        source=exp.source,
-    )
+    values = (str(spec), expected_order(spec), _fmt_expected(exp.value), exp.kind,
+              computed, status, exp.source)
+    return dict(zip(_VERIFY_COLUMNS, values))
 
 
 # ---------------------------------------------------------------------------
@@ -204,50 +195,32 @@ def _spec_counts(spec: FamilySpec, max_order: int) -> CountSummary:
     return counts_times_cyclic(build(rest, cap=max_order), n, max_order)
 
 
-def _formula_worker(args: tuple[FamilySpec, int]) -> VerifyRecord:
+def _formula_worker(args: tuple[FamilySpec, int]) -> dict[str, object]:
     spec, max_order = args
     exp = expected_nps(spec)
     return _record(spec, exp, _spec_counts(spec, max_order).nps)
 
 
-def _theorem_worker(args: tuple[int, FamilySpec, str, int]) -> VerifyRecord:
+def _theorem_worker(args: tuple[int, FamilySpec, str, int]) -> dict[str, object]:
     k, spec, template, max_order = args
-    c = _spec_counts(spec, max_order)
-    return VerifyRecord(
-        label=str(spec),
-        order=c.order,
-        expected=str(k),
-        kind=EXACT,
-        computed=c.nps,
-        status=PASS if c.nps == k else FAIL,
-        source=f"classification bucket k={k}: {template}",
-    )
+    exp = ExpectedNps(EXACT, k, f"classification bucket k={k}: {template}")
+    return _record(spec, exp, _spec_counts(spec, max_order).nps)
 
 
 def _census_worker(args: tuple[CorpusEntry, int]) -> dict[str, object]:
+    """A census report row, keyed by `_CENSUS_COLUMNS`; the counts are
+    blank in the row of an entry that fails."""
     entry, max_order = args
+    row = dict.fromkeys(_CENSUS_COLUMNS, "")
+    row["name"] = entry.name
     try:
         g = entry.group(cap=max_order)
         c = counts(g, cap=max_order)
-        return {
-            "name": entry.name,
-            "order": g.order,
-            "exponent": c.exponent,
-            "s": c.s,
-            "ps": c.ps,
-            "nps": c.nps,
-            "status": "ok",
-        }
     except (CapExceeded, ValueError) as exc:
-        return {
-            "name": entry.name,
-            "order": "",
-            "exponent": "",
-            "s": "",
-            "ps": "",
-            "nps": "",
-            "status": f"error: {exc}",
-        }
+        row["status"] = f"error: {exc}"
+        return row
+    row.update(order=g.order, exponent=c.exponent, s=c.s, ps=c.ps, nps=c.nps, status="ok")
+    return row
 
 
 def _pmap(worker, items, jobs: int) -> list:
@@ -263,10 +236,6 @@ def _pmap(worker, items, jobs: int) -> list:
 
 # ---------------------------------------------------------------------------
 # report output
-
-
-_VERIFY_COLUMNS = ("label", "order", "expected", "kind", "computed", "status", "source")
-_CENSUS_COLUMNS = ("name", "order", "exponent", "s", "ps", "nps", "status")
 
 
 def _write_csv(out, columns, rows, comments: list[str]) -> None:
@@ -285,19 +254,17 @@ def _write_json(out, rows, summary: dict) -> None:
     out.write("\n")
 
 
-def _verify_rows_as_dicts(records: list[VerifyRecord]) -> list[dict]:
-    return [
-        {
-            "label": r.label,
-            "order": r.order,
-            "expected": r.expected,
-            "kind": r.kind,
-            "computed": r.computed,
-            "status": r.status,
-            "source": r.source,
-        }
-        for r in records
-    ]
+def _report(fmt: str, columns, rows, summary: dict, comments: list[str]) -> None:
+    """Write the rows to stdout: as JSON with the summary, or as CSV
+    followed by the comment lines."""
+    if fmt == "json":
+        _write_json(sys.stdout, rows, summary)
+    else:
+        _write_csv(sys.stdout, columns, rows, comments)
+
+
+def _summary_lines(summary: dict) -> list[str]:
+    return [f"{k}={v}" for k, v in sorted(summary.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -343,59 +310,20 @@ def cmd_nps(args) -> int:
 
 def cmd_verify_formulas(args) -> int:
     specs = formula_sweep(max_n=args.max_n, max_order=args.max_order)
-    records = _pmap(_formula_worker, [(s, args.max_order) for s in specs], args.jobs)
-    rows = _verify_rows_as_dicts(records)
-    n_fail = sum(r.status == FAIL for r in records)
-    n_review = sum(r.status == UNDER_REVIEW for r in records)
-    mismatched_reviews = sum(
-        r.status == UNDER_REVIEW and r.expected != str(r.computed) for r in records
-    )
+    rows = _pmap(_formula_worker, [(s, args.max_order) for s in specs], args.jobs)
+    tally = Counter(r["status"] for r in rows)
     summary = {
-        "rows": len(records),
-        "pass": sum(r.status == PASS for r in records),
-        "lower_bound_ok": sum(r.status == LOWER_OK for r in records),
-        "under_review": n_review,
-        "under_review_formula_mismatches": mismatched_reviews,
-        "fail": n_fail,
+        "rows": len(rows),
+        "pass": tally[PASS],
+        "lower_bound_ok": tally[LOWER_OK],
+        "under_review": tally[UNDER_REVIEW],
+        "under_review_formula_mismatches": sum(
+            r["status"] == UNDER_REVIEW and r["expected"] != str(r["computed"]) for r in rows
+        ),
+        "fail": tally[FAIL],
     }
-    if args.format == "json":
-        _write_json(sys.stdout, rows, summary)
-    else:
-        comments = [f"{k}={v}" for k, v in sorted(summary.items())]
-        _write_csv(sys.stdout, _VERIFY_COLUMNS, rows, comments)
-    return 1 if n_fail else 0
-
-
-def _minimal_instances(k: int, max_order: int) -> list[tuple[FamilySpec, str]]:
-    out = []
-    for member in theorem_catalog(k):
-        if member.lowest_n is None:
-            spec = member.make
-        else:
-            spec = member.make(member.lowest_n)
-        if expected_order(spec) <= max_order:
-            out.append((spec, member.template))
-    return out
-
-
-def _bucket_candidates_for_order(k: int, order: int) -> list[FamilySpec]:
-    """Bucket members instantiated to hit a target order (for matching)."""
-    out = []
-    for member in theorem_catalog(k):
-        if member.lowest_n is None:
-            if expected_order(member.make) == order:
-                out.append(member.make)
-        else:
-            n = member.lowest_n
-            while True:
-                spec = member.make(n)
-                o = expected_order(spec)
-                if o > order or n > 40:
-                    break
-                if o == order:
-                    out.append(spec)
-                n += 1
-    return out
+    _report(args.format, _VERIFY_COLUMNS, rows, summary, _summary_lines(summary))
+    return 1 if tally[FAIL] else 0
 
 
 def cmd_verify_theorems(args) -> int:
@@ -403,14 +331,13 @@ def cmd_verify_theorems(args) -> int:
     for k in range(args.k_min, args.k_max + 1):
         for spec, template in instantiate_bucket(k, args.max_n, args.max_order):
             work.append((k, spec, template, args.max_order))
-    records = _pmap(_theorem_worker, work, args.jobs)
-    n_fail = sum(r.status == FAIL for r in records)
+    rows = _pmap(_theorem_worker, work, args.jobs)
 
     # pairwise non-isomorphism at minimal parameters
     distinct_ok = True
     distinct_lines: list[str] = []
     for k in range(args.k_min, args.k_max + 1):
-        minimal = _minimal_instances(k, args.max_order)
+        minimal = minimal_instances(k, args.max_order)
         groups = [(str(s), build(s, cap=args.max_order)) for s, _ in minimal]
         clashes = []
         for i in range(len(groups)):
@@ -450,7 +377,7 @@ def cmd_verify_theorems(args) -> int:
                     unmatched += 1
                 continue
             hit = None
-            for cand in _bucket_candidates_for_order(k, g.order):
+            for cand in instances_of_order(k, g.order):
                 if are_isomorphic(g, build(cand, cap=args.max_order), cap=args.max_order):
                     hit = str(cand)
                     break
@@ -462,47 +389,36 @@ def cmd_verify_theorems(args) -> int:
                     f"{entry.name}: nps={k}, NO bucket match (potential counterexample)"
                 )
 
-    rows = _verify_rows_as_dicts(records)
+    tally = Counter(r["status"] for r in rows)
     summary = {
-        "rows": len(records),
-        "pass": sum(r.status == PASS for r in records),
-        "fail": n_fail,
+        "rows": len(rows),
+        "pass": tally[PASS],
+        "fail": tally[FAIL],
         "distinctness_ok": distinct_ok,
         "corpus_unmatched": unmatched,
     }
-    if args.format == "json":
-        summary["distinctness"] = distinct_lines
-        summary["corpus"] = corpus_lines
-        _write_json(sys.stdout, rows, summary)
-    else:
-        comments = [f"{k}={v}" for k, v in sorted(summary.items())]
-        comments += [f"distinctness: {line}" for line in distinct_lines]
-        comments += [f"corpus: {line}" for line in corpus_lines]
-        _write_csv(sys.stdout, _VERIFY_COLUMNS, rows, comments)
-    return 1 if (n_fail or not distinct_ok) else 0
+    comments = _summary_lines(summary)
+    comments += [f"distinctness: {line}" for line in distinct_lines]
+    comments += [f"corpus: {line}" for line in corpus_lines]
+    # the JSON summary carries the same lines as lists
+    summary.update(distinctness=distinct_lines, corpus=corpus_lines)
+    _report(args.format, _VERIFY_COLUMNS, rows, summary, comments)
+    return 1 if (tally[FAIL] or not distinct_ok or unmatched) else 0
 
 
 def cmd_census(args) -> int:
     entries = load_corpus(args.corpus)
     rows = _pmap(_census_worker, [(e, args.max_order) for e in entries], args.jobs)
-    hist: dict[int, int] = {}
-    bad = 0
-    for row in rows:
-        if row["status"] == "ok":
-            hist[row["nps"]] = hist.get(row["nps"], 0) + 1
-        else:
-            bad += 1
+    hist = sorted(Counter(r["nps"] for r in rows if r["status"] == "ok").items())
+    bad = len(rows) - sum(v for _, v in hist)
     summary = {
         "entries": len(rows),
         "errors": bad,
-        "nps_histogram": {str(k): v for k, v in sorted(hist.items())},
+        "nps_histogram": {str(k): v for k, v in hist},
     }
-    if args.format == "json":
-        _write_json(sys.stdout, rows, summary)
-    else:
-        comments = [f"entries={len(rows)}", f"errors={bad}"]
-        comments += [f"nps={k}: {v}" for k, v in sorted(hist.items())]
-        _write_csv(sys.stdout, _CENSUS_COLUMNS, rows, comments)
+    comments = [f"entries={len(rows)}", f"errors={bad}"]
+    comments += [f"nps={k}: {v}" for k, v in hist]
+    _report(args.format, _CENSUS_COLUMNS, rows, summary, comments)
     return 2 if bad else 0
 
 

@@ -1,6 +1,7 @@
 """Expected-count catalog and the classification lists."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -11,7 +12,9 @@ from npscensus.catalog import (
     UNDER_REVIEW,
     abelian_rank2_counts,
     expected_nps,
+    instances_of_order,
     instantiate_bucket,
+    minimal_instances,
     printed_rank2_formula,
     theorem_catalog,
 )
@@ -245,6 +248,57 @@ class TestTheoremCatalog:
         for k in range(14):
             for spec, _ in instantiate_bucket(k, max_n=2, max_order=600):
                 assert build(spec).order == expected_order(spec)
+
+
+class TestBucketWalk:
+    """`BucketMember.instances` and the catalog functions that read it."""
+
+    @pytest.mark.parametrize("k", range(14))
+    def test_order_rises_strictly_with_n(self, k):
+        # what lets instances_of_order stop at the first order >= its target
+        for member in theorem_catalog(k):
+            specs = list(islice(member.instances(), 13))
+            assert len(specs) == (1 if member.lowest_n is None else 13)
+            orders = [expected_order(s) for s in specs]
+            assert all(a < b for a, b in zip(orders, orders[1:])), member.template
+
+    def test_walk_bounds(self):
+        fixed, _, gn3 = theorem_catalog(3)
+        assert list(fixed.instances()) == list(fixed.instances(0)) == [parse_spec("C(2)xC(2)")]
+        assert [str(s) for s in gn3.instances(3)] == ["Gn(1,3)", "Gn(2,3)", "Gn(3,3)"]
+        (g25,) = [m for m in theorem_catalog(10) if m.lowest_n == 2]
+        assert list(g25.instances(1)) == []
+        assert [str(s) for s in g25.instances(2)] == ["G(r=2;p=2,n=2;q=5,m=1)"]
+
+    @pytest.mark.parametrize("k", range(14))
+    def test_instances_of_order_finds_every_instance(self, k):
+        for spec, _ in instantiate_bucket(k, 8, 4096):
+            assert spec in instances_of_order(k, expected_order(spec)), spec
+
+    def test_instances_of_order(self):
+        assert [str(s) for s in instances_of_order(3, 24)] == ["Gn(3,3)"]
+        assert [str(s) for s in instances_of_order(6, 24)] == ["Q(8)xC(3)"]
+        # C3 x| C14 has nps 6, but k = 6 fixes q = 5 in Gn(n,3)xC(q)
+        assert instances_of_order(6, 42) == []
+        # no member reaches this order, and every walk still ends
+        assert instances_of_order(13, 3**200 + 2) == []
+
+    @pytest.mark.parametrize("k", range(14))
+    def test_minimal_instances_are_the_first_of_each_member(self, k):
+        first: dict[str, FamilySpec] = {}
+        for spec, template in instantiate_bucket(k, 8, 4096):
+            first.setdefault(template, spec)
+        if k == 0:
+            first = {"C(n)": cyclic_spec(1)}  # instantiate_bucket samples C(n)
+        minimal = minimal_instances(k, 4096)
+        assert [t for _, t in minimal] == [m.template for m in theorem_catalog(k)]
+        assert minimal == [(s, t) for t, s in first.items()]
+
+    def test_minimal_instances_within_the_cap(self):
+        within = minimal_instances(12, 100)
+        assert within == [(s, t) for s, t in minimal_instances(12, 4096)
+                          if expected_order(s) <= 100]
+        assert len(within) < len(theorem_catalog(12))
 
 
 class TestCountIndependentOfFreeParameter:

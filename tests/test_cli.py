@@ -278,6 +278,21 @@ class TestVerifyTheorems:
         assert "c12: nps=0, cyclic=yes" in out
         assert "corpus_unmatched=0" in out
 
+    def test_unmatched_corpus_entry_exits_1(self, capsys, tmp_path):
+        # C3 x| C14 has nps 6, and no k = 6 member has an instance of order 42
+        path = tmp_path / "c.json"
+        dump_corpus([entry_from_group("c3:c14", build(parse_spec("Gn(1,3)xC(7)")))], path)
+        code, out, _ = run(capsys, "verify-theorems", "--corpus", str(path))
+        assert code == 1
+        assert "# corpus_unmatched=1" in out
+        assert "c3:c14: nps=6, NO bucket match (potential counterexample)" in out
+
+    def test_shipped_bucket_corpus_exits_0(self, capsys):
+        path = Path(__file__).resolve().parent.parent / "data" / "bucket_groups.json"
+        code, out, _ = run(capsys, "verify-theorems", "--corpus", str(path))
+        assert code == 0
+        assert "# corpus_unmatched=0" in out
+
 
 class TestCensus:
     def test_single_entry(self, capsys, tmp_path):
@@ -547,7 +562,7 @@ class TestWorkersFreeGroups:
         # an isomorphic pair agrees on every invariant, so are_isomorphic
         # computes and caches both lattices
         pair = [(parse_spec("D(8)"), "D(8)"), (parse_spec("B2(1,2)"), "B2(1,2)")]
-        monkeypatch.setattr(npscensus.cli, "_minimal_instances", lambda k, cap: pair)
+        monkeypatch.setattr(npscensus.cli, "minimal_instances", lambda k, cap: pair)
         argv = ["verify-theorems", "--k-min", "1", "--k-max", "1"]
         assert groups_left_for_collector(lambda: main(argv)) == []
         assert "isomorphic pair(s): D(8) ~ B2(1,2)" in capsys.readouterr().out
@@ -586,15 +601,23 @@ class TestRecordStatus:
         from npscensus.cli import _record
 
         spec = parse_spec("C(6)")
-        assert _record(spec, ExpectedNps(EXACT, 5, "x"), 5).status == "pass"
-        assert _record(spec, ExpectedNps(EXACT, 5, "x"), 4).status == "fail"
-        assert _record(spec, ExpectedNps(LOWER_BOUND, 5, "x"), 7).status == "lower_bound_ok"
-        assert _record(spec, ExpectedNps(LOWER_BOUND, 5, "x"), 4).status == "fail"
+        assert _record(spec, ExpectedNps(EXACT, 5, "x"), 5)["status"] == "pass"
+        assert _record(spec, ExpectedNps(EXACT, 5, "x"), 4)["status"] == "fail"
+        assert _record(spec, ExpectedNps(LOWER_BOUND, 5, "x"), 7)["status"] == "lower_bound_ok"
+        assert _record(spec, ExpectedNps(LOWER_BOUND, 5, "x"), 4)["status"] == "fail"
         rec = _record(spec, ExpectedNps(UNDER_REVIEW, Fraction(11, 2), "x"), 4)
-        assert rec.status == "from_formula_under_review"
-        assert rec.expected == "11/2"
-        assert _record(spec, ExpectedNps(UNDER_REVIEW, Fraction(8, 2), "x"), 4).expected == "4"
-        assert _record(spec, ExpectedNps(EXACT, 5, "x"), 5).expected == "5"
+        assert rec["status"] == "from_formula_under_review"
+        assert rec["expected"] == "11/2"
+        assert _record(spec, ExpectedNps(UNDER_REVIEW, Fraction(8, 2), "x"), 4)["expected"] == "4"
+        assert _record(spec, ExpectedNps(EXACT, 5, "x"), 5)["expected"] == "5"
+
+    def test_row_is_keyed_by_the_report_columns(self):
+        from npscensus.catalog import EXACT, ExpectedNps
+        from npscensus.cli import _VERIFY_COLUMNS, _record
+
+        row = _record(parse_spec("D(8)"), ExpectedNps(EXACT, 7, "Lemma 1"), 7)
+        assert tuple(row) == _VERIFY_COLUMNS
+        assert tuple(row.values()) == ("D(8)", 8, "7", "exact", 7, "pass", "Lemma 1")
 
 
 # modules a one-process run never uses, and that cost start-up time to import

@@ -8,7 +8,6 @@ import pickle
 import pytest
 
 from npscensus.catalog import BucketMember, ExpectedNps, _Counts
-from npscensus.cli import VerifyRecord
 from npscensus.core import Morphism, Subgroup, cyclic_group
 from npscensus.corpus import CorpusEntry
 from npscensus.coset import CosetTable
@@ -73,12 +72,6 @@ CASES = [
         (("a", "b"), (((0, 1), (0, 1)), ((1, -1), (0, 1)))),
         "Presentation(generators=('a', 'b'), "
         "relators=(((0, 1), (0, 1)), ((1, -1), (0, 1))))",
-    ),
-    (
-        VerifyRecord("D(8)", 8, "7", "exact", 7, "pass", "Lemma 1"),
-        ("D(8)", 8, "7", "exact", 7, "pass", "Lemma 1"),
-        "VerifyRecord(label='D(8)', order=8, expected='7', kind='exact', "
-        "computed=7, status='pass', source='Lemma 1')",
     ),
 ]
 IDS = [type(rec).__name__ for rec, _, _ in CASES]
