@@ -13,6 +13,12 @@ Two catalogs live here:
   * `theorem_catalog(k)` transcribes the classification lists for
     k = 0..13: which groups have exactly k nonpower subgroups.
 
+`expected_nps` tries its rules in this order: a rank-2 cyclic pair
+C_{p^a} x C_{p^b} is under review; then come the statements about
+products whose factors share a prime (X_n,p = D_2p x C3^n, and the
+`_TIMES_CYCLIC` rows for head x C(c)^t); then the family counts, with
+coprime composition for a product (`_family_counts`).
+
 For coprime direct products A x B the counts compose:
 ps(AxB) = ps(A) ps(B) and nps(AxB) = nps(A) s(B) + ps(A) nps(B).
 
@@ -30,7 +36,7 @@ abelian row checks one formula against another.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
 from math import gcd
 from typing import TYPE_CHECKING, Iterator
 
@@ -65,11 +71,11 @@ from .families import (
     XFAMILY,
     FamilySpec,
     UnknownFamilyError,
+    check_valid,
     cyclic_spec,
     expected_order,
     metacyclic_of,
     product_spec,
-    validate,
 )
 from .lattice import DEFAULT_LATTICE_CAP
 
@@ -174,19 +180,16 @@ def _with_ps(nps: int, ps: int, source: str) -> tuple[_Counts, str]:
 
 
 def _dihedral_counts(spec: FamilySpec) -> tuple[_Counts, str] | None:
-    order = spec.params[0]
-    half = order // 2
+    """D_2^n for n >= 3, and D_2q^m for an odd prime q."""
+    half = spec.params[0] // 2
     fact = factorize(half)
-    if half > 1 and fact == {2: p_valuation(half, 2)}:
-        n = p_valuation(order, 2)
-        if n >= 3:
-            return _with_ps(2**n - 1, n, "nps(D_2^n) = 2^n - 1")
-    if len(fact) == 1:
-        (q,) = fact
-        if q > 2:
-            mc = _metacyclic_counts(2, 1, q, fact[q], half - 1)
-            assert mc is not None
-            return mc, "nps(D_2q^m) = q(q^m - 1)/(q - 1)"
+    if len(fact) != 1:
+        return None
+    ((q, m),) = fact.items()
+    if q > 2:
+        return _metacyclic_counts(2, 1, q, m, half - 1), "nps(D_2q^m) = q(q^m - 1)/(q - 1)"
+    if m >= 2:
+        return _with_ps(2 * half - 1, m + 1, "nps(D_2^n) = 2^n - 1")
     return None
 
 
@@ -260,55 +263,41 @@ _CALCULATED = {
     FamilySpec(C3Q8): (_Counts(18, 5, 13), "direct calculation: nps(C3 x| Q8) = 13"),
 }
 
+
 def _product_counts(spec: FamilySpec) -> tuple[_Counts, str] | None:
     """Compose counts over a direct product of factors with pairwise
-    coprime orders.  Factors sharing a prime are first grouped; the only
-    shared-prime block with known counts is a pair of cyclic prime-power
-    factors (via the divisor-sum reference)."""
-    facts = list(spec.factors)
-    orders = [expected_order(f) for f in facts]
+    coprime orders.  Factors sharing a prime are first merged into
+    (order, factors) blocks, kept in order of their first factor, the order
+    in which the source names them; the only shared-prime block with known
+    counts is a pair of cyclic prime-power factors (via the divisor-sum
+    reference)."""
+    blocks: list[tuple[int, list[FamilySpec]]] = []
+    for f in spec.factors:
+        order, fs, at = expected_order(f), [f], len(blocks)
+        for i in reversed(range(len(blocks))):
+            if gcd(blocks[i][0], order) != 1:
+                m, gs = blocks.pop(i)
+                order, fs, at = order * m, gs + fs, i
+        blocks.insert(at, (order, fs))
 
-    # connected components of factors linked by a common prime
-    comp = list(range(len(facts)))
-
-    def find(i: int) -> int:
-        while comp[i] != i:
-            comp[i] = comp[comp[i]]
-            i = comp[i]
-        return i
-
-    for i in range(len(facts)):
-        for j in range(i + 1, len(facts)):
-            if gcd(orders[i], orders[j]) != 1:
-                comp[find(i)] = find(j)
-    blocks: dict[int, list[int]] = {}
-    for i in range(len(facts)):
-        blocks.setdefault(find(i), []).append(i)
-
-    acc: _Counts | None = None
-    sources: list[str] = []
-    for idxs in blocks.values():
-        if len(idxs) == 1:
-            fc = _family_counts(facts[idxs[0]])
-            if fc is None:
-                return None
-            c, src = fc
-        elif len(idxs) == 2:
-            pair = product_spec(facts[idxs[0]], facts[idxs[1]])
-            rank2 = _as_rank2_prime_power(pair)
-            if rank2 is None:
-                return None
-            p, n1, n2 = rank2
-            c = abelian_rank2_counts(p, n1, n2)
-            src = "divisor-sum count for a rank-2 abelian p-group"
+    parts = []
+    for _, fs in blocks:
+        if len(fs) == 1:
+            part = _family_counts(fs[0])
         else:
+            rank2 = _as_rank2_prime_power(product_spec(*fs))
+            part = rank2 and (
+                abelian_rank2_counts(*rank2),
+                "divisor-sum count for a rank-2 abelian p-group",
+            )
+        if part is None:
             return None
-        sources.append(src)
-        acc = c if acc is None else _compose_coprime(acc, c)
-    assert acc is not None
-    if len(blocks) > 1:
-        return acc, "coprime product composition: " + "; ".join(dict.fromkeys(sources))
-    return acc, sources[0]
+        parts.append(part)
+    counts, sources = zip(*parts)
+    return (
+        reduce(_compose_coprime, counts),
+        "coprime product composition: " + "; ".join(dict.fromkeys(sources)),
+    )
 
 
 # family kind -> full (s, ps, nps) with a source string, None where unknown
@@ -328,16 +317,14 @@ _COUNTS = {
     B1: _b1_counts,
     B2: _b2_counts,
     AFAMILY: _a_counts,
-    ALT: _CALCULATED.get,
-    SYM: _CALCULATED.get,
-    SL23: _CALCULATED.get,
-    C3Q8: _CALCULATED.get,
     PRODUCT: _product_counts,
 }
 
 
 def _family_counts(spec: FamilySpec) -> tuple[_Counts, str] | None:
     """Full (s, ps, nps) with a source string, when known exactly."""
+    if spec in _CALCULATED:
+        return _CALCULATED[spec]
     counts = _COUNTS.get(spec.kind)
     return counts(spec) if counts else None
 
@@ -350,96 +337,76 @@ def _as_rank2_prime_power(spec: FamilySpec) -> tuple[int, int, int] | None:
     """(p, n1, n2) when spec is C_{p^n1} x C_{p^n2} for one prime p."""
     if spec.kind != PRODUCT or len(spec.factors) != 2:
         return None
-    a = _match_cyclic(spec.factors[0])
-    b = _match_cyclic(spec.factors[1])
-    if a is None or b is None or a == 1 or b == 1:
+    orders = [_match_cyclic(f) for f in spec.factors]
+    if None in orders:
         return None
-    fa, fb = factorize(a), factorize(b)
-    if len(fa) != 1 or len(fb) != 1:
+    fa, fb = map(factorize, orders)
+    if len(fa) != 1 or fa.keys() != fb.keys():
         return None
-    (pa,), (pb,) = fa.keys(), fb.keys()
-    if pa != pb:
-        return None
-    n1, n2 = sorted((fa[pa], fb[pb]))
-    return pa, n1, n2
+    (p,) = fa
+    n1, n2 = sorted((fa[p], fb[p]))
+    return p, n1, n2
+
+
+def _odd_prime_dihedral(spec: FamilySpec) -> int | None:
+    """p when spec is D_2p for an odd prime p."""
+    p = spec.params[0] // 2 if spec.kind == DIHEDRAL else 0
+    return p if p > 2 and is_prime(p) else None
+
+
+def _x_nps(n: int, p: int) -> ExpectedNps:
+    """nps(X_n,p), X_n,p = D_2p x C3^n."""
+    if p > 3:
+        val = (p + 3) * subgroup_count_elementary_abelian(3, n) - 6
+        return ExpectedNps(EXACT, val, "nps(X_n,p) = (p+3) s(C3^n) - 6 for p > 3")
+    if n == 1:
+        return ExpectedNps(EXACT, 10, "nps(X_1,3) = 10")
+    if n == 2:
+        return ExpectedNps(EXACT, 48, "nps(X_2,3) = 48")
+    return ExpectedNps(LOWER_BOUND, 49, "nps(X_n,3) > 48 for n > 2")
+
+
+# head x C(c)^t, t >= 1, for heads sharing a prime with c: (head test, c,
+# nps of head x C(c), source), exact for t = 1 and a lower bound for more
+_TIMES_CYCLIC = (
+    (lambda h: h.kind == GSHORT and h.params[1:] == (3, 1), 3, lambda h: 4 * h.params[0] + 6,
+     "nps(G_m,3 x C3) = 4m + 6, a bound for more C3 factors"),
+    (lambda h: h.kind == QUATERNION and h.params == (8,), 2, lambda h: 16,
+     "nps(Q8 x C2) = 16, a bound for more C2 factors"),
+    (_odd_prime_dihedral, 2, lambda h: 3 * _odd_prime_dihedral(h) + 4,
+     "nps(D_2p x C2) = 3p + 4, a bound for more C2 factors"),
+)
 
 
 def _match_special_products(spec: FamilySpec) -> ExpectedNps | None:
-    """Non-coprime product shapes with dedicated statements."""
+    """Non-coprime product shapes with dedicated statements: X_n,p and
+    head x C(c)^t, read from the head, the first factor."""
     if spec.kind == XFAMILY:
-        n, q = spec.params
-        if q > 3:
-            val = (q + 3) * subgroup_count_elementary_abelian(3, n) - 6
-            return ExpectedNps(EXACT, val, "nps(X_n,p) = (p+3) s(C3^n) - 6 for p > 3")
-        if n == 1:
-            return ExpectedNps(EXACT, 10, "nps(X_1,3) = 10")
-        if n == 2:
-            return ExpectedNps(EXACT, 48, "nps(X_2,3) = 48")
-        return ExpectedNps(LOWER_BOUND, 49, "nps(X_n,3) > 48 for n > 2")
+        return _x_nps(*spec.params)
     if spec.kind != PRODUCT:
         return None
-    facts = spec.factors
-    head, tail = facts[0], facts[1:]
-    # G_{m,3} x C3^n
-    if (
-        head.kind == GSHORT
-        and head.params[1] == 3
-        and head.params[2] == 1
-        and tail
-        and all(_match_cyclic(f) == 3 for f in tail)
-    ):
-        m = head.params[0]
-        n = len(tail)
-        kind = EXACT if n == 1 else LOWER_BOUND
-        return ExpectedNps(kind, 4 * m + 6, "nps(G_m,3 x C3) = 4m + 6, a bound for more C3 factors")
-    # Q8 x C2^n
-    if (
-        head.kind == QUATERNION
-        and head.params[0] == 8
-        and tail
-        and all(_match_cyclic(f) == 2 for f in tail)
-    ):
-        n = len(tail)
-        kind = EXACT if n == 1 else LOWER_BOUND
-        return ExpectedNps(kind, 16, "nps(Q8 x C2) = 16, a bound for more C2 factors")
-    # D_{2p} x C2^n, p odd prime
-    if (
-        head.kind == DIHEDRAL
-        and is_prime(head.params[0] // 2)
-        and head.params[0] // 2 > 2
-        and tail
-        and all(_match_cyclic(f) == 2 for f in tail)
-    ):
-        q = head.params[0] // 2
-        n = len(tail)
-        kind = EXACT if n == 1 else LOWER_BOUND
-        return ExpectedNps(kind, 3 * q + 4, "nps(D_2p x C2) = 3p + 4, a bound for more C2 factors")
-    # D_{2p} x C3^n == X family
-    if (
-        head.kind == DIHEDRAL
-        and is_prime(head.params[0] // 2)
-        and head.params[0] // 2 > 2
-        and tail
-        and all(_match_cyclic(f) == 3 for f in tail)
-    ):
-        return _match_special_products(
-            FamilySpec(XFAMILY, (len(tail), head.params[0] // 2))
-        )
+    head, *tail = spec.factors
+    c = _match_cyclic(tail[0])
+    if any(f != tail[0] for f in tail):
+        return None
+    p = _odd_prime_dihedral(head)
+    if p is not None and c == 3:
+        return _x_nps(len(tail), p)
+    for test, row_c, nps, source in _TIMES_CYCLIC:
+        if c == row_c and test(head):
+            return ExpectedNps(EXACT if len(tail) == 1 else LOWER_BOUND, nps(head), source)
     return None
 
 
 def expected_nps(spec: FamilySpec) -> ExpectedNps:
     """Catalog lookup.  Raises UnknownFamilyError when no entry applies."""
-    err = validate(spec)
-    if err:
-        raise ValueError(f"invalid spec {spec}: {err}")
+    check_valid(spec)
 
     rank2 = _as_rank2_prime_power(spec)
     if rank2 is not None:
-        p, n1, n2 = rank2
         return ExpectedNps(
             UNDER_REVIEW,
-            printed_rank2_formula(p, n1, n2),
+            printed_rank2_formula(*rank2),
             "printed rank-2 abelian closed form (under review; enumeration is authoritative)",
         )
 

@@ -163,6 +163,14 @@ def validate(spec: FamilySpec) -> str | None:
     return _diagnose(spec, True)
 
 
+def check_valid(spec: FamilySpec) -> None:
+    """Raise ValueError naming the violated constraint when `validate`
+    finds one."""
+    err = validate(spec)
+    if err:
+        raise ValueError(f"invalid spec {spec}: {err}")
+
+
 def shape_error(spec: FamilySpec) -> str | None:
     """`validate` without the family checks: only the shared arity and
     positivity check, quick for any parameters.  None exactly when the
@@ -371,9 +379,7 @@ def _c3q8(spec: FamilySpec, cap: int, label: str) -> Group:
 
 def build(spec: FamilySpec, cap: int = DEFAULT_ORDER_CAP) -> Group:
     """Concrete group for a validated family spec."""
-    err = validate(spec)
-    if err:
-        raise ValueError(f"invalid spec {spec}: {err}")
+    check_valid(spec)
     fam = FAMILIES[spec.kind]
     label = str(spec)
     twist = metacyclic_of(spec)
@@ -390,9 +396,7 @@ def builtin_presentation(spec: FamilySpec) -> Presentation:
     Raises UnknownFamilyError("no presentation ...") for families without
     one (symmetric/alternating groups, SL(2,3), direct products).
     """
-    err = validate(spec)
-    if err:
-        raise ValueError(f"invalid spec {spec}: {err}")
+    check_valid(spec)
     fam = FAMILIES[spec.kind]
     twist = metacyclic_of(spec)
     if twist is not None:

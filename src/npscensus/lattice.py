@@ -58,7 +58,6 @@ from __future__ import annotations
 from collections import Counter
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterable
 
 from .arith import (
     conjugate_partition,
@@ -337,13 +336,14 @@ def _lattice_counts(G: Group, cap: int) -> CountSummary:
         for members, size in ((lat.members[i], lat.sizes[i]) for i in power_idx)
         if size > 1 and len(factorize(size)) == 1 and _is_cyclic(G, members, size)
     ]
+    e = exponent(G)
     return CountSummary(
         order=G.order,
-        exponent=exponent(G),
+        exponent=e,
         s=s,
         ps=ps,
         nps=s - ps,
-        per_prime=_per_prime(G.order, element_orders(G), cyclic_powers),
+        per_prime=_per_prime(G.order, e, cyclic_powers),
     )
 
 
@@ -420,7 +420,7 @@ def counts_times_cyclic(A: Group, n: int, cap: int = DEFAULT_LATTICE_CAP) -> Cou
         s=s,
         ps=len(powers),
         nps=s - len(powers),
-        per_prime=_per_prime(order, element_orders(A) + (n,), cyclic_powers),
+        per_prime=_per_prime(order, lcm(e, n), cyclic_powers),
     )
 
 
@@ -467,16 +467,14 @@ def _abelian_counts(types: dict[int, list[int]]) -> CountSummary:
     )
 
 
-def _per_prime(
-    order: int, orders: Iterable[int], cyclic_powers: list[int]
-) -> tuple[PrimeData, ...]:
-    """The per-prime profile.  The largest p-part of `orders` (the element
-    orders, say) is the largest p-element order; `cyclic_powers` holds the
-    orders of the power subgroups that are cyclic of prime-power order > 1."""
+def _per_prime(order: int, exp: int, cyclic_powers: list[int]) -> tuple[PrimeData, ...]:
+    """The per-prime profile.  The p-part of the exponent `exp` is the
+    largest p-element order; `cyclic_powers` holds the orders of the power
+    subgroups that are cyclic of prime-power order > 1."""
     return tuple(
         PrimeData(
             p=p,
-            f=max(p_valuation(o, p) for o in orders),
+            f=p_valuation(exp, p),
             k=max((p_valuation(c, p) for c in cyclic_powers if c % p == 0), default=0),
         )
         for p in sorted(factorize(order))
@@ -533,6 +531,8 @@ def frattini(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> Subgroup:
 
 def omega(G: Group, i: int, cap: int = DEFAULT_LATTICE_CAP) -> Subgroup:
     """In a p-group, the subgroup generated by elements x with x^(p^i) = 1."""
+    if G.order > cap:
+        raise CapExceeded(f"order {G.order} exceeds lattice cap {cap}")
     if i < 1:
         raise ValueError("i must be positive")
     fact = factorize(G.order)

@@ -161,6 +161,64 @@ class TestBoundsAndReview:
             expect("Sym(3)xC(3)")  # covered by the classification, not a formula
 
 
+# one spec per catalog rule, with its full outcome: kind|value|source, or
+# the exception class and text
+RULE_OUTCOMES = [
+    ("X(1,3)", "exact|10|nps(X_1,3) = 10"),
+    ("X(2,3)", "exact|48|nps(X_2,3) = 48"),
+    ("X(3,3)", "lower_bound|49|nps(X_n,3) > 48 for n > 2"),
+    ("X(2,5)", "exact|42|nps(X_n,p) = (p+3) s(C3^n) - 6 for p > 3"),
+    ("D(6)xC(3)", "exact|10|nps(X_1,3) = 10"),
+    ("D(10)xC(3)xC(3)", "exact|42|nps(X_n,p) = (p+3) s(C3^n) - 6 for p > 3"),
+    ("Gn(2,3)xC(3)", "exact|14|nps(G_m,3 x C3) = 4m + 6, a bound for more C3 factors"),
+    ("Gn(2,3)xC(3)xC(3)", "lower_bound|14|nps(G_m,3 x C3) = 4m + 6, a bound for more C3 factors"),
+    ("Q(8)xC(2)", "exact|16|nps(Q8 x C2) = 16, a bound for more C2 factors"),
+    ("Q(8)xC(2)xC(2)", "lower_bound|16|nps(Q8 x C2) = 16, a bound for more C2 factors"),
+    ("D(14)xC(2)", "exact|25|nps(D_2p x C2) = 3p + 4, a bound for more C2 factors"),
+    ("D(14)xC(2)xC(2)", "lower_bound|25|nps(D_2p x C2) = 3p + 4, a bound for more C2 factors"),
+    (
+        "C(4)xC(8)",
+        "from_formula_under_review|23|printed rank-2 abelian closed form"
+        " (under review; enumeration is authoritative)",
+    ),
+    (
+        "C(2)xC(4)xC(3)",
+        "exact|10|coprime product composition: divisor-sum count for a rank-2 abelian"
+        " p-group; cyclic groups have no nonpower subgroups",
+    ),
+    (
+        "Q(8)xC(35)",
+        "exact|12|coprime product composition: nps(Q_2^n) = 2^(n-1) - 1; cyclic groups"
+        " have no nonpower subgroups",
+    ),
+    (
+        "Gn(1,5)xC(3)",
+        "exact|10|coprime product composition: nps(G_n,p^m) = p(p^m - 1)/(p - 1) for odd p;"
+        " cyclic groups have no nonpower subgroups",
+    ),
+    ("Sym(4)", "exact|26|direct calculation: nps(Sym(4)) = 26"),
+    ("Alt(4)", "exact|7|nps(Alt(4)) = 7"),
+    ("SL23", "exact|11|direct calculation: nps(SL(2,3)) = 11"),
+    ("C3Q8", "exact|13|direct calculation: nps(C3 x| Q8) = 13"),
+    ("Alt(5)", "UnknownFamilyError|no catalog entry for Alt(5)"),
+    ("Sym(3)xC(3)", "UnknownFamilyError|no catalog entry for Sym(3)xC(3)"),
+    ("Q(8)xC(4)", "UnknownFamilyError|no catalog entry for Q(8)xC(4)"),
+    # the product statements read the head, the first factor
+    ("C(3)xGn(1,3)", "UnknownFamilyError|no catalog entry for C(3)xGn(1,3)"),
+]
+
+
+@pytest.mark.parametrize("text, outcome", RULE_OUTCOMES)
+def test_rule_outcome(text, outcome):
+    try:
+        e = expect(text)
+    except UnknownFamilyError as err:
+        got = f"{type(err).__name__}|{err}"
+    else:
+        got = f"{e.kind}|{e.value}|{e.source}"
+    assert got == outcome
+
+
 class TestAbelianRank2Reference:
     @pytest.mark.parametrize(
         "p,n1,n2,nps",

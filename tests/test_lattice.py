@@ -12,7 +12,7 @@ from itertools import combinations
 
 import pytest
 
-from npscensus.arith import divisors, factorize, subgroup_count_rank2
+from npscensus.arith import divisors, factorize, p_valuation, subgroup_count_rank2
 from npscensus.core import (
     CapExceeded,
     center,
@@ -207,10 +207,15 @@ class TestAllSubgroups:
             lambda: all_subgroups(g, cap=16),
             lambda: sylow(g, 2, cap=16),
             lambda: is_normal(g, whole, cap=16),
+            lambda: omega(g, 1, cap=16),
         ):
             with pytest.raises(CapExceeded, match="order 32 exceeds lattice cap 16"):
                 call()
         assert all_subgroups(g, 32).subgroups[-1] == whole
+
+    def test_omega_checks_the_cap_before_any_work(self):
+        with pytest.raises(CapExceeded, match="order 1024 exceeds lattice cap 16"):
+            omega(cyclic_group(1024), 1, cap=16)
 
 
 class TestAgainstPairwiseJoinReference:
@@ -361,6 +366,13 @@ class TestCounts:
         assert len(c.per_prime) == 1
         pd = c.per_prime[0]
         assert (pd.p, pd.f, pd.k) == (3, 1, 0)
+
+    def test_per_prime_f_is_the_largest_p_element_order(self, zoo):
+        for label, g in zoo.items():
+            orders = element_orders(g)
+            for c in (counts(g), _lattice_counts(g, 600)):
+                for pd in c.per_prime:
+                    assert pd.f == max(p_valuation(o, pd.p) for o in orders), label
 
     def test_per_prime_with_cyclic_power_subgroup(self):
         c = counts(build(parse_spec("D(8)")))
