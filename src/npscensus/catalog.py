@@ -49,7 +49,7 @@ from .arith import (
     subgroup_count_elementary_abelian,
     subgroup_count_rank2,
 )
-from .core import Record
+from .core import DEFAULT_ORDER_CAP, Record
 from .families import (
     AFAMILY,
     ALT,
@@ -77,7 +77,6 @@ from .families import (
     metacyclic_of,
     product_spec,
 )
-from .lattice import DEFAULT_LATTICE_CAP
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -600,7 +599,7 @@ _SAMPLED_CYCLIC_ORDERS = (1, 2, 6, 12)
 
 
 def instantiate_bucket(
-    k: int, max_n: int = 4, max_order: int = DEFAULT_LATTICE_CAP
+    k: int, max_n: int = 4, max_order: int = DEFAULT_ORDER_CAP
 ) -> list[tuple[FamilySpec, str]]:
     """Concrete bucket members within the sweep bounds, with templates."""
     out: list[tuple[FamilySpec, str]] = []

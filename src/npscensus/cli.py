@@ -35,7 +35,7 @@ from .catalog import (
     instantiate_bucket,
     minimal_instances,
 )
-from .core import CapExceeded, element_orders
+from .core import DEFAULT_ORDER_CAP, CapExceeded, element_orders
 from .corpus import CorpusEntry, CorpusError, load_corpus
 from .coset import DEFAULT_MAX_COSETS, complete_coset_table, group_from_coset_table
 from .families import (
@@ -65,7 +65,7 @@ from .families import (
     validate,
 )
 from .isomorphism import are_isomorphic
-from .lattice import DEFAULT_LATTICE_CAP, CountSummary, counts, counts_times_cyclic
+from .lattice import CountSummary, counts, counts_times_cyclic
 from .presentation import PresentationError, parse_presentation
 from .specs import SpecError, parse_spec
 
@@ -114,7 +114,7 @@ def _gn(n: int, qm_pairs: tuple[int, int]) -> FamilySpec:
     return FamilySpec(GSHORT, (n, q, m))
 
 
-def formula_sweep(max_n: int = 4, max_order: int = DEFAULT_LATTICE_CAP) -> list[FamilySpec]:
+def formula_sweep(max_n: int = 4, max_order: int = DEFAULT_ORDER_CAP) -> list[FamilySpec]:
     """The default catalog sweep, in fixed report order."""
     q8 = FamilySpec(QUATERNION, (8,))
     c2, c3 = cyclic_spec(2), cyclic_spec(3)
@@ -465,7 +465,7 @@ def cmd_present(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    default_cap = int(os.environ.get("NPS_MAX_ORDER", DEFAULT_LATTICE_CAP))
+    default_cap = int(os.environ.get("NPS_MAX_ORDER", DEFAULT_ORDER_CAP))
     top = argparse.ArgumentParser(
         prog="npscensus",
         description=(

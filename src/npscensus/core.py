@@ -17,11 +17,18 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-DEFAULT_ORDER_CAP = 4096
+DEFAULT_ORDER_CAP = 600
 
 
 class CapExceeded(RuntimeError):
     """A construction or enumeration outgrew its configured size cap."""
+
+
+def check_cap(order: int, cap: int) -> None:
+    """Raise CapExceeded when a group of this order is beyond the lattice
+    cap; the one check every lattice query and isomorphism test makes."""
+    if order > cap:
+        raise CapExceeded(f"order {order} exceeds lattice cap {cap}")
 
 
 class Record:
@@ -237,15 +244,7 @@ class Subgroup(Record):
         return bool((self.members >> x) & 1)
 
     def elements(self) -> Iterator[int]:
-        m = self.members
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
-        return
-
-    def is_subset_of(self, other: "Subgroup") -> bool:
-        return self.members & ~other.members == 0
+        return _bits(self.members)
 
     def is_whole_group(self) -> bool:
         return self.size == self.parent.order

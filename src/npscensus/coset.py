@@ -226,11 +226,8 @@ def enumerate_cosets(
     relators = [_columns(r) for r in pres.relators if r]
     enum = _Enumerator(ngens, relators, max_cosets)
     enum.run()
-    if enum.capped:
-        rows = tuple(tuple(r) for r in enum.compressed())
-        return CosetTable(ngens, rows, "capped")
     rows = tuple(tuple(r) for r in enum.compressed())
-    return CosetTable(ngens, rows, "complete")
+    return CosetTable(ngens, rows, "capped" if enum.capped else "complete")
 
 
 def group_from_coset_table(table: CosetTable, label: str | None = None) -> Group:

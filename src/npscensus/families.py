@@ -7,6 +7,11 @@ semidirect or direct products; the generalized quaternion groups, the
 exponent-p extraspecial groups M(p) and the two-generator groups B1(n,p)
 are realized by coset enumeration of their built-in presentations and
 cross-checked against the expected order.
+
+`build` checks the order cap, `core.DEFAULT_ORDER_CAP` by default, once
+for the whole spec before any table is made, so no constructor checks it
+again.  A coset enumeration keeps its own budget of cosets, derived from
+the expected order.
 """
 
 from __future__ import annotations
@@ -230,9 +235,7 @@ def metacyclic_of(spec: FamilySpec) -> tuple[int, int, int, int, int] | None:
     return fam.metacyclic(*spec.params, spec.r)
 
 
-def _metacyclic(
-    p: int, n: int, q: int, m: int, r: int, cap: int, label: str
-) -> Group:
+def _metacyclic(p: int, n: int, q: int, m: int, r: int, label: str) -> Group:
     """C_{q^m} x| C_{p^n} with the twist a^-1 b a = b^r (a the C_{p^n}
     generator, b the C_{q^m} generator), numbered as the semidirect product
     of the two cyclic groups: (v, k), standing for b^v a^k, is v * P + k
@@ -248,14 +251,13 @@ def _metacyclic(
     the row of a^k1 picked at the row of a, so the whole table shares one
     int object per element.  The inverse of (v, k) is (-r^k * v, -k).
 
-    The cap is checked before anything is made, and then r^P = 1 mod Q,
-    which is what makes v -> r^-1 * v an automorphism of C_Q whose P-th
-    power is the identity; the errors are those of `semidirect_product`.
+    `build` has checked the cap.  r^P = 1 mod Q is checked before
+    anything is made: it is what makes v -> r^-1 * v an automorphism of
+    C_Q whose P-th power is the identity; the error is that of
+    `semidirect_product`.
     """
     qq, pp = q**m, p**n
     order = qq * pp
-    if order > cap:
-        raise CapExceeded(f"product order {order} exceeds cap {cap}")
     if pow(r, pp, qq) != 1 % qq:
         raise ValueError(
             "generator images do not extend to a homomorphism K -> Aut(N)"
@@ -328,8 +330,6 @@ def _sl23(spec: FamilySpec, cap: int, label: str) -> Group:
 def _from_presentation(spec: FamilySpec, cap: int, label: str) -> Group:
     pres = builtin_presentation(spec)
     want = expected_order(spec)
-    if want > cap:
-        raise CapExceeded(f"order {want} of {spec} exceeds cap {cap}")
     order, group = coset_enumerate(pres, max_cosets=max(10 * want, 1000), label=label)
     if order != want:
         raise AssertionError(
@@ -378,13 +378,22 @@ def _c3q8(spec: FamilySpec, cap: int, label: str) -> Group:
 
 
 def build(spec: FamilySpec, cap: int = DEFAULT_ORDER_CAP) -> Group:
-    """Concrete group for a validated family spec."""
+    """Concrete group for a valid family spec of order at most cap.
+
+    The cap is checked after the shape check, without which the spec has
+    no order, and before the family checks, which can take long on large
+    parameters (a primality test), so an over-cap spec is refused before
+    any table is made.  The message names no order: above the cap,
+    `order_up_to` need not give the exact one.
+    """
+    if shape_error(spec) is None and order_up_to(spec, cap) > cap:
+        raise CapExceeded(f"order of {spec} exceeds cap {cap}")
     check_valid(spec)
     fam = FAMILIES[spec.kind]
     label = str(spec)
     twist = metacyclic_of(spec)
     if twist is not None:
-        return _metacyclic(*twist, cap, label)
+        return _metacyclic(*twist, label)
     if fam.factors is not None:
         return _direct_product(fam.factors(spec), cap, label)
     return fam.construct(spec, cap, label)  # type: ignore[misc]

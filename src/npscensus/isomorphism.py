@@ -10,15 +10,16 @@ from __future__ import annotations
 from collections import Counter
 
 from .core import (
-    CapExceeded,
+    DEFAULT_ORDER_CAP,
     Group,
     center,
+    check_cap,
     derived_subgroup,
     element_orders,
     exponent,
     generating_sequence,
 )
-from .lattice import DEFAULT_LATTICE_CAP, counts
+from .lattice import counts
 
 
 def conjugacy_class_sizes(G: Group) -> tuple[int, ...]:
@@ -104,10 +105,9 @@ def _extend(
     return False
 
 
-def are_isomorphic(G: Group, H: Group, cap: int = DEFAULT_LATTICE_CAP) -> bool:
+def are_isomorphic(G: Group, H: Group, cap: int = DEFAULT_ORDER_CAP) -> bool:
     """Decide isomorphism between two concrete groups of order <= cap."""
-    if G.order > cap or H.order > cap:
-        raise CapExceeded(f"isomorphism test capped at order {cap}")
+    check_cap(max(G.order, H.order), cap)
     if G is H:
         return True
     if G.order != H.order:

@@ -69,12 +69,13 @@ from .arith import (
     totient,
 )
 from .core import (
-    CapExceeded,
+    DEFAULT_ORDER_CAP,
     Group,
     Record,
     Subgroup,
     _bits,
     bit_table,
+    check_cap,
     coset_closure,
     cyclic_subgroups,
     element_orders,
@@ -83,8 +84,6 @@ from .core import (
     getter,
     is_abelian,
 )
-
-DEFAULT_LATTICE_CAP = 600
 
 
 class PrimeData(Record):
@@ -167,12 +166,11 @@ def _conjugation_bits(G: Group, x: int) -> tuple[int, ...]:
     return getter(getter(G.mul[G.inv[x]])(column))(bit_table(G))
 
 
-def all_subgroups(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> Lattice:
+def all_subgroups(G: Group, cap: int = DEFAULT_ORDER_CAP) -> Lattice:
     """The complete subgroup lattice of G, computed on the first call and
     cached on the group as plain data, which each call wraps in a fresh
     `Lattice`; the cap applies to a cached lattice too."""
-    if G.order > cap:
-        raise CapExceeded(f"order {G.order} exceeds lattice cap {cap}")
+    check_cap(G.order, cap)
     lat = G._cache.get("lattice")
     if lat is None:
         lat = G._cache["lattice"] = _compute_lattice(G)
@@ -189,7 +187,8 @@ def all_subgroups(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> Lattice:
 def _lattice_data(G: Group, cap: int) -> _LatticeData:
     """The lattice of G as the plain data cached on the group, computed
     through `all_subgroups` when it is not cached yet."""
-    if G.order > cap or "lattice" not in G._cache:
+    check_cap(G.order, cap)
+    if "lattice" not in G._cache:
         all_subgroups(G, cap)
     return G._cache["lattice"]  # type: ignore[return-value]
 
@@ -305,7 +304,7 @@ def power_subgroup(G: Group, m: int) -> Subgroup:
     return generated_subgroup(G, [c[m % len(c)] for c in cyclic_subgroups(G)])
 
 
-def power_subgroups(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> dict[int, Subgroup]:
+def power_subgroups(G: Group, cap: int = DEFAULT_ORDER_CAP) -> dict[int, Subgroup]:
     """G^m for every divisor m of the exponent; G^m = G^gcd(m, e) in general."""
     lat = _lattice_data(G, cap)
     return {
@@ -313,12 +312,11 @@ def power_subgroups(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> dict[int, Subgr
     }
 
 
-def counts(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> CountSummary:
+def counts(G: Group, cap: int = DEFAULT_ORDER_CAP) -> CountSummary:
     """s(G), ps(G), nps(G) and the per-prime (f, k) profile: from the type
     for an abelian group, from the lattice for the rest.  The cap applies
     to both."""
-    if G.order > cap:
-        raise CapExceeded(f"order {G.order} exceeds lattice cap {cap}")
+    check_cap(G.order, cap)
     if is_abelian(G):
         return _abelian_counts(_abelian_type(G))
     return _lattice_counts(G, cap)
@@ -347,7 +345,7 @@ def _lattice_counts(G: Group, cap: int) -> CountSummary:
     )
 
 
-def counts_times_cyclic(A: Group, n: int, cap: int = DEFAULT_LATTICE_CAP) -> CountSummary:
+def counts_times_cyclic(A: Group, n: int, cap: int = DEFAULT_ORDER_CAP) -> CountSummary:
     """counts() of A x C_n, from the lattice of A alone.
 
     By Goursat's lemma the subgroups of A x B match the pairs of sections
@@ -371,8 +369,7 @@ def counts_times_cyclic(A: Group, n: int, cap: int = DEFAULT_LATTICE_CAP) -> Cou
     abelian too, and is counted from its type as counts() does.
     """
     order = A.order * n
-    if order > cap:
-        raise CapExceeded(f"order {order} exceeds lattice cap {cap}")
+    check_cap(order, cap)
     if is_abelian(A):
         types = _abelian_type(A)
         for p, m in factorize(n).items():
@@ -487,14 +484,14 @@ def _is_cyclic(G: Group, members: int, size: int) -> bool:
     return any(orders[x] == size for x in _bits(members))
 
 
-def is_normal(G: Group, H: Subgroup, cap: int = DEFAULT_LATTICE_CAP) -> bool:
+def is_normal(G: Group, H: Subgroup, cap: int = DEFAULT_ORDER_CAP) -> bool:
     if H.parent is not G:
         raise ValueError("subgroup does not belong to this group")
     lat = _lattice_data(G, cap)
     return lat.normal_flags[lat.index[H.members]]
 
 
-def conjugates(G: Group, H: Subgroup, cap: int = DEFAULT_LATTICE_CAP) -> list[Subgroup]:
+def conjugates(G: Group, H: Subgroup, cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup]:
     """All distinct conjugates of H in G (H's conjugacy class)."""
     if H.parent is not G:
         raise ValueError("subgroup does not belong to this group")
@@ -506,7 +503,7 @@ def conjugates(G: Group, H: Subgroup, cap: int = DEFAULT_LATTICE_CAP) -> list[Su
     raise AssertionError("subgroup missing from its own lattice")
 
 
-def sylow(G: Group, p: int, cap: int = DEFAULT_LATTICE_CAP) -> Subgroup:
+def sylow(G: Group, p: int, cap: int = DEFAULT_ORDER_CAP) -> Subgroup:
     """A Sylow p-subgroup (first in lattice order); trivial if p does not
     divide the group order."""
     part = p_part(G.order, p)
@@ -517,7 +514,7 @@ def sylow(G: Group, p: int, cap: int = DEFAULT_LATTICE_CAP) -> Subgroup:
     raise AssertionError("Sylow subgroup missing from lattice")
 
 
-def frattini(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> Subgroup:
+def frattini(G: Group, cap: int = DEFAULT_ORDER_CAP) -> Subgroup:
     """Intersection of all maximal subgroups."""
     lat = _lattice_data(G, cap)
     proper = [(m, size) for m, size in zip(lat.members, lat.sizes) if size < G.order]
@@ -529,10 +526,9 @@ def frattini(G: Group, cap: int = DEFAULT_LATTICE_CAP) -> Subgroup:
     return Subgroup(G, members, lat.sizes[i])
 
 
-def omega(G: Group, i: int, cap: int = DEFAULT_LATTICE_CAP) -> Subgroup:
+def omega(G: Group, i: int, cap: int = DEFAULT_ORDER_CAP) -> Subgroup:
     """In a p-group, the subgroup generated by elements x with x^(p^i) = 1."""
-    if G.order > cap:
-        raise CapExceeded(f"order {G.order} exceeds lattice cap {cap}")
+    check_cap(G.order, cap)
     if i < 1:
         raise ValueError("i must be positive")
     fact = factorize(G.order)
@@ -545,7 +541,7 @@ def omega(G: Group, i: int, cap: int = DEFAULT_LATTICE_CAP) -> Subgroup:
     return generated_subgroup(G, gens)
 
 
-def cyclic_nonpower_p_count(G: Group, p: int, cap: int = DEFAULT_LATTICE_CAP) -> int:
+def cyclic_nonpower_p_count(G: Group, p: int, cap: int = DEFAULT_ORDER_CAP) -> int:
     """Number of cyclic subgroups of p-power order (> 1) that are not power
     subgroups of G."""
     lat = _lattice_data(G, cap)

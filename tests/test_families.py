@@ -1,5 +1,6 @@
 """Family spec validation, construction, and built-in presentations."""
 
+import re
 from math import isqrt
 
 import pytest
@@ -115,6 +116,15 @@ class TestPrimality:
                 assert r**k <= n < (r + 1) ** k, (n, k)
 
 
+# one spec per family row, for the over-cap test; C(3000) alone would be a
+# 3000 x 3000 table
+OVER_CAP = (
+    "C(3000)", "D(600)", "Q(1024)", "S(16)", "M(4,2)", "M(3)",
+    "G(r=2;p=2,n=2;q=5,m=1)", "Gn(3,9)", "F(1,7)", "B1(1,2)", "B2(2,3)",
+    "A(3)", "Sym(2)", "Alt(5)", "SL23", "C3Q8", "X(1,5)", "Q(8)xC(3)",
+)
+
+
 class TestBuildOrders:
     CASES = [
         ("C(9)", 9),
@@ -160,6 +170,27 @@ class TestBuildOrders:
         with pytest.raises(CapExceeded, match="exceeds cap 600"):
             build(parse_spec(text), cap=600)
 
+    @pytest.mark.parametrize("text", [*OVER_CAP, "C(2)xC(2000)", "A(6)"])
+    def test_over_cap_spec_refused_before_any_table(self, text, monkeypatch):
+        from npscensus import core, families
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was started")
+
+        for module in (families, core):
+            for name in (
+                "cyclic_group", "_metacyclic", "_pair_table", "table_by_rows",
+                "coset_enumerate", "_sl23",
+            ):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, no_table)
+        spec = parse_spec(text)
+        cap = expected_order(spec) - 1
+        with pytest.raises(
+            CapExceeded, match=re.escape(f"order of {spec} exceeds cap {cap}")
+        ):
+            build(spec, cap=cap)
+
 
 def _metacyclic_sweep_specs() -> list[str]:
     """Every metacyclic spec of the default formula sweep and of the
@@ -191,13 +222,14 @@ class TestMetacyclicTables:
         assert (new.mul, new.inv) == (old.mul, old.inv)
         assert (new.generators, new.label) == (old.generators, old.label)
 
-    def test_cap_checked_first(self):
-        from npscensus.families import _metacyclic
+    def test_cap_checked_first(self, monkeypatch):
+        from npscensus import families
 
-        # C_5 x| C_2 with the twist 2, which has order 4 mod 5
-        with pytest.raises(CapExceeded, match="product order 10 exceeds cap 9"):
-            _metacyclic(2, 1, 5, 1, 2, 9, "x")
-        with pytest.raises(CapExceeded, match="product order 600 exceeds cap 599"):
+        def no_table(*args, **kwargs):
+            raise AssertionError("metacyclic table started")
+
+        monkeypatch.setattr(families, "_metacyclic", no_table)
+        with pytest.raises(CapExceeded, match=r"order of D\(600\) exceeds cap 599"):
             build(parse_spec("D(600)"), cap=599)
 
     @pytest.mark.parametrize("p,n,q,m,r", [(2, 1, 5, 1, 2), (2, 2, 9, 1, 3)])
@@ -208,7 +240,7 @@ class TestMetacyclicTables:
             ValueError,
             match="generator images do not extend to a homomorphism K -> Aut",
         ):
-            _metacyclic(p, n, q, m, r, 600, "x")
+            _metacyclic(p, n, q, m, r, "x")
 
 
 class TestClaimedIsomorphisms:
@@ -352,7 +384,8 @@ class TestFamilyTable:
                 "AFAMILY", "SYM", "ALT", "SL23", "C3Q8", "XFAMILY", "PRODUCT",
             )
         }
-        assert kinds == set(FAMILIES) == set(SMALLEST)
+        over_cap = {parse_spec(text).kind for text in OVER_CAP}
+        assert kinds == set(FAMILIES) == set(SMALLEST) == over_cap
 
     def test_catalog_counts_only_table_kinds(self):
         from npscensus.catalog import _COUNTS

@@ -35,7 +35,7 @@ class TestBasics:
 
     def test_cap(self):
         big = cyclic_group(700)
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match="order 700 exceeds lattice cap 600"):
             are_isomorphic(big, big)
 
 

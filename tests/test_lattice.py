@@ -180,7 +180,7 @@ class TestAllSubgroups:
     def test_large_rank2_abelian_count(self, p, a, b):
         # orders 1024, 1024 and 729, where a join picks cosets of up to 512
         # elements at once; the pairwise-join reference is too slow here
-        g = direct_product(cyclic_group(p**a), cyclic_group(p**b))
+        g = direct_product(cyclic_group(p**a), cyclic_group(p**b), cap=1200)
         assert _lattice_counts(g, cap=1200).s == subgroup_count_rank2(p, a, b)
 
     @pytest.mark.parametrize(
@@ -556,7 +556,7 @@ class TestCacheFreesGroups:
 
         calls = []
 
-        def traced(G, cap=lattice.DEFAULT_LATTICE_CAP):
+        def traced(G, cap=lattice.DEFAULT_ORDER_CAP):
             calls.append("lattice" in G._cache)
             return all_subgroups(G, cap)
 
