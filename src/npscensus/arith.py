@@ -142,6 +142,19 @@ def multiplicative_order(r: int, mod: int) -> int:
     return k
 
 
+def geometric_sum(x: int, k: int, mod: int) -> int:
+    """1 + x + ... + x^(k-1) mod `mod`, by doubling over the bits of k:
+    S(2j) = S(j) (1 + x^j) and S(j + 1) = 1 + x S(j)."""
+    total, power = 0, 1  # S(j) and x^j for the bits of k read so far
+    for bit in bin(k)[2:]:
+        total = total * (1 + power) % mod
+        power = power * power % mod
+        if bit == "1":
+            total = (1 + x * total) % mod
+            power = power * x % mod
+    return total
+
+
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of an n-dimensional space over GF(q)."""
     if k < 0 or k > n:

@@ -58,6 +58,7 @@ from .families import (
     build,
     cyclic_spec,
     expected_order,
+    metacyclic_of,
     order_up_to,
     product_spec,
     shape_error,
@@ -65,7 +66,7 @@ from .families import (
     validate,
 )
 from .isomorphism import are_isomorphic
-from .lattice import CountSummary, counts, counts_times_cyclic
+from .lattice import CountSummary, counts, counts_times_cyclic, metacyclic_counts
 from .presentation import PresentationError, parse_presentation
 from .specs import SpecError, parse_spec
 
@@ -182,17 +183,20 @@ def formula_sweep(max_n: int = 4, max_order: int = DEFAULT_ORDER_CAP) -> list[Fa
 
 
 def _spec_counts(spec: FamilySpec, max_order: int) -> CountSummary:
-    """counts() of the group of a spec.  A valid spec of direct factors
-    within the cap, one of them a cyclic C(n), is counted as A x C(n) from
-    the lattice of A alone; every other spec, and every spec that fails,
-    takes build and the full lattice, so errors read as they always did."""
-    split = None
-    if shape_error(spec) is None and order_up_to(spec, max_order) <= max_order:
-        split = split_cyclic(spec)
-    if split is None or validate(spec):
-        return counts(build(spec, cap=max_order), cap=max_order)
+    """counts() of the group of a valid spec of order at most max_order,
+    which the caller has checked.  A split metacyclic spec is counted from
+    its parameters, with no table; a spec of direct factors, one of them a
+    cyclic C(n), as A x C(n) from the lattice of A alone; every other spec
+    from its table and full lattice."""
+    twist = metacyclic_of(spec)
+    if twist is not None:
+        p, n, q, m, r = twist
+        return metacyclic_counts(q**m, p**n, r)
+    split = split_cyclic(spec)
+    if split is None:
+        return counts(build(spec, max_order, check=False), cap=max_order)
     rest, n = split
-    return counts_times_cyclic(build(rest, cap=max_order), n, max_order)
+    return counts_times_cyclic(build(rest, max_order, check=False), n, max_order)
 
 
 def _formula_worker(args: tuple[FamilySpec, int]) -> dict[str, object]:

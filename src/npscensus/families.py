@@ -293,14 +293,15 @@ def _metacyclic_text(p: int, n: int, q: int, m: int, r: int) -> str:
 
 def _direct_product(factors: Iterable[FamilySpec], cap: int, label: str) -> Group:
     """The factors' direct product, left to right; only the last product
-    carries the label."""
+    carries the label.  `build` has checked the product, and so each
+    factor."""
     it = iter(factors)
-    g = build(next(it), cap=cap)
+    g = build(next(it), cap, check=False)
     f = next(it)
     for after in it:
-        g = direct_product(g, build(f, cap=cap), cap=cap)
+        g = direct_product(g, build(f, cap, check=False), cap=cap)
         f = after
-    return direct_product(g, build(f, cap=cap), cap=cap, label=label)
+    return direct_product(g, build(f, cap, check=False), cap=cap, label=label)
 
 
 def _sl23(spec: FamilySpec, cap: int, label: str) -> Group:
@@ -370,25 +371,28 @@ def _alternating(spec: FamilySpec, cap: int, label: str) -> Group:
 
 
 def _c3q8(spec: FamilySpec, cap: int, label: str) -> Group:
-    q8 = build(FamilySpec(QUATERNION, (8,)), cap=cap)
+    q8 = build(FamilySpec(QUATERNION, (8,)), cap, check=False)
     inv3 = (0, 2, 1)
     id3 = (0, 1, 2)
     action = [inv3] + [id3] * (len(q8.generators) - 1)
     return semidirect_product(cyclic_group(3), q8, action, cap=cap, label=label)
 
 
-def build(spec: FamilySpec, cap: int = DEFAULT_ORDER_CAP) -> Group:
+def build(spec: FamilySpec, cap: int = DEFAULT_ORDER_CAP, *, check: bool = True) -> Group:
     """Concrete group for a valid family spec of order at most cap.
 
     The cap is checked after the shape check, without which the spec has
     no order, and before the family checks, which can take long on large
     parameters (a primality test), so an over-cap spec is refused before
     any table is made.  The message names no order: above the cap,
-    `order_up_to` need not give the exact one.
+    `order_up_to` need not give the exact one.  With check=False the
+    caller has made these checks, and none is repeated, for the spec or
+    for its factors.
     """
-    if shape_error(spec) is None and order_up_to(spec, cap) > cap:
-        raise CapExceeded(f"order of {spec} exceeds cap {cap}")
-    check_valid(spec)
+    if check:
+        if shape_error(spec) is None and order_up_to(spec, cap) > cap:
+            raise CapExceeded(f"order of {spec} exceeds cap {cap}")
+        check_valid(spec)
     fam = FAMILIES[spec.kind]
     label = str(spec)
     twist = metacyclic_of(spec)

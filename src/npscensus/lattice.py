@@ -51,6 +51,12 @@ times as the lattice layer.
 `counts` of an abelian group builds no lattice: it reads the group's type
 off its element orders and counts by Birkhoff's formula
 (`arith.subgroup_count_abelian`).
+
+`metacyclic_counts` needs no group at all: it counts a split metacyclic
+C_Q x|_r C_P from (Q, P, r) by divisor sums of geometric sums mod Q, in
+O(tau(P) tau(Q) log P) steps for s and tau(PQ) ord(r) log(PQ) for the
+power subgroups.  The CLI counts every valid metacyclic family spec this
+way; the lattice stays its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -63,6 +69,8 @@ from .arith import (
     conjugate_partition,
     divisors,
     factorize,
+    geometric_sum,
+    multiplicative_order,
     p_part,
     p_valuation,
     subgroup_count_abelian,
@@ -418,6 +426,63 @@ def counts_times_cyclic(A: Group, n: int, cap: int = DEFAULT_ORDER_CAP) -> Count
         ps=len(powers),
         nps=s - len(powers),
         per_prime=_per_prime(order, lcm(e, n), cyclic_powers),
+    )
+
+
+def metacyclic_counts(Q: int, P: int, r: int) -> CountSummary:
+    """counts() of C_Q x|_r C_P = <b> x| <a>, |b| = Q, |a| = P and
+    a^-1 b a = b^r, from (Q, P, r) alone: no table and no lattice.
+
+    Write the elements as a^e b^f.  As b^f a^e = a^e b^(f r^e),
+    (a^e b^f)^k = a^(ke) b^(f (1 + r^e + ... + r^((k-1)e))).  A subgroup
+    H meets <b> in <b^d>, d | Q, and maps onto <a^e>, e | P, in G/<b>;
+    with S_e = 1 + r^e + ... + r^((P/e - 1)e) mod Q it is <b^d, a^e b^f>
+    for the f mod d with f S_e = 0 mod d.  So
+
+        s = sum over d | Q and e | P of gcd(S_e, d),
+
+    and a^e b has order (P/e) Q / gcd(Q, S_e), the exponent being the lcm
+    of these.  (a^j b^f)^m = a^(jm) b^(f T_j) with T_j = 1 + r^j + ... +
+    r^((m-1)j), so G^m = <b^D, a^m> with D = gcd(Q, T_0, ..., T_(o-1)),
+    o the order of r mod Q, and the power subgroups are the distinct
+    pairs (D, gcd(m, P)) over m | PQ.  <b^D, a^g> has order (Q/D) (P/g);
+    two nontrivial subgroups of a cyclic p-group meet, so it is cyclic of
+    prime-power order > 1 exactly when one factor is 1 and the other a
+    prime power > 1.  Each sum is a geometric one, `arith.geometric_sum`.
+
+    With a^-1 for a the twist is r^-1 and the group the same, so the
+    counts of r and r^-1 agree.  ValueError when r^P is not 1 mod Q, as
+    for the table of the group.
+    """
+    if pow(r, P, Q) != 1 % Q:
+        raise ValueError(
+            "generator images do not extend to a homomorphism K -> Aut(N)"
+        )
+    below_q = divisors(Q)
+    s, exp = 0, 1
+    for e in divisors(P):
+        se = geometric_sum(pow(r, e, Q), P // e, Q)
+        s += sum(gcd(se, d) for d in below_q)
+        exp = lcm(exp, P // e * (Q // gcd(Q, se)))
+    twists = [pow(r, j, Q) for j in range(multiplicative_order(r, Q))]
+    powers = set()
+    for m in divisors(P * Q):
+        d = Q
+        for x in twists:
+            d = gcd(d, geometric_sum(x, m, Q))
+        powers.add((d, gcd(m, P)))
+    cyclic_powers = [
+        size
+        for size in (Q // d * (P // g) for d, g in powers if d == Q or g == P)
+        if size > 1 and len(factorize(size)) == 1
+    ]
+    return CountSummary(
+        order=Q * P,
+        exponent=exp,
+        s=s,
+        ps=len(powers),
+        nps=s - len(powers),
+        per_prime=_per_prime(Q * P, exp, cyclic_powers),
     )
 
 

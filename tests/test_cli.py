@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -112,9 +113,9 @@ class TestNps:
 
         built = []
 
-        def record(spec, cap):
+        def record(spec, cap, **kwargs):
             built.append(str(spec))
-            return build(spec, cap=cap)
+            return build(spec, cap, **kwargs)
 
         monkeypatch.setattr(npscensus.cli, "build", record)
         code, out, _ = run(capsys, "nps", "D(8)xC(2)xC(2)xC(2)")
@@ -134,6 +135,80 @@ class TestNps:
         code, out, _ = run(capsys, "nps", "D(8)xD(8)")
         assert code == 0
         assert "subgroups: 389" in out
+
+    @pytest.mark.parametrize(
+        "text, cap, counts",
+        [
+            ("Gn(6,13)", "1200", (832, 832, 26, 13, 13)),
+            ("D(600)", "600", (600, 300, 886, 13, 873)),
+        ],
+    )
+    def test_metacyclic_spec_counted_without_a_table(
+        self, capsys, monkeypatch, text, cap, counts
+    ):
+        import npscensus.cli
+        import npscensus.families
+        import npscensus.lattice
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table or a lattice was built")
+
+        monkeypatch.setattr(npscensus.cli, "build", no_table)
+        monkeypatch.setattr(npscensus.families, "_metacyclic", no_table)
+        monkeypatch.setattr(npscensus.lattice, "all_subgroups", no_table)
+        code, out, err = run(capsys, "nps", text, "--max-order", cap)
+        assert (code, err) == (0, "")
+        names = ("order", "exponent", "subgroups", "power subgroups", "nonpower subgroups")
+        assert out == f"group: {text}\n" + "".join(
+            f"{name}: {value}\n" for name, value in zip(names, counts)
+        )
+
+    def test_metacyclic_spec_over_the_cap(self, capsys, monkeypatch):
+        monkeypatch.delenv("NPS_MAX_ORDER", raising=False)
+        code, out, err = run(capsys, "nps", "Gn(6,13)")
+        assert (code, out) == (2, "")
+        assert err == "order 832 exceeds lattice cap 600 (raise --max-order)\n"
+
+    def test_metacyclic_spec_with_an_invalid_twist(self, capsys):
+        code, out, err = run(capsys, "nps", "G(r=2;p=2,n=1;q=5,m=1)")
+        assert (code, out) == (2, "")
+        assert err == (
+            "invalid spec G(r=2;p=2,n=1;q=5,m=1): r^(p^n) = 2^2 is not 1 mod 5\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, parts",
+        [
+            ("F(2,13)", ["F(2,13)"]),
+            ("D(8)xC(2)xC(2)", ["D(8)xC(2)xC(2)", "D(8)", "C(2)", "C(2)"]),
+        ],
+    )
+    def test_spec_checked_once(self, capsys, monkeypatch, text, parts):
+        # one query takes the order and the family checks once on the spec
+        # and once on each of its factors, and never on the product A that
+        # A x C(n) is counted from
+        import npscensus.cli
+        import npscensus.families as families
+
+        calls = Counter()
+        order_up_to, diagnose = families.order_up_to, families._diagnose
+
+        def counted_order(spec, bound):
+            calls["order", str(spec)] += 1
+            return order_up_to(spec, bound)
+
+        def counted_checks(spec, family_checks):
+            if family_checks:
+                calls["checks", str(spec)] += 1
+            return diagnose(spec, family_checks)
+
+        monkeypatch.setattr(families, "order_up_to", counted_order)
+        monkeypatch.setattr(npscensus.cli, "order_up_to", counted_order)
+        monkeypatch.setattr(families, "_diagnose", counted_checks)
+        code, _, _ = run(capsys, "nps", text)
+        assert code == 0
+        want = Counter((check, part) for part in parts for check in ("order", "checks"))
+        assert calls == want
 
     def test_abelian_group_past_the_lattice(self, capsys, monkeypatch):
         # C(2)^8 by Birkhoff's formula; its lattice, or that of C(2)^7
