@@ -246,12 +246,6 @@ class Subgroup(Record):
     def elements(self) -> Iterator[int]:
         return _bits(self.members)
 
-    def is_whole_group(self) -> bool:
-        return self.size == self.parent.order
-
-    def is_trivial(self) -> bool:
-        return self.size == 1
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
             return NotImplemented
@@ -367,22 +361,6 @@ def generated_subgroup(G: Group, gens: Iterable[int]) -> Subgroup:
     """Subgroup of G generated by the given element indices."""
     elems = generated_indices(G, gens)
     return Subgroup(G, sum(getter(elems)(bit_table(G))), len(elems))
-
-
-def subgroup_from_members(G: Group, members: int) -> Subgroup:
-    """Wrap a bitset known to be closed; verifies closure and inverses."""
-    mul, inv = G.mul, G.inv
-    if not members & 1:
-        raise ValueError("subgroup must contain the identity")
-    elems = list(_bits(members))
-    for x in elems:
-        if not (members >> inv[x]) & 1:
-            raise ValueError("set is not closed under inverses")
-        row = mul[x]
-        for y in elems:
-            if not (members >> row[y]) & 1:
-                raise ValueError("set is not closed under multiplication")
-    return Subgroup(G, members, len(elems))
 
 
 def element_order(G: Group, x: int) -> int:

@@ -2,16 +2,14 @@
 
 Everything the package knows about a family kind sits in one row of
 `FAMILIES`: its spec syntax, its checks, its order, its construction, its
-built-in presentation and its display text.  Most families are explicit
-semidirect or direct products; the generalized quaternion groups, the
-exponent-p extraspecial groups M(p) and the two-generator groups B1(n,p)
-are realized by coset enumeration of their built-in presentations and
-cross-checked against the expected order.
+built-in presentation and its display text.  `build` makes each table
+directly, by `_metacyclic` (Q(2^n) too), by the class-2 rule `_class2`
+(M(p) and B1(n,p)) or as a semidirect or direct product; the built-in
+presentations serve `present` and the tests, which check each table
+against them.
 
 `build` checks the order cap, `core.DEFAULT_ORDER_CAP` by default, once
-for the whole spec before any table is made, so no constructor checks it
-again.  A coset enumeration keeps its own budget of cosets, derived from
-the expected order.
+for the whole spec before any table is made; no constructor checks it.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from .core import (
     group_from_generators,
     semidirect_product,
 )
-from .coset import coset_enumerate
 from .presentation import Presentation, parse_presentation
 
 # family kinds
@@ -235,36 +232,39 @@ def metacyclic_of(spec: FamilySpec) -> tuple[int, int, int, int, int] | None:
     return fam.metacyclic(*spec.params, spec.r)
 
 
-def _metacyclic(p: int, n: int, q: int, m: int, r: int, label: str) -> Group:
+def _metacyclic(p: int, n: int, q: int, m: int, r: int, label: str, t: int = 0) -> Group:
     """C_{q^m} x| C_{p^n} with the twist a^-1 b a = b^r (a the C_{p^n}
     generator, b the C_{q^m} generator), numbered as the semidirect product
     of the two cyclic groups: (v, k), standing for b^v a^k, is v * P + k
-    for Q = q^m and P = p^n.
+    for Q = q^m and P = p^n.  A carry t makes a^P = b^t, not 1: Q(4Q) is
+    P = 2, r = -1, t = Q/2.
 
-    With s = r^-k1 mod Q, (v1, k1) * (v2, k2) = (v1 + s * v2, k1 + k2), so
-    row (v1, k1) is Q blocks of P entries, block v2 being
-    B(v1 + s * v2) = (v1 + s * v2) * P + the row k1 of C_P.  As
-    v1 + s * v2 = s * (v2 + t) for t = r^k1 * v1, the row is
-    W = B(0) B(s) B(2s) ... B((Q-1)s) rotated by t blocks: one slice of
+    With s = r^-k1 mod Q, (v1, k1) * (v2, k2) = (v1 + s * v2, k1 + k2),
+    t added to v when k1 + k2 >= P.  So row (v1, k1) is Q blocks of P
+    entries, block v2 being B(v1 + s * v2) = (v1 + s * v2) * P + the row
+    k1 of C_P, its wrapped entries carried to the block t further on.
+    As v1 + s * v2 = s * (v2 + u) for u = r^k1 * v1, the row is
+    W = B(0) B(s) B(2s) ... B((Q-1)s) rotated by u blocks: one slice of
     W twice over.  W is the row of a^k1 itself; the row of a is made of
     slices of doubled blocks of range(QP), and the row of a^(k1+1) is
     the row of a^k1 picked at the row of a, so the whole table shares one
-    int object per element.  The inverse of (v, k) is (-r^k * v, -k).
+    int object per element.  The inverse of (v, k) is (-r^k * v, -k),
+    less t on v for k > 0.
 
-    `build` has checked the cap.  r^P = 1 mod Q is checked before
-    anything is made: it is what makes v -> r^-1 * v an automorphism of
-    C_Q whose P-th power is the identity; the error is that of
-    `semidirect_product`.
+    `build` has checked the cap.  r^P = 1 and r * t = t mod Q, which make
+    v -> r^-1 * v an automorphism of C_Q of order dividing P fixing
+    b^t = a^P, are checked first; the error is `semidirect_product`'s.
     """
     qq, pp = q**m, p**n
     order = qq * pp
-    if pow(r, pp, qq) != 1 % qq:
+    if pow(r, pp, qq) != 1 % qq or (r - 1) * t % qq:
         raise ValueError(
             "generator images do not extend to a homomorphism K -> Aut(N)"
         )
     rinv = pow(r, -1, qq)
     whole = tuple(range(order))
-    doubled = [whole[i:i + pp] * 2 for i in range(0, order, pp)]
+    blocks = [whole[i:i + pp] for i in range(0, order, pp)]
+    doubled = [b + blocks[(u + t) % qq] for u, b in enumerate(blocks)]
     times_a = getter(
         tuple(chain.from_iterable(doubled[rinv * v % qq][1:1 + pp] for v in range(qq)))
     )
@@ -275,8 +275,8 @@ def _metacyclic(p: int, n: int, q: int, m: int, r: int, label: str) -> Group:
     for k1 in range(pp):
         ww = w + w
         starts = [rk * v % qq * pp for v in range(qq)]
-        rows[k1::pp] = [ww[t:t + order] for t in starts]
-        inv[k1::pp] = [-t % order + -k1 % pp for t in starts]
+        rows[k1::pp] = [ww[u:u + order] for u in starts]
+        inv[k1::pp] = [(-u - (k1 > 0) * t * pp) % order + -k1 % pp for u in starts]
         w = times_a(w)
         rk = rk * r % qq
     gens = ([pp] if qq > 1 else []) + ([1] if pp > 1 else [])
@@ -328,15 +328,15 @@ def _sl23(spec: FamilySpec, cap: int, label: str) -> Group:
     return Group(mul, gens, label=label)
 
 
-def _from_presentation(spec: FamilySpec, cap: int, label: str) -> Group:
-    pres = builtin_presentation(spec)
-    want = expected_order(spec)
-    order, group = coset_enumerate(pres, max_cosets=max(10 * want, 1000), label=label)
-    if order != want:
-        raise AssertionError(
-            f"presentation for {spec} enumerated to order {order}, expected {want}"
-        )
-    return group
+def _class2(p: int, n: int, cap: int, label: str) -> Group:
+    """B1(n,p) = <a, b | a^p = b^(p^n) = 1, c = [a,b] central of order p>
+    as (C_p x C_{p^n}) x| C_p: c and b are the direct factors, and a acts
+    as b -> b * c.  M(p) is B1(1,p).  `build` has checked the cap."""
+    pn = p**n
+    # c^x b^y -> c^(x + y) b^y, on the index x * p^n + y
+    action = tuple((i // pn + i) % p * pn + i % pn for i in range(p * pn))
+    cb = direct_product(cyclic_group(p), cyclic_group(pn), cap=cap)
+    return semidirect_product(cb, cyclic_group(p), [action], cap=cap, label=label)
 
 
 def _a_family(spec: FamilySpec, cap: int, label: str) -> Group:
@@ -372,9 +372,7 @@ def _alternating(spec: FamilySpec, cap: int, label: str) -> Group:
 
 def _c3q8(spec: FamilySpec, cap: int, label: str) -> Group:
     q8 = build(FamilySpec(QUATERNION, (8,)), cap, check=False)
-    inv3 = (0, 2, 1)
-    id3 = (0, 1, 2)
-    action = [inv3] + [id3] * (len(q8.generators) - 1)
+    action = [(0, 2, 1), (0, 1, 2)]  # b inverts C3, a centralizes it
     return semidirect_product(cyclic_group(3), q8, action, cap=cap, label=label)
 
 
@@ -542,7 +540,9 @@ _ROWS = (
         "Q({})",
         check=_two_power(3),
         order=lambda n: ((n, 1),),
-        construct=_from_presentation,
+        construct=lambda s, cap, label: _metacyclic(
+            2, 1, s.params[0] // 2, 1, -1, label, t=s.params[0] // 4
+        ),
         presentation=lambda n: (
             f"a, b, z | a^{n // 4} = b^2 = z, z^2 = 1, b^-1 a b = a^-1"
         ),
@@ -568,7 +568,7 @@ _ROWS = (
         names=("m",),
         check=_check_extraspecial,
         order=lambda q: ((q, 3),),
-        construct=_from_presentation,
+        construct=lambda s, cap, label: _class2(s.params[0], 1, cap, label),
         presentation=lambda q: (
             f"x, y, z | x^{q} = y^{q} = z^{q} = 1, [x,z] = 1, [y,z] = 1, [x,y] = z"
         ),
@@ -607,7 +607,7 @@ _ROWS = (
         arity=2,
         check=_prime_at(1),
         order=lambda n, q: ((q, n + 2),),
-        construct=_from_presentation,
+        construct=lambda s, cap, label: _class2(s.params[1], s.params[0], cap, label),
         presentation=lambda n, q: (
             f"a, b, c | [a,b] = c, a^{q} = 1, b^{q ** n} = 1, c^{q} = 1, "
             "[a,c] = 1, [b,c] = 1"

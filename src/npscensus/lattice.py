@@ -621,16 +621,3 @@ def cyclic_nonpower_p_count(G: Group, p: int, cap: int = DEFAULT_ORDER_CAP) -> i
             count += 1
     return count
 
-
-def power_equals_gcd_power(G: Group, upto: int | None = None) -> bool:
-    """Check G^m = G^gcd(m, e) for all 1 <= m <= upto (default: e)."""
-    e = exponent(G)
-    upto = e if upto is None else upto
-    cache: dict[int, int] = {}
-    for m in range(1, upto + 1):
-        d = gcd(m, e)
-        if d not in cache:
-            cache[d] = power_subgroup(G, d).members
-        if power_subgroup(G, m).members != cache[d]:
-            return False
-    return True

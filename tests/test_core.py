@@ -30,7 +30,6 @@ from npscensus.core import (
     is_normal_subgroup,
     quotient,
     semidirect_product,
-    subgroup_from_members,
     subgroup_group,
     trivial_group,
 )
@@ -434,15 +433,32 @@ class TestQuotient:
             quotient(s3, h)
 
 
+def subgroup_from_members(G, members):
+    """The subgroup with these members, after checking that they hold the
+    identity and are closed under inverses and products."""
+    if not members & 1:
+        raise ValueError("subgroup must contain the identity")
+    elems = [x for x in range(G.order) if members >> x & 1]
+    for x in elems:
+        if not members >> G.inv[x] & 1:
+            raise ValueError("set is not closed under inverses")
+        if any(not members >> G.mul[x][y] & 1 for y in elems):
+            raise ValueError("set is not closed under multiplication")
+    return Subgroup(G, members, len(elems))
+
+
 class TestSubgroups:
     def test_generated_subgroup_lagrange(self, q8):
         for x in range(8):
             sub = generated_subgroup(q8, [x])
             assert q8.order % sub.size == 0
 
-    def test_subgroup_from_members_validates(self, s3):
+    def test_subgroup_from_members_validates(self, s3, q8):
         with pytest.raises(ValueError):
             subgroup_from_members(s3, 0b000110)  # two transpositions, not closed
+        for x in range(8):
+            sub = generated_subgroup(q8, [x])
+            assert subgroup_from_members(q8, sub.members) == sub
 
     def test_subgroup_group_reindexes(self, q8):
         z = center(q8)
@@ -601,13 +617,6 @@ def ref_group_from_coset_table(table, label=None):
     return RefGroup(mul, list(dict.fromkeys(g for g in gens if g != 0)), label=label)
 
 
-def ref_coset_enumerate(pres, max_cosets=None, label=None):
-    from npscensus.coset import enumerate_cosets
-
-    group = ref_group_from_coset_table(enumerate_cosets(pres), label=label)
-    return group.order, group
-
-
 def ref_group_from_generators(degree, perms, cap=None, label=None):
     gens = [tuple(p) for p in perms]
     ident = tuple(range(degree))
@@ -630,6 +639,24 @@ def ref_group_from_generators(degree, perms, cap=None, label=None):
         for i in range(1, n):
             mrow[i] = gen_cols[genpos[i]][mrow[parent[i]]]
     return RefGroup(mul, [gen_cols[gi][0] for gi in range(len(gens))], label=label)
+
+
+def ref_metacyclic(P, Q, r, t, label=None):
+    """b^v a^k as v * P + k with a^-1 b a = b^r and a^P = b^t, cell by
+    cell: b^v1 a^k1 b^v2 a^k2 = b^(v1 + r^-k1 v2 + c) a^((k1 + k2) mod P),
+    c = t when k1 + k2 >= P, else 0."""
+    n = P * Q
+    mul = [[0] * n for _ in range(n)]
+    for v1 in range(Q):
+        for k1 in range(P):
+            s = pow(r, -k1, Q)
+            for v2 in range(Q):
+                for k2 in range(P):
+                    c = t if k1 + k2 >= P else 0
+                    v = (v1 + s * v2 + c) % Q
+                    mul[v1 * P + k1][v2 * P + k2] = v * P + (k1 + k2) % P
+    gens = ([P] if Q > 1 else []) + ([1] if P > 1 else [])
+    return RefGroup(mul, gens, label=label)
 
 
 def assert_same_table(new, ref):
@@ -659,7 +686,8 @@ class TestKernelsMatchPerCellLoops:
         )
 
     @pytest.mark.parametrize(
-        "text", ["D(8)xD(8)", "Q(8)xC(2)xC(2)", "A(2)", "C3Q8", "X(2,5)"]
+        "text",
+        ["D(8)xD(8)", "Q(8)xC(2)xC(2)", "A(2)", "C3Q8", "X(2,5)", "M(3)", "B1(2,3)"],
     )
     def test_products(self, text, monkeypatch):
         from npscensus import families
@@ -670,7 +698,6 @@ class TestKernelsMatchPerCellLoops:
         monkeypatch.setattr(families, "cyclic_group", ref_cyclic_group)
         monkeypatch.setattr(families, "direct_product", ref_direct_product)
         monkeypatch.setattr(families, "semidirect_product", ref_semidirect_product)
-        monkeypatch.setattr(families, "coset_enumerate", ref_coset_enumerate)
         ref = families.build(spec)
         assert isinstance(ref, RefGroup)
         assert_same_table(new, ref)
@@ -708,6 +735,28 @@ class TestKernelsMatchPerCellLoops:
         )
         assert_same_table(new, ref)
         assert new.label == text
+
+    @pytest.mark.parametrize("text", ["Q(8)", "Q(16)", "Q(128)"])
+    def test_quaternion(self, text):
+        # the non-split case of the rotated table, a^2 = b^(Q/2), against
+        # the per-cell product of b^v a^k
+        from npscensus.families import build
+        from npscensus.specs import parse_spec
+
+        new = build(parse_spec(text))
+        assert_same_table(new, ref_metacyclic(2, new.order // 2, -1, new.order // 4))
+        assert new.label == text
+
+    @pytest.mark.parametrize(
+        "p,n,q,m,r,t", [(2, 1, 8, 1, 3, 4), (3, 1, 9, 1, 4, 3), (2, 2, 4, 1, 1, 2)]
+    )
+    def test_carried_metacyclic(self, p, n, q, m, r, t):
+        # a^P = b^t with r * t = t mod Q, beyond the quaternion groups
+        from npscensus.families import _metacyclic
+
+        assert_same_table(
+            _metacyclic(p, n, q, m, r, "x", t=t), ref_metacyclic(p**n, q**m, r, t)
+        )
 
     @pytest.mark.parametrize("text", ["Q(32)", "M(5)", "B1(2,3)"])
     def test_group_from_coset_table(self, text):

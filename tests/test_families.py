@@ -158,15 +158,17 @@ class TestBuildOrders:
             build(FamilySpec(GENERAL, (2, 1, 5, 1), r=2))
 
     @pytest.mark.parametrize("text", ["Q(1024)", "M(11)", "B1(3,5)"])
-    def test_presented_family_over_cap_raises_before_enumerating(
+    def test_presented_family_over_cap_raises_before_any_table(
         self, text, monkeypatch
     ):
-        from npscensus import families
+        from npscensus import core, families
 
-        def no_enumeration(*args, **kwargs):
-            raise AssertionError("coset enumeration started")
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was started")
 
-        monkeypatch.setattr(families, "coset_enumerate", no_enumeration)
+        monkeypatch.setattr(families, "_metacyclic", no_table)
+        monkeypatch.setattr(families, "_class2", no_table)
+        monkeypatch.setattr(core, "_pair_table", no_table)
         with pytest.raises(CapExceeded, match="exceeds cap 600"):
             build(parse_spec(text), cap=600)
 
@@ -179,8 +181,8 @@ class TestBuildOrders:
 
         for module in (families, core):
             for name in (
-                "cyclic_group", "_metacyclic", "_pair_table", "table_by_rows",
-                "coset_enumerate", "_sl23",
+                "cyclic_group", "_metacyclic", "_class2", "_pair_table",
+                "table_by_rows", "_sl23",
             ):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, no_table)
@@ -241,6 +243,55 @@ class TestMetacyclicTables:
             match="generator images do not extend to a homomorphism K -> Aut",
         ):
             _metacyclic(p, n, q, m, r, "x")
+
+
+# the families whose table is not a split metacyclic product, each against
+# the coset enumeration of its built-in presentation
+PRESENTED = (
+    *(f"Q({2 ** k})" for k in range(3, 10)),
+    "M(3)", "M(5)", "M(7)",
+    *(f"B1({n},2)" for n in range(1, 6)),
+    "B1(1,3)", "B1(2,3)", "B1(3,3)", "B1(1,5)", "B1(2,5)",
+)
+
+
+class TestPresentedFamilies:
+    @pytest.mark.parametrize("text", PRESENTED)
+    def test_table_is_the_presented_group(self, text):
+        from npscensus.lattice import _lattice_counts
+
+        spec = parse_spec(text)
+        table = build(spec, cap=1200)
+        order, presented = coset_enumerate(builtin_presentation(spec))
+        assert table.order == order == expected_order(spec)
+        assert are_isomorphic(table, presented, cap=1200)
+        assert _lattice_counts(table, 1200) == _lattice_counts(presented, 1200)
+
+    def test_build_enumerates_no_cosets(self, monkeypatch):
+        # every row at its smallest parameters, every spec of the extended
+        # formula sweep and every bucket instance is made as a table
+        from npscensus import coset
+        from npscensus.catalog import instantiate_bucket
+        from npscensus.cli import formula_sweep
+
+        def no_cosets(*args, **kwargs):
+            raise AssertionError("coset enumeration started")
+
+        monkeypatch.setattr(coset, "enumerate_cosets", no_cosets)
+        specs = [parse_spec(text) for text in SMALLEST.values()]
+        specs += formula_sweep(6, 1200)
+        for k in range(14):
+            specs += [spec for spec, _ in instantiate_bucket(k, 6, 600)]
+        for spec in specs:
+            assert build(spec, cap=1200).order == expected_order(spec)
+
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_carry_must_be_fixed_by_the_twist(self, t):
+        from npscensus.families import _metacyclic
+
+        # a^2 = b^t in C_4 x|_-1 C_2 needs -t = t mod 4
+        with pytest.raises(ValueError, match="do not extend to a homomorphism"):
+            _metacyclic(2, 1, 4, 1, -1, "x", t=t)
 
 
 class TestClaimedIsomorphisms:

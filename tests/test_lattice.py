@@ -9,6 +9,7 @@ reference lattice built by the pairwise-join closure of cyclic subgroups.
 """
 
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -39,7 +40,6 @@ from npscensus.lattice import (
     frattini,
     is_normal,
     omega,
-    power_equals_gcd_power,
     power_subgroup,
     power_subgroups,
     sylow,
@@ -344,9 +344,13 @@ class TestPowerSubgroups:
         assert (c.ps, c.nps) == (3, 5)
 
     def test_gcd_reduction(self, zoo):
+        # G^m = G^gcd(m, e) for every 1 <= m <= e
         for g in zoo.values():
             if g.order <= 60:
-                assert power_equals_gcd_power(g)
+                e = exponent(g)
+                for m in range(1, e + 1):
+                    want = power_subgroup(g, gcd(m, e)).members
+                    assert power_subgroup(g, m).members == want, (g, m)
 
 
 class TestCounts:
