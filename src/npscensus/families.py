@@ -4,9 +4,8 @@ Everything the package knows about a family kind sits in one row of
 `FAMILIES`: its spec syntax, its checks, its order, its construction, its
 built-in presentation and its display text.  `build` makes each table
 directly, by `_metacyclic` (Q(2^n) too), by the class-2 rule `_class2`
-(M(p) and B1(n,p)) or as a semidirect or direct product; the built-in
-presentations serve `present` and the tests, which check each table
-against them.
+(M(p), B1(n,p)) or as a product; the built-in presentations serve
+`present` and the tests, which check each table against them.
 
 `build` checks the order cap, `core.DEFAULT_ORDER_CAP` by default, once
 for the whole spec before any table is made; no constructor checks it.
@@ -242,14 +241,13 @@ def _metacyclic(p: int, n: int, q: int, m: int, r: int, label: str, t: int = 0) 
     With s = r^-k1 mod Q, (v1, k1) * (v2, k2) = (v1 + s * v2, k1 + k2),
     t added to v when k1 + k2 >= P.  So row (v1, k1) is Q blocks of P
     entries, block v2 being B(v1 + s * v2) = (v1 + s * v2) * P + the row
-    k1 of C_P, its wrapped entries carried to the block t further on.
-    As v1 + s * v2 = s * (v2 + u) for u = r^k1 * v1, the row is
-    W = B(0) B(s) B(2s) ... B((Q-1)s) rotated by u blocks: one slice of
-    W twice over.  W is the row of a^k1 itself; the row of a is made of
-    slices of doubled blocks of range(QP), and the row of a^(k1+1) is
-    the row of a^k1 picked at the row of a, so the whole table shares one
-    int object per element.  The inverse of (v, k) is (-r^k * v, -k),
-    less t on v for k > 0.
+    k1 of C_P, its wrapped entries carried to the block t further on.  As
+    v1 + s * v2 = s * (v2 + u) for u = r^k1 * v1, the row is W = B(0) B(s)
+    B(2s) ... B((Q-1)s) rotated by u blocks: one slice of W twice over.
+    W is the row of a^k1 itself; the row of a is made of slices of doubled
+    blocks of range(QP), and the row of a^(k1+1) is the row of a^k1 picked
+    at the row of a, so the whole table shares one int object per element.
+    The inverse of (v, k) is (-r^k * v, -k), less t on v for k > 0.
 
     `build` has checked the cap.  r^P = 1 and r * t = t mod Q, which make
     v -> r^-1 * v an automorphism of C_Q of order dividing P fixing
@@ -372,7 +370,9 @@ def _alternating(spec: FamilySpec, cap: int, label: str) -> Group:
 
 def _c3q8(spec: FamilySpec, cap: int, label: str) -> Group:
     q8 = build(FamilySpec(QUATERNION, (8,)), cap, check=False)
-    action = [(0, 2, 1), (0, 1, 2)]  # b inverts C3, a centralizes it
+    inv3 = (0, 2, 1)
+    id3 = (0, 1, 2)
+    action = [inv3] + [id3] * (len(q8.generators) - 1)
     return semidirect_product(cyclic_group(3), q8, action, cap=cap, label=label)
 
 
