@@ -5,6 +5,7 @@ Run:  python demos/03_presentations.py
 """
 
 from npscensus import (
+    CapExceeded,
     are_isomorphic,
     builtin_presentation,
     coset_enumerate,
@@ -39,8 +40,10 @@ def main() -> None:
     print()
     print("== an enumeration that cannot finish ==")
     infinite = parse_presentation("a, b | a^2 = 1")  # b is free
-    table = enumerate_cosets(infinite, max_cosets=64)
-    print(f"status for <a,b | a^2> with 64-coset cap: {table.status}")
+    try:
+        enumerate_cosets(infinite, max_cosets=64)
+    except CapExceeded as exc:
+        print(f"<a,b | a^2> with 64-coset cap: {exc}")
 
     print()
     print("== word syntax ==")

@@ -37,7 +37,7 @@ from .catalog import (
 )
 from .core import DEFAULT_ORDER_CAP, CapExceeded, element_orders
 from .corpus import CorpusEntry, CorpusError, load_corpus
-from .coset import DEFAULT_MAX_COSETS, complete_coset_table, group_from_coset_table
+from .coset import DEFAULT_MAX_COSETS, enumerate_cosets, group_from_coset_table
 from .families import (
     B1,
     B2,
@@ -431,7 +431,7 @@ def cmd_present(args) -> int:
     if text.startswith("@"):
         text = Path(text[1:]).read_text(encoding="utf-8").strip()
     pres = parse_presentation(text)
-    table = complete_coset_table(pres, max_cosets=args.max_cosets)
+    table = enumerate_cosets(pres, max_cosets=args.max_cosets)
     order = table.num_cosets
     print(f"presentation: {pres.to_text()}")
     print(f"order: {order}")

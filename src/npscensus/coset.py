@@ -4,7 +4,9 @@ HLT strategy: process live cosets in increasing order, scanning and filling
 every relator, then define any still-undefined entries in ascending column
 order.  Coincidences are resolved with a union-find over cosets.  The
 procedure is fully deterministic, so enumerating the same presentation
-twice yields identical tables.
+twice yields identical tables.  An enumeration either completes or raises
+CapExceeded at the first coset it would define past its budget; no
+partial table leaves the module.
 
 A relator that is a proper power w^k is not scanned again from the cosets
 c w, c w^2, ... once its scan from c is done: its cycle is already closed
@@ -27,21 +29,17 @@ class CosetTable(Record):
     """Action of the generators on cosets of the trivial subgroup.
 
     `rows[c][2*i]` is the coset c * gen_i, `rows[c][2*i + 1]` is
-    c * gen_i^-1.  Row 0 is the subgroup coset.  When `status` is
-    "capped" the table is the partial state at the cap.
+    c * gen_i^-1.  Row 0 is the subgroup coset.
     """
 
     num_generators: int
     rows: tuple[tuple[int, ...], ...]
-    status: str  # "complete" | "capped"
 
     @property
     def num_cosets(self) -> int:
         return len(self.rows)
 
     def generator_permutations(self) -> list[tuple[int, ...]]:
-        if self.status != "complete":
-            raise ValueError("table is not complete")
         return [
             tuple(row[2 * i] for row in self.rows)
             for i in range(self.num_generators)
@@ -73,7 +71,6 @@ class _Enumerator:
         self.max_cosets = max_cosets
         self.table: list[list[int]] = [[UNDEF] * self.ncols]
         self.p: list[int] = [0]
-        self.capped = False
 
     def rep(self, c: int) -> int:
         p = self.p
@@ -85,9 +82,12 @@ class _Enumerator:
         return r
 
     def define(self, c: int, col: int) -> int:
+        """A new coset c * col; at the cap, CapExceeded with nothing changed."""
         if len(self.table) >= self.max_cosets:
-            self.capped = True
-            return UNDEF
+            raise CapExceeded(
+                f"coset enumeration exceeded {self.max_cosets} cosets "
+                f"(presentation may be infinite)"
+            )
         d = len(self.table)
         self.table.append([UNDEF] * self.ncols)
         self.p.append(d)
@@ -158,10 +158,7 @@ class _Enumerator:
                 self.table[f][rel[i]] = b
                 self.table[b][_inv_col(rel[i])] = f
                 return
-            d = self.define(f, rel[i])
-            if d == UNDEF:
-                return
-            f = d
+            f = self.define(f, rel[i])
             i += 1
 
     def run(self) -> None:
@@ -180,8 +177,6 @@ class _Enumerator:
             scans.append((rel, walk, set()))
         c = 0
         while c < len(table):
-            if self.capped:
-                return
             if p[c] != c:
                 c += 1
                 continue
@@ -189,7 +184,7 @@ class _Enumerator:
                 if c in closed:
                     continue
                 self.scan_and_fill(c, rel)
-                if self.capped or p[c] != c:
+                if p[c] != c:
                     break
                 x = c
                 for col, ends_w in walk:
@@ -198,11 +193,10 @@ class _Enumerator:
                         x = self.rep(x)
                     if ends_w:
                         closed.add(x)
-            if not self.capped and p[c] == c:
+            if p[c] == c:
                 for col in range(self.ncols):
                     if table[c][col] == UNDEF:
-                        if self.define(c, col) == UNDEF:
-                            return
+                        self.define(c, col)
             c += 1
 
     def compressed(self) -> list[list[int]]:
@@ -219,32 +213,29 @@ class _Enumerator:
 def enumerate_cosets(
     pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS
 ) -> CosetTable:
-    """Run the enumeration; returns a complete or capped table."""
+    """The complete coset table; its row count is the group order.
+
+    Raises CapExceeded when the enumeration does not complete within
+    `max_cosets`.
+    """
     ngens = len(pres.generators)
-    if ngens == 0:
-        return CosetTable(0, ((),), "complete")
     relators = [_columns(r) for r in pres.relators if r]
     enum = _Enumerator(ngens, relators, max_cosets)
     enum.run()
-    rows = tuple(tuple(r) for r in enum.compressed())
-    return CosetTable(ngens, rows, "capped" if enum.capped else "complete")
+    return CosetTable(ngens, tuple(tuple(r) for r in enum.compressed()))
 
 
 def group_from_coset_table(table: CosetTable, label: str | None = None) -> Group:
-    """Concrete group from a completed table (regular representation).
+    """Concrete group from a complete table (regular representation).
 
     Cosets become group elements; coset 0 is the identity.  The
     multiplication table is filled column by column along a breadth-first
     spanning tree of the coset graph, so the result is deterministic.
     """
-    if table.status != "complete":
-        raise ValueError("cannot build a group from a capped table")
     n = table.num_cosets
     if n == 0:
         raise ValueError("empty coset table")
     rows = table.rows
-    if table.num_generators == 0:
-        return Group([[0]], [], label=label)
 
     # BFS parent/column words over the coset graph
     parent = [0] * n
@@ -268,23 +259,6 @@ def group_from_coset_table(table: CosetTable, label: str | None = None) -> Group
     return Group(mul, list(dict.fromkeys(g for g in gens if g != 0)), label=label)
 
 
-def complete_coset_table(
-    pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS
-) -> CosetTable:
-    """The complete coset table; its row count is the group order.
-
-    Raises CapExceeded when the enumeration does not complete within
-    `max_cosets`.
-    """
-    table = enumerate_cosets(pres, max_cosets)
-    if table.status != "complete":
-        raise CapExceeded(
-            f"coset enumeration exceeded {max_cosets} cosets "
-            f"(presentation may be infinite)"
-        )
-    return table
-
-
 def coset_enumerate(
     pres: Presentation,
     max_cosets: int = DEFAULT_MAX_COSETS,
@@ -295,5 +269,5 @@ def coset_enumerate(
     Raises CapExceeded when the enumeration does not complete within
     `max_cosets`.
     """
-    group = group_from_coset_table(complete_coset_table(pres, max_cosets), label=label)
+    group = group_from_coset_table(enumerate_cosets(pres, max_cosets), label=label)
     return group.order, group

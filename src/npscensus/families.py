@@ -14,10 +14,9 @@ for the whole spec before any table is made; no constructor checks it.
 from __future__ import annotations
 
 from itertools import chain, product, repeat
-from math import gcd
 from typing import Callable, Iterable
 
-from .arith import is_prime, multiplicative_order, prime_power
+from .arith import is_prime, prime_power
 from .core import (
     DEFAULT_ORDER_CAP,
     CapExceeded,
@@ -119,11 +118,15 @@ def _row(kind: str) -> Family:
 
 
 def _f_twist(q: int, r: int | None = None) -> int | None:
-    """r when given, else the smallest residue of multiplicative order 3
-    mod q, if one exists."""
-    if r is not None:
+    """r when given, else, for a prime q = 1 mod 3, the smaller of the two
+    residues of multiplicative order 3 mod q, and None for any other q.
+    They are w and w^2 for w = t^((q-1)/3), the first t that gives w != 1."""
+    if r is not None or not (q % 3 == 1 and is_prime(q)):
         return r
-    return next((t for t in range(2, q) if pow(t, 3, q) == 1), None)
+    for t in range(2, q):
+        w = pow(t, (q - 1) // 3, q)
+        if w != 1:
+            return min(w, w * w % q)
 
 
 def product_spec(*factors: FamilySpec) -> FamilySpec:
@@ -195,7 +198,7 @@ def _diagnose(spec: FamilySpec, family_checks: bool) -> str | None:
     elif len(p) != fam.arity:
         return f"{k} expects {fam.arity} parameter(s), got {len(p)}"
     elif any(v < 1 for v in p):
-        return f"{k} parameters must be positive"
+        return f"{str(spec).partition('(')[0]} parameters must be positive"
     return fam.check(spec) if family_checks and fam.check else None
 
 
@@ -479,7 +482,7 @@ def _check_f(spec: FamilySpec) -> str | None:
     if q % 3 != 1:
         return f"F requires p = 1 mod 3, got {q}"
     r = _f_twist(q, spec.r)
-    if r is None or gcd(r, q) != 1 or multiplicative_order(r, q) != 3:
+    if pow(r, 3, q) != 1 or r % q == 1:
         return f"twist {r} does not have order 3 mod {q}"
     return None
 

@@ -249,6 +249,25 @@ class TestNps:
         assert out == ""
         assert err == "invalid spec D(8,2): D expects 1 parameter(s), got 2\n"
 
+    @pytest.mark.parametrize("text, name", [("M(0)", "M"), ("Gn(0,9)", "Gn")])
+    def test_nonpositive_parameter_names_the_family_as_written(self, capsys, text, name):
+        code, out, err = run(capsys, "nps", text)
+        assert code == 2
+        assert out == ""
+        assert err == f"invalid spec {text}: {name} parameters must be positive\n"
+
+    def test_invalid_f_spec_with_a_huge_prime_is_quick(self, capsys):
+        # the diagnostic shows the spec, whose text compares r with the
+        # default twist mod p = 10^18 + 3
+        start = time.process_time()
+        code, out, err = run(capsys, "nps", "F(0,1000000000000000003,5)")
+        assert time.process_time() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "invalid spec F(0,1000000000000000003,5): F parameters must be positive\n"
+        )
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -483,14 +502,14 @@ class TestPresent:
         assert "nonpower subgroups: 17" in out
 
     def test_abelian_counts_match_the_lattice(self, capsys):
-        from npscensus.coset import complete_coset_table, group_from_coset_table
+        from npscensus.coset import enumerate_cosets, group_from_coset_table
         from npscensus.lattice import _lattice_counts
         from npscensus.presentation import parse_presentation
 
         text = "a, b | a^4, b^6, a^-1 b^-1 a b"
         code, out, _ = run(capsys, "present", text)
         assert code == 0
-        g = group_from_coset_table(complete_coset_table(parse_presentation(text)))
+        g = group_from_coset_table(enumerate_cosets(parse_presentation(text)))
         c = _lattice_counts(g, 600)
         assert out.splitlines()[1:] == [
             f"order: {c.order}",
@@ -525,11 +544,30 @@ class TestPresent:
         assert "isomorphic to C(2)xC(2): no" in out
 
     def test_capped_enumeration_exits_2(self, capsys):
-        code, _, err = run(
+        code, out, err = run(
             capsys, "present", "a,b | a^2=1", "--max-cosets", "40"
         )
         assert code == 2
-        assert "cap" in err
+        assert out == ""
+        assert "coset enumeration exceeded 40 cosets (presentation may be infinite)" in err
+
+    @pytest.mark.parametrize(
+        "text, need",
+        [
+            ("a | a^6 = 1", 6),
+            ("a, b | a^2 = 1, b^3 = 1, (a b)^5 = 1", 82),
+            ("a, b, z | a^4 = b^2 = z, z^2 = 1, b^-1 a b = a^-1", 21),
+            ("x, y, z | x^3 = y^3 = z^3 = 1, [x,z] = 1, [y,z] = 1, [x,y] = z", 43),
+        ],
+    )
+    def test_smallest_coset_budget_that_completes(self, capsys, text, need):
+        code, out, _ = run(capsys, "present", text, "--max-cosets", str(need))
+        assert code == 0
+        assert "order: " in out
+        code, out, err = run(capsys, "present", text, "--max-cosets", str(need - 1))
+        assert code == 2
+        assert out == ""
+        assert f"exceeded {need - 1} cosets" in err
 
     def test_over_cap_order_rejected_before_building(self, capsys, monkeypatch):
         import npscensus.cli
@@ -598,6 +636,30 @@ class TestPresent:
             "invalid spec M(3,1000000016000000063): "
             "1000000016000000063 is not prime\n"
         )
+
+    def test_iso_check_with_a_wrong_f_twist_mod_a_huge_prime(self, capsys):
+        # 5 has no order 3 mod the prime 10^18 + 3: no search for its order
+        start = time.process_time()
+        code, _, err = run(
+            capsys, "present", "a | a^2 = 1", "--iso-check", "F(1,1000000000000000003,5)"
+        )
+        assert time.process_time() - start < 1.0
+        assert code == 2
+        assert err == (
+            "invalid spec F(1,1000000000000000003,5): "
+            "twist 5 does not have order 3 mod 1000000000000000003\n"
+        )
+
+    def test_iso_check_with_the_default_f_twist_mod_a_huge_prime(self, capsys):
+        # the default twist, a cube root of unity mod 10^18 + 3, is found
+        # without a search over the residues
+        start = time.process_time()
+        code, out, _ = run(
+            capsys, "present", "a | a^2 = 1", "--iso-check", "F(1,1000000000000000003)"
+        )
+        assert time.process_time() - start < 1.0
+        assert code == 1
+        assert out.endswith("isomorphic to F(1,1000000000000000003): no\n")
 
     def test_presentation_from_file(self, capsys, tmp_path):
         path = tmp_path / "pres.txt"

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from npscensus import coset
 from npscensus.core import CapExceeded, center, exponent, is_abelian
 from npscensus.coset import (
     DEFAULT_MAX_COSETS,
@@ -59,11 +60,19 @@ class TestEnumeration:
         order, g = coset_enumerate(Presentation((), ()))
         assert order == 1
 
+    def test_no_generators_take_the_general_path(self):
+        table = enumerate_cosets(Presentation((), ()))
+        assert table == CosetTable(0, ((),))
+        g = group_from_coset_table(table)
+        assert (g.order, g.mul, g.generators) == (1, ((0,),), ())
+
     def test_generator_with_no_relators_caps(self):
-        table = enumerate_cosets(parse_presentation("a,b | a^2=1"), max_cosets=50)
-        assert table.status == "capped"
-        with pytest.raises(CapExceeded):
-            coset_enumerate(parse_presentation("a,b | a^2=1"), max_cosets=50)
+        pres = parse_presentation("a,b | a^2=1")
+        message = "coset enumeration exceeded 50 cosets (presentation may be infinite)"
+        for run in (enumerate_cosets, coset_enumerate):
+            with pytest.raises(CapExceeded) as info:
+                run(pres, max_cosets=50)
+            assert str(info.value) == message
 
     def test_collapse_to_trivial(self):
         # b = b^2 forces b = 1
@@ -81,7 +90,6 @@ class TestCosetTable:
         table = enumerate_cosets(
             parse_presentation("a,b | a^2=1, b^3=1, a^-1 b a = b^-1")
         )
-        assert table.status == "complete"
         for perm in table.generator_permutations():
             assert sorted(perm) == list(range(table.num_cosets))
 
@@ -90,11 +98,6 @@ class TestCosetTable:
         t1 = enumerate_cosets(parse_presentation(text))
         t2 = enumerate_cosets(parse_presentation(text))
         assert t1 == t2
-
-    def test_group_from_capped_table_rejected(self):
-        table = enumerate_cosets(parse_presentation("a,b | a^2=1"), max_cosets=50)
-        with pytest.raises(ValueError, match="capped"):
-            group_from_coset_table(table)
 
     def test_row_zero_is_subgroup_coset(self):
         table = enumerate_cosets(parse_presentation("a | a^4 = 1"))
@@ -119,8 +122,9 @@ class TestCosetTable:
 class _ReferenceHLT:
     """Plain HLT: scans every relator from every live coset, skipping none.
 
-    Same definition order, union-find and cap as `enumerate_cosets`, so the
-    two must give equal tables; kept apart from the module on purpose.
+    Same definition order, union-find and cap as `coset._Enumerator`, so
+    the two must give equal tables, and stop at the cap in the same state;
+    kept apart from the module on purpose.
     """
 
     def __init__(self, pres, max_cosets):
@@ -264,11 +268,19 @@ EQUIVALENCE_CASES = (
 
 class TestSkippedScansChangeNothing:
     """A relator w^k is not rescanned where its cycle is already closed;
-    the table must be the one the plain HLT gives, complete or capped."""
+    the table must be the one the plain HLT gives, complete or, where the
+    enumeration raises at the cap, the partial one it leaves behind."""
 
     @pytest.mark.parametrize("cap", [37, 200, DEFAULT_MAX_COSETS])
     @pytest.mark.parametrize("text", EQUIVALENCE_CASES)
     def test_same_rows_and_status_as_plain_hlt(self, text, cap):
         pres = parse_presentation(text)
-        table = enumerate_cosets(pres, cap)
-        assert (table.rows, table.status) == _ReferenceHLT(pres, cap).rows_and_status()
+        relators = [coset._columns(r) for r in pres.relators if r]
+        enum = coset._Enumerator(len(pres.generators), relators, cap)
+        try:
+            enum.run()
+            status = "complete"
+        except CapExceeded:
+            status = "capped"
+        rows = tuple(map(tuple, enum.compressed()))
+        assert (rows, status) == _ReferenceHLT(pres, cap).rows_and_status()

@@ -20,6 +20,7 @@ from npscensus.families import (
     SYM,
     FamilySpec,
     UnknownFamilyError,
+    _f_twist,
     build,
     builtin_presentation,
     cyclic_spec,
@@ -49,6 +50,25 @@ class TestValidate:
 
     def test_f_family_needs_p_1_mod_3(self):
         assert validate(FamilySpec(FFAMILY, (1, 5))) is not None
+
+    @pytest.mark.parametrize("q", [7, 13, 19, 31, 37, 43, 61, 67, 73, 79, 97])
+    def test_f_family_twist_test_is_order_three(self, q):
+        # r of order 3 mod q: r^3 = 1 and r != 1, for every residue class
+        # and for r = 0 mod q, which is not a unit
+        for r in range(-3 * q, 3 * q):
+            order_three = r % q != 1 and pow(r, 3, q) == 1
+            assert (validate(FamilySpec(FFAMILY, (1, q), r=r)) is None) == order_three
+
+    def test_f_family_default_twist_is_the_smallest_cube_root_of_unity(self):
+        for q in range(2, 3000):
+            if is_prime(q):
+                roots = [t for t in range(2, q) if pow(t, 3, q) == 1]
+                assert _f_twist(q) == (roots[0] if roots else None)
+        # no twist is searched for any q but a prime = 1 mod 3
+        assert _f_twist(91) is None
+        q = 10**18 + 3
+        w = _f_twist(q)
+        assert w != 1 and pow(w, 3, q) == 1 and w < q - 1 - w
 
     def test_modular_parameter_floor(self):
         assert validate(FamilySpec(MODULAR, (3, 2))) is not None  # needs n >= 4 at p=2
@@ -394,6 +414,12 @@ class TestSpecDisplay:
     @pytest.mark.parametrize("text", ["D(8,2)", "Sym(3,3)", "C(2)xD(8,2)", "D()"])
     def test_wrong_parameter_count_shown_as_given(self, text):
         assert str(parse_spec(text)) == text
+
+    def test_explicit_twist_shown_unless_it_is_the_default(self):
+        assert str(parse_spec("F(1,7,2)")) == "F(1,7)"
+        assert str(parse_spec("F(1,7,4)")) == "F(1,7,4)"
+        # 9^3 = 1 mod 91, but only a prime q = 1 mod 3 has a default twist
+        assert str(parse_spec("F(1,91,9)")) == "F(1,91,9)"
 
     def test_build_labels_groups(self):
         g = build(parse_spec("M(4,3)"))

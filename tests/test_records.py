@@ -56,9 +56,9 @@ CASES = [
         "CorpusEntry(name='S3', degree=3, generators=((1, 0, 2), (1, 2, 0)))",
     ),
     (
-        CosetTable(1, ((1, 1), (0, 0)), "complete"),
-        (1, ((1, 1), (0, 0)), "complete"),
-        "CosetTable(num_generators=1, rows=((1, 1), (0, 0)), status='complete')",
+        CosetTable(1, ((1, 1), (0, 0))),
+        (1, ((1, 1), (0, 0))),
+        "CosetTable(num_generators=1, rows=((1, 1), (0, 0)))",
     ),
     (
         FamilySpec("prod", (), None, (SPEC, FamilySpec("C", (2,)))),
