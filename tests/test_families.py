@@ -1,11 +1,17 @@
 """Family spec validation, construction, and built-in presentations."""
 
 import re
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
-from npscensus.arith import factorize, integer_root, is_prime, prime_power
+from npscensus.arith import (
+    factorize,
+    integer_root,
+    is_prime,
+    multiplicative_order,
+    prime_power,
+)
 from npscensus.core import CapExceeded, exponent, is_abelian
 from npscensus.coset import coset_enumerate
 from npscensus.families import (
@@ -53,10 +59,9 @@ class TestValidate:
 
     @pytest.mark.parametrize("q", [7, 13, 19, 31, 37, 43, 61, 67, 73, 79, 97])
     def test_f_family_twist_test_is_order_three(self, q):
-        # r of order 3 mod q: r^3 = 1 and r != 1, for every residue class
-        # and for r = 0 mod q, which is not a unit
+        # every residue class, r = 0 mod q (not a unit) among them
         for r in range(-3 * q, 3 * q):
-            order_three = r % q != 1 and pow(r, 3, q) == 1
+            order_three = gcd(r, q) == 1 and multiplicative_order(r, q) == 3
             assert (validate(FamilySpec(FFAMILY, (1, q), r=r)) is None) == order_three
 
     def test_f_family_default_twist_is_the_smallest_cube_root_of_unity(self):
