@@ -77,6 +77,7 @@ from .families import (
     metacyclic_of,
     product_spec,
 )
+from .specs import parse_spec
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -428,39 +429,39 @@ def expected_nps(spec: FamilySpec) -> ExpectedNps:
 class BucketMember(Record):
     """One entry of a classification bucket.
 
-    `template` is display text with n free when `instantiate` varies over
-    n; `constraints` states the side conditions on free parameters, which
-    verification instantiates at their smallest admissible values.
+    `template` is display text with n free when `lowest_n` is set;
+    `constraints` states the side conditions on free parameters, which
+    verification instantiates at their smallest admissible values.  `spec`
+    is the spec text of the instance, with `{}` for n when `lowest_n` is
+    set.
     """
 
     template: str
     constraints: str
     lowest_n: int | None  # None for fixed members
-    make: object  # FamilySpec | callable n -> FamilySpec
+    spec: str
 
     def instances(self, max_n: int | None = None) -> Iterator[FamilySpec]:
         """The member's instances in order of n, from `lowest_n` up to
         `max_n` (without end when None); a fixed member yields its one
         spec.  Every member's order rises strictly with n."""
         if self.lowest_n is None:
-            yield self.make  # type: ignore[misc]
+            yield parse_spec(self.spec)
             return
         n = self.lowest_n
         while max_n is None or n <= max_n:
-            yield self.make(n)  # type: ignore[operator]
+            yield parse_spec(self.spec.format(n))
             n += 1
 
 
-def _fixed(template: str, spec: FamilySpec, constraints: str = "") -> BucketMember:
-    return BucketMember(template, constraints, None, spec)
+def _fixed(template: str, spec: str | None = None, constraints: str = "") -> BucketMember:
+    return BucketMember(template, constraints, None, spec or template)
 
 
-def _over_n(template: str, make, constraints: str = "n >= 1", lowest: int = 1) -> BucketMember:
-    return BucketMember(template, constraints, lowest, make)
-
-
-def _cy(*orders: int) -> FamilySpec:
-    return product_spec(*(cyclic_spec(o) for o in orders))
+def _over_n(
+    template: str, spec: str, constraints: str = "n >= 1", lowest: int = 1
+) -> BucketMember:
+    return BucketMember(template, constraints, lowest, spec)
 
 
 def theorem_catalog(k: int) -> tuple[BucketMember, ...]:
@@ -478,119 +479,81 @@ def theorem_catalog(k: int) -> tuple[BucketMember, ...]:
 def _buckets() -> dict[int, tuple[BucketMember, ...]]:
     """The fourteen classification buckets, built on first use and then
     shared: every member is an immutable record."""
-    q8 = FamilySpec(QUATERNION, (8,))
     return {
-        0: (
-            _over_n("C(n)", lambda n: cyclic_spec(n), "any cyclic group; sampled n"),
-        ),
+        0: (_over_n("C(n)", "C({})", "any cyclic group; sampled n"),),
         1: (),
         2: (),
-        3: (
-            _fixed("C(2)xC(2)", _cy(2, 2)),
-            _fixed("Q(8)", q8),
-            _over_n("Gn(n,3)", lambda n: FamilySpec(GSHORT, (n, 3, 1))),
-        ),
-        4: (_fixed("C(3)xC(3)", _cy(3, 3)),),
-        5: (
-            _fixed("C(2)xC(4)", _cy(2, 4)),
-            _over_n("Gn(n,5)", lambda n: FamilySpec(GSHORT, (n, 5, 1))),
-        ),
+        3: (_fixed("C(2)xC(2)"), _fixed("Q(8)"), _over_n("Gn(n,3)", "Gn({},3)")),
+        4: (_fixed("C(3)xC(3)"),),
+        5: (_fixed("C(2)xC(4)"), _over_n("Gn(n,5)", "Gn({},5)")),
         6: (
-            _fixed("C(5)xC(5)", _cy(5, 5)),
-            _fixed("C(2)xC(2)xC(p)", _cy(2, 2, 3), "p > 2 prime; p = 3"),
-            _fixed("Q(8)xC(p)", product_spec(q8, cyclic_spec(3)), "p > 2 prime; p = 3"),
-            _over_n(
-                "Gn(n,3)xC(q)",
-                lambda n: product_spec(FamilySpec(GSHORT, (n, 3, 1)), cyclic_spec(5)),
-                "n >= 1, q > 3 prime; q = 5",
-            ),
+            _fixed("C(5)xC(5)"),
+            _fixed("C(2)xC(2)xC(p)", "C(2)xC(2)xC(3)", "p > 2 prime; p = 3"),
+            _fixed("Q(8)xC(p)", "Q(8)xC(3)", "p > 2 prime; p = 3"),
+            _over_n("Gn(n,3)xC(q)", "Gn({},3)xC(5)", "n >= 1, q > 3 prime; q = 5"),
         ),
         7: (
-            _fixed("D(8)", FamilySpec(DIHEDRAL, (8,))),
-            _fixed("Alt(4)", FamilySpec(ALT, (4,))),
-            _fixed("C(2)xC(8)", _cy(2, 8)),
-            _fixed("Q(16)", FamilySpec(QUATERNION, (16,))),
-            _fixed("M(4,2)", FamilySpec(MODULAR, (4, 2))),
-            _fixed("C(3)xC(9)", _cy(3, 9)),
-            _fixed("M(3,3)", FamilySpec(MODULAR, (3, 3))),
-            _over_n("Gn(n,7)", lambda n: FamilySpec(GSHORT, (n, 7, 1))),
-            _over_n("F(n,7)", lambda n: FamilySpec(FFAMILY, (n, 7))),
+            _fixed("D(8)"),
+            _fixed("Alt(4)"),
+            _fixed("C(2)xC(8)"),
+            _fixed("Q(16)"),
+            _fixed("M(4,2)"),
+            _fixed("C(3)xC(9)"),
+            _fixed("M(3,3)"),
+            _over_n("Gn(n,7)", "Gn({},7)"),
+            _over_n("F(n,7)", "F({},7)"),
         ),
         8: (
-            _fixed("C(7)xC(7)", _cy(7, 7)),
-            _fixed("C(3)xC(3)xC(p)", _cy(3, 3, 2), "p != 3 prime; p = 2"),
+            _fixed("C(7)xC(7)"),
+            _fixed("C(3)xC(3)xC(p)", "C(3)xC(3)xC(2)", "p != 3 prime; p = 2"),
         ),
         9: (
-            _fixed("C(2)xC(16)", _cy(2, 16)),
-            _fixed("M(5,2)", FamilySpec(MODULAR, (5, 2))),
-            _fixed("C(2)xC(2)xC(p^2)", _cy(2, 2, 9), "p > 2 prime; p = 3"),
-            _fixed("Q(8)xC(p^2)", product_spec(q8, cyclic_spec(9)), "p > 2 prime; p = 3"),
-            _over_n(
-                "Gn(n,3)xC(q^2)",
-                lambda n: product_spec(FamilySpec(GSHORT, (n, 3, 1)), cyclic_spec(25)),
-                "n >= 1, q > 3 prime; q = 5",
-            ),
+            _fixed("C(2)xC(16)"),
+            _fixed("M(5,2)"),
+            _fixed("C(2)xC(2)xC(p^2)", "C(2)xC(2)xC(9)", "p > 2 prime; p = 3"),
+            _fixed("Q(8)xC(p^2)", "Q(8)xC(9)", "p > 2 prime; p = 3"),
+            _over_n("Gn(n,3)xC(q^2)", "Gn({},3)xC(25)", "n >= 1, q > 3 prime; q = 5"),
         ),
         10: (
-            _fixed("C(3)xC(27)", _cy(3, 27)),
-            _fixed("C(2)xC(4)xC(p)", _cy(2, 4, 3), "p != 2 prime; p = 3"),
-            _fixed("M(4,3)", FamilySpec(MODULAR, (4, 3))),
-            _fixed("Sym(3)xC(3)", product_spec(FamilySpec(SYM, (3,)), cyclic_spec(3))),
-            _fixed("A(2)", FamilySpec(AFAMILY, (2,))),
-            _over_n(
-                "G(r=2;p=2,n;q=5,m=1)",
-                lambda n: FamilySpec(GENERAL, (2, n, 5, 1), r=2),
-                "n >= 2",
-                lowest=2,
-            ),
-            _over_n(
-                "Gn(n,5)xC(q)",
-                lambda n: product_spec(FamilySpec(GSHORT, (n, 5, 1)), cyclic_spec(3)),
-                "n >= 1, q prime, q != 2, 5; q = 3",
-            ),
+            _fixed("C(3)xC(27)"),
+            _fixed("C(2)xC(4)xC(p)", "C(2)xC(4)xC(3)", "p != 2 prime; p = 3"),
+            _fixed("M(4,3)"),
+            _fixed("Sym(3)xC(3)"),
+            _fixed("A(2)"),
+            _over_n("G(r=2;p=2,n;q=5,m=1)", "G(r=2;p=2,n={};q=5,m=1)", "n >= 2", lowest=2),
+            _over_n("Gn(n,5)xC(q)", "Gn({},5)xC(3)", "n >= 1, q prime, q != 2, 5; q = 3"),
         ),
         11: (
-            _fixed("C(2)xC(32)", _cy(2, 32)),
-            _fixed("C(5)xC(25)", _cy(5, 25)),
-            _fixed("S(16)", FamilySpec(SEMIDIHEDRAL, (16,))),
-            _fixed("M(6,2)", FamilySpec(MODULAR, (6, 2))),
-            _fixed("M(3,5)", FamilySpec(MODULAR, (3, 5))),
-            _fixed("SL23", FamilySpec(SL23, ())),
-            _over_n("Gn(n,11)", lambda n: FamilySpec(GSHORT, (n, 11, 1))),
-            _over_n(
-                "G(r=3;p=5,n;q=11,m=1)",
-                lambda n: FamilySpec(GENERAL, (5, n, 11, 1), r=3),
-            ),
+            _fixed("C(2)xC(32)"),
+            _fixed("C(5)xC(25)"),
+            _fixed("S(16)"),
+            _fixed("M(6,2)"),
+            _fixed("M(3,5)"),
+            _fixed("SL23"),
+            _over_n("Gn(n,11)", "Gn({},11)"),
+            _over_n("G(r=3;p=5,n;q=11,m=1)", "G(r=3;p=5,n={};q=11,m=1)"),
         ),
         12: (
-            _fixed("C(4)xC(4)", _cy(4, 4)),
-            _fixed("C(11)xC(11)", _cy(11, 11)),
-            _fixed(
-                "Q(8)xC(qr)",
-                product_spec(q8, cyclic_spec(35)),
-                "q, r primes, 3 < q < r; q = 5, r = 7",
-            ),
-            _fixed("C(2)xC(2)xC(qr)", _cy(2, 2, 35), "3 < q < r primes; q = 5, r = 7"),
-            _fixed("C(3)xC(3)xC(s^2)", _cy(3, 3, 4), "s != 3 prime; s = 2"),
-            _fixed("C(5)xC(5)xC(p)", _cy(5, 5, 2), "p != 5 prime; p = 2"),
-            _fixed("B2(2,2)", FamilySpec(B2, (2, 2))),
-            _over_n("Gn(n,9)", lambda n: FamilySpec(GSHORT, (n, 3, 2))),
-            _over_n(
-                "Gn(n,3)xC(qr)",
-                lambda n: product_spec(FamilySpec(GSHORT, (n, 3, 1)), cyclic_spec(35)),
-                "n >= 1, 3 < q < r primes; q = 5, r = 7",
-            ),
+            _fixed("C(4)xC(4)"),
+            _fixed("C(11)xC(11)"),
+            _fixed("Q(8)xC(qr)", "Q(8)xC(35)", "q, r primes, 3 < q < r; q = 5, r = 7"),
+            _fixed("C(2)xC(2)xC(qr)", "C(2)xC(2)xC(35)", "3 < q < r primes; q = 5, r = 7"),
+            _fixed("C(3)xC(3)xC(s^2)", "C(3)xC(3)xC(4)", "s != 3 prime; s = 2"),
+            _fixed("C(5)xC(5)xC(p)", "C(5)xC(5)xC(2)", "p != 5 prime; p = 2"),
+            _fixed("B2(2,2)"),
+            _over_n("Gn(n,9)", "Gn({},9)"),
+            _over_n("Gn(n,3)xC(qr)", "Gn({},3)xC(35)", "n >= 1, 3 < q < r primes; q = 5, r = 7"),
         ),
         13: (
-            _fixed("C(2)xC(64)", _cy(2, 64)),
-            _fixed("C(3)xC(81)", _cy(3, 81)),
-            _fixed("M(7,2)", FamilySpec(MODULAR, (7, 2))),
-            _fixed("M(5,3)", FamilySpec(MODULAR, (5, 3))),
-            _fixed("D(12)", FamilySpec(DIHEDRAL, (12,)), "Sym(3) x C2"),
-            _fixed("C3Q8", FamilySpec(C3Q8, ())),
-            _fixed("A(3)", FamilySpec(AFAMILY, (3,))),
-            _over_n("Gn(n,13)", lambda n: FamilySpec(GSHORT, (n, 13, 1))),
-            _over_n("F(n,13)", lambda n: FamilySpec(FFAMILY, (n, 13))),
+            _fixed("C(2)xC(64)"),
+            _fixed("C(3)xC(81)"),
+            _fixed("M(7,2)"),
+            _fixed("M(5,3)"),
+            _fixed("D(12)", constraints="Sym(3) x C2"),
+            _fixed("C3Q8"),
+            _fixed("A(3)"),
+            _over_n("Gn(n,13)", "Gn({},13)"),
+            _over_n("F(n,13)", "F({},13)"),
         ),
     }
 

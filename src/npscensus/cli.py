@@ -39,28 +39,11 @@ from .core import DEFAULT_ORDER_CAP, CapExceeded, element_orders
 from .corpus import CorpusEntry, CorpusError, load_corpus
 from .coset import DEFAULT_MAX_COSETS, enumerate_cosets, group_from_coset_table
 from .families import (
-    B1,
-    B2,
-    DIHEDRAL,
-    EXTRASPECIAL,
-    FFAMILY,
-    GENERAL,
-    GSHORT,
-    MODULAR,
-    QUATERNION,
-    SEMIDIHEDRAL,
-    SL23,
-    SYM,
-    XFAMILY,
-    C3Q8,
-    AFAMILY,
     FamilySpec,
     build,
-    cyclic_spec,
     expected_order,
     metacyclic_of,
     order_up_to,
-    product_spec,
     shape_error,
     split_cyclic,
     validate,
@@ -110,76 +93,32 @@ def _record(spec: FamilySpec, exp: ExpectedNps, computed: int) -> dict[str, obje
 # verify-formulas sweep
 
 
-def _gn(n: int, qm_pairs: tuple[int, int]) -> FamilySpec:
-    q, m = qm_pairs
-    return FamilySpec(GSHORT, (n, q, m))
-
-
 def formula_sweep(max_n: int = 4, max_order: int = DEFAULT_ORDER_CAP) -> list[FamilySpec]:
     """The default catalog sweep, in fixed report order."""
-    q8 = FamilySpec(QUATERNION, (8,))
-    c2, c3 = cyclic_spec(2), cyclic_spec(3)
-    specs: list[FamilySpec] = []
-    specs += [FamilySpec(DIHEDRAL, (2**n,)) for n in range(3, 7)]
-    specs += [FamilySpec(QUATERNION, (2**n,)) for n in range(3, 7)]
-    specs += [FamilySpec(SEMIDIHEDRAL, (2**n,)) for n in range(4, 7)]
-    specs += [FamilySpec(MODULAR, (n, 2)) for n in range(4, 8)]
-    specs += [FamilySpec(MODULAR, (n, 3)) for n in range(3, 6)]
-    specs += [FamilySpec(MODULAR, (3, 5))]
-    specs += [FamilySpec(EXTRASPECIAL, (3,)), FamilySpec(EXTRASPECIAL, (5,))]
-    for qm in ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)):
-        specs += [_gn(n, qm) for n in range(1, max_n + 1)]
-    specs += [FamilySpec(FFAMILY, (n, 7)) for n in (1, 2)]
-    specs += [FamilySpec(FFAMILY, (n, 13)) for n in (1, 2)]
-    specs += [FamilySpec(AFAMILY, (n,)) for n in (1, 2, 3)]
+    texts = [f"D({2**n})" for n in range(3, 7)] + [f"Q({2**n})" for n in range(3, 7)]
+    texts += [f"S({2**n})" for n in range(4, 7)]
+    texts += [f"M({n},2)" for n in range(4, 8)] + [f"M({n},3)" for n in range(3, 6)]
+    texts += ["M(3,5)", "M(3)", "M(5)"]
+    texts += [f"Gn({n},{q})" for q in (3, 5, 7, 9, 11, 13) for n in range(1, max_n + 1)]
+    texts += ["F(1,7)", "F(2,7)", "F(1,13)", "F(2,13)", "A(1)", "A(2)", "A(3)"]
     # distinct-prime metacyclic spot checks
-    specs += [
-        FamilySpec(GENERAL, (2, 2, 5, 1), r=2),
-        FamilySpec(GENERAL, (2, 3, 5, 1), r=2),
-        FamilySpec(GENERAL, (5, 1, 11, 1), r=3),
-        FamilySpec(GENERAL, (2, 1, 3, 2), r=-1),
-        FamilySpec(GENERAL, (3, 1, 7, 1), r=2),
-    ]
+    texts += ["G(r=2;p=2,n=2;q=5,m=1)", "G(r=2;p=2,n=3;q=5,m=1)", "G(r=3;p=5,n=1;q=11,m=1)"]
+    texts += ["G(r=-1;p=2,n=1;q=3,m=2)", "G(r=2;p=3,n=1;q=7,m=1)"]
     # same-prime metacyclic instances sharing the abelian counts
-    specs += [
-        FamilySpec(GENERAL, (3, 1, 3, 1), r=4),
-        FamilySpec(GENERAL, (3, 2, 3, 1), r=7),
-        FamilySpec(GENERAL, (5, 1, 5, 1), r=6),
-        FamilySpec(GENERAL, (3, 1, 3, 2), r=4),
-        FamilySpec(GENERAL, (3, 2, 3, 2), r=4),
-        FamilySpec(GENERAL, (5, 1, 5, 2), r=6),
-    ]
-    specs += [FamilySpec(B1, p) for p in ((2, 2), (2, 3), (3, 2))]
-    specs += [FamilySpec(B2, p) for p in ((2, 2), (2, 3), (3, 2))]
-    specs += [
-        product_spec(_gn(1, (3, 1)), c3),
-        product_spec(_gn(2, (3, 1)), c3),
-        product_spec(_gn(1, (3, 1)), c3, c3),
-        product_spec(q8, c2),
-        product_spec(q8, c2, c2),
-        FamilySpec(SL23, ()),
-        FamilySpec(SYM, (4,)),
-        FamilySpec(C3Q8, ()),
-        product_spec(FamilySpec(DIHEDRAL, (6,)), c2),
-        product_spec(FamilySpec(DIHEDRAL, (10,)), c2),
-        product_spec(FamilySpec(DIHEDRAL, (14,)), c2),
-        product_spec(FamilySpec(DIHEDRAL, (6,)), c2, c2),
-        FamilySpec(XFAMILY, (1, 3)),
-        FamilySpec(XFAMILY, (2, 3)),
-        FamilySpec(XFAMILY, (3, 3)),
-        FamilySpec(XFAMILY, (1, 5)),
-        FamilySpec(XFAMILY, (2, 5)),
-        FamilySpec(XFAMILY, (1, 7)),
-    ]
+    texts += ["G(r=4;p=3,n=1;q=3,m=1)", "G(r=7;p=3,n=2;q=3,m=1)", "G(r=6;p=5,n=1;q=5,m=1)"]
+    texts += ["G(r=4;p=3,n=1;q=3,m=2)", "G(r=4;p=3,n=2;q=3,m=2)", "G(r=6;p=5,n=1;q=5,m=2)"]
+    texts += [f"B{i}({n},{p})" for i in (1, 2) for n, p in ((2, 2), (2, 3), (3, 2))]
+    texts += ["Gn(1,3)xC(3)", "Gn(2,3)xC(3)", "Gn(1,3)xC(3)xC(3)", "Q(8)xC(2)", "Q(8)xC(2)xC(2)"]
+    texts += ["SL23", "Sym(4)", "C3Q8", "D(6)xC(2)", "D(10)xC(2)", "D(14)xC(2)", "D(6)xC(2)xC(2)"]
+    texts += [f"X({n},{p})" for n, p in ((1, 3), (2, 3), (3, 3), (1, 5), (2, 5), (1, 7))]
     # rank-2 abelian p-groups: printed formula vs enumeration
-    for p in (2, 3, 5):
-        for n2 in range(1, 7):
-            for n1 in range(1, n2 + 1):
-                if p ** (n1 + n2) <= max_order:
-                    specs.append(
-                        product_spec(cyclic_spec(p**n1), cyclic_spec(p**n2))
-                    )
-    return [s for s in specs if expected_order(s) <= max_order]
+    texts += [
+        f"C({p**n1})xC({p**n2})"
+        for p in (2, 3, 5)
+        for n2 in range(1, 7)
+        for n1 in range(1, n2 + 1)
+    ]
+    return [s for s in map(parse_spec, texts) if expected_order(s) <= max_order]
 
 
 def _spec_counts(spec: FamilySpec, max_order: int) -> CountSummary:
@@ -577,6 +516,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

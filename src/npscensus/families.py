@@ -500,7 +500,7 @@ def _fmt_f(spec: FamilySpec) -> str:
 
 
 def _parse_general(args: list[int], named: dict[str, int]) -> FamilySpec:
-    if args or any(k not in named for k in "rpnqm"):
+    if args or named.keys() != set("rpnqm"):
         raise ValueError(
             "G uses named arguments r, p, n, q, m, e.g. G(r=2;p=2,n=3;q=5,m=1)"
         )

@@ -46,6 +46,8 @@ def _parse_args(body: str, pos: int) -> tuple[list[int], dict[str, int]]:
         if "=" in part:
             key, _, val = part.partition("=")
             key = key.strip().lower()
+            if key in named:
+                raise SpecError(f"repeated argument {key!r}", pos)
             try:
                 named[key] = int(val.strip())
             except ValueError:

@@ -359,6 +359,27 @@ class TestBucketWalk:
         assert len(within) < len(theorem_catalog(12))
 
 
+class TestSpecText:
+    """The sweep and the buckets are written as spec text, and each report
+    label is that text: it parses back to the spec it labels."""
+
+    def test_report_labels_parse_back(self):
+        from npscensus.cli import formula_sweep
+
+        specs = formula_sweep(4, 600) + formula_sweep(6, 1200)
+        specs += [s for k in range(14) for s, _ in instantiate_bucket(k, 6, 1200)]
+        assert [s for s in specs if parse_spec(str(s)) != s] == []
+
+    @pytest.mark.parametrize("k", range(14))
+    def test_member_instances_print_as_their_spec_text(self, k):
+        for member in theorem_catalog(k):
+            if member.lowest_n is None:
+                assert [str(s) for s in member.instances()] == [member.spec]
+            else:
+                texts = [member.spec.format(n) for n in range(member.lowest_n, 7)]
+                assert [str(s) for s in member.instances(6)] == texts
+
+
 class TestCountIndependentOfFreeParameter:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_gn5(self, n):

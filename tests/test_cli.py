@@ -62,6 +62,19 @@ class TestNps:
         code, _, err = run(capsys, "nps", "G(r=2;p=2,n=1;q=5,m=1)")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("G(r=2;p=2,n=2;q=5,m=1;z=3)",
+             "G uses named arguments r, p, n, q, m, e.g. G(r=2;p=2,n=3;q=5,m=1) "
+             "(at position 26)"),
+            ("G(r=2;p=2,n=2;q=5,m=1,m=2)", "repeated argument 'm' (at position 1)"),
+        ],
+    )
+    def test_unknown_or_repeated_named_argument_exits_2(self, capsys, spec, message):
+        code, out, err = run(capsys, "nps", spec)
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
+
     def test_cap_respected(self, capsys):
         code, _, err = run(capsys, "nps", "C(1024)", "--max-order", "600")
         assert code == 2
@@ -673,6 +686,19 @@ class TestPresent:
         assert code == 2
         assert "input error" in err
 
+    @pytest.mark.parametrize("text", ["a | a^100000000000", "a, b | (a b)^100000000"])
+    def test_out_of_memory_exits_2(self, text):
+        """A power too long to write out letter by letter: the CLI says it
+        ran out of memory and exits 2, with no traceback.  The child's
+        address space is capped at 512 MiB, so the word's allocation fails
+        before it touches any memory."""
+        pytest.importorskip("resource")
+        proc = subprocess.run(
+            [sys.executable, "-c", _OOM_PROBE, text],
+            env=_child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
+
 
 class TestWorkersFreeGroups:
     """A worker's group is freed by reference counting when the worker
@@ -757,6 +783,23 @@ class TestRecordStatus:
         assert tuple(row.values()) == ("D(8)", 8, "7", "exact", 7, "pass", "Lemma 1")
 
 
+_OOM_PROBE = """
+import resource, sys
+import npscensus.cli
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, hard))
+sys.exit(npscensus.cli.main(["present", sys.argv[1]]))
+"""
+
+
+def _child_env() -> dict[str, str]:
+    """The environment for a child interpreter that imports this package
+    and nothing from the caller's PYTHON* settings."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(npscensus.__file__).resolve().parent.parent)
+    return env
+
+
 # modules a one-process run never uses, and that cost start-up time to import
 UNUSED_AT_START = ("concurrent.futures.process", "multiprocessing", "dataclasses", "fractions")
 
@@ -776,11 +819,9 @@ def test_one_shot_query_imports_no_unused_module():
     """A fresh interpreter that imports the CLI and answers `nps D(8)` loads
     neither the process pool, nor fractions, nor dataclasses.  `-S` leaves
     out site, whose .pth files may import anything."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env["PYTHONPATH"] = str(Path(npscensus.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-S", "-c", _IMPORT_PROBE, *UNUSED_AT_START],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=_child_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[]"]

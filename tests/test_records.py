@@ -38,10 +38,10 @@ CASES = [
     ),
     (_Counts(5, 3, 2), (5, 3, 2), "_Counts(s=5, ps=3, nps=2)"),
     (
-        BucketMember("Q(2^n)", "n >= 3", 3, SPEC),
-        ("Q(2^n)", "n >= 3", 3, SPEC),
+        BucketMember("Q(2^n)", "n >= 3", 3, "Q({})"),
+        ("Q(2^n)", "n >= 3", 3, "Q({})"),
         "BucketMember(template='Q(2^n)', constraints='n >= 3', lowest_n=3, "
-        "make=FamilySpec(kind='Q', params=(8,), r=None, factors=()))",
+        "spec='Q({})')",
     ),
     (PrimeData(2, 3, 1), (2, 3, 1), "PrimeData(p=2, f=3, k=1)"),
     (
