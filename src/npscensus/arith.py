@@ -59,7 +59,7 @@ def prime_power(n: int) -> tuple[int, int] | None:
         return None
     for q in _MR_BASES:
         if n % q == 0:
-            m = p_valuation(n, q)
+            m = round(log2(n) / log2(q))  # dividing out q is quadratic in len(n)
             return (q, m) if q**m == n else None
     # q > 41 now, so q^m = n needs m < log2(n) / 5; the largest m with an
     # exact root is the only one whose root can be prime

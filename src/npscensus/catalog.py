@@ -46,6 +46,7 @@ from .arith import (
     is_prime,
     multiplicative_order,
     p_valuation,
+    prime_power,
     subgroup_count_elementary_abelian,
     subgroup_count_rank2,
 )
@@ -214,8 +215,9 @@ def _extraspecial_counts(spec: FamilySpec) -> tuple[_Counts, str]:
 
 
 def _twisted(spec: FamilySpec) -> _Counts | None:
-    """Counts from the family's metacyclic (p, n, q, m, r)."""
-    return _metacyclic_counts(*metacyclic_of(spec))  # type: ignore[misc]
+    """Counts from the (p, n, q, m, r) of a split family's (q^m, p^n, r, 0)."""
+    Q, P, r, _ = metacyclic_of(spec)  # type: ignore[misc]
+    return _metacyclic_counts(*prime_power(P), *prime_power(Q), r)  # type: ignore[misc]
 
 
 def _general_counts(spec: FamilySpec) -> tuple[_Counts, str] | None:

@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from collections import Counter
+from itertools import chain, combinations
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -123,14 +124,13 @@ def formula_sweep(max_n: int = 4, max_order: int = DEFAULT_ORDER_CAP) -> list[Fa
 
 def _spec_counts(spec: FamilySpec, max_order: int) -> CountSummary:
     """counts() of the group of a valid spec of order at most max_order,
-    which the caller has checked.  A split metacyclic spec is counted from
-    its parameters, with no table; a spec of direct factors, one of them a
-    cyclic C(n), as A x C(n) from the lattice of A alone; every other spec
-    from its table and full lattice."""
+    which the caller has checked.  A metacyclic spec, split or not, is
+    counted from its parameters, with no table; a spec of direct factors,
+    one of them a cyclic C(n), as A x C(n) from the lattice of A alone;
+    every other spec from its table and full lattice."""
     twist = metacyclic_of(spec)
     if twist is not None:
-        p, n, q, m, r = twist
-        return metacyclic_counts(q**m, p**n, r)
+        return metacyclic_counts(*twist)
     split = split_cyclic(spec)
     if split is None:
         return counts(build(spec, max_order, check=False), cap=max_order)
@@ -276,23 +276,31 @@ def cmd_verify_theorems(args) -> int:
             work.append((k, spec, template, args.max_order))
     rows = _pmap(_theorem_worker, work, args.jobs)
 
-    # pairwise non-isomorphism at minimal parameters
+    # pairwise non-isomorphism at minimal parameters; isomorphic groups
+    # agree on order and counts, so only the pairs that agree on both are
+    # built and compared
     distinct_ok = True
     distinct_lines: list[str] = []
     for k in range(args.k_min, args.k_max + 1):
-        minimal = minimal_instances(k, args.max_order)
-        groups = [(str(s), build(s, cap=args.max_order)) for s, _ in minimal]
-        clashes = []
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                if are_isomorphic(groups[i][1], groups[j][1], cap=args.max_order):
-                    clashes.append(f"{groups[i][0]} ~ {groups[j][0]}")
+        specs = [s for s, _ in minimal_instances(k, args.max_order)]
+        orders = [expected_order(s) for s in specs]
+        keys = [
+            _spec_counts(s, args.max_order) if orders.count(o) > 1 else o
+            for s, o in zip(specs, orders)
+        ]
+        pairs = [(i, j) for i, j in combinations(range(len(keys)), 2) if keys[i] == keys[j]]
+        groups = {i: build(specs[i], cap=args.max_order) for i in set(chain(*pairs))}
+        clashes = [
+            f"{specs[i]} ~ {specs[j]}"
+            for i, j in pairs
+            if are_isomorphic(groups[i], groups[j], cap=args.max_order)
+        ]
         if clashes:
             distinct_ok = False
             distinct_lines.append(f"k={k}: isomorphic pair(s): " + "; ".join(clashes))
         else:
             distinct_lines.append(
-                f"k={k}: {len(groups)} minimal members pairwise non-isomorphic"
+                f"k={k}: {len(specs)} minimal members pairwise non-isomorphic"
             )
 
     # optional corpus completeness report
@@ -321,7 +329,10 @@ def cmd_verify_theorems(args) -> int:
                 continue
             hit = None
             for cand in instances_of_order(k, g.order):
-                if are_isomorphic(g, build(cand, cap=args.max_order), cap=args.max_order):
+                # a candidate with other counts is not isomorphic to g
+                if _spec_counts(cand, args.max_order) == c and are_isomorphic(
+                    g, build(cand, cap=args.max_order), cap=args.max_order
+                ):
                     hit = str(cand)
                     break
             if hit:

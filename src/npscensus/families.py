@@ -3,9 +3,10 @@
 Everything the package knows about a family kind sits in one row of
 `FAMILIES`: its spec syntax, its checks, its order, its construction, its
 built-in presentation and its display text.  `build` makes each table
-directly, by `_metacyclic` (Q(2^n) too), by the class-2 rule `_class2`
-(M(p), B1(n,p)) or as a product; the built-in presentations serve
-`present` and the tests, which check each table against them.
+directly, by `_metacyclic` (Q(2^n) and C3Q8 too), by `_class2` (M(p),
+B1(n,p)), as a product or by the row's own rule; the built-in
+presentations serve `present` and the tests, which check each table
+against them.
 
 `build` checks the order cap, `core.DEFAULT_ORDER_CAP` by default, once
 for the whole spec before any table is made; no constructor checks it.
@@ -82,10 +83,10 @@ class Family(Record):
     and positivity check and returns a diagnostic or None.  A family is
     built from exactly one of `metacyclic`, `factors` (the direct factors,
     in order) or `construct`, called as construct(spec, cap, label); its
-    built-in presentation comes from `metacyclic` or `presentation`.
+    built-in presentation is `presentation`, else the metacyclic one.
     `order`, `metacyclic` and `presentation` take the parameters, and
     `metacyclic` also the twist r: `order` gives (base, exponent) pairs
-    whose powers multiply to the order, and `metacyclic` the (p, n, q, m, r)
+    whose powers multiply to the order, and `metacyclic` the (Q, P, r, t)
     of `metacyclic_of`.  `parse` turns parser arguments into a spec,
     raising ValueError when they do not fit; without it the positional
     arguments are the parameters.
@@ -97,7 +98,7 @@ class Family(Record):
     arity: int | None = 1  # None for a product, validated factor by factor
     check: Callable[[FamilySpec], str | None] | None = None
     order: Callable[..., Iterable[tuple[int, int]]] | None = None
-    metacyclic: Callable[..., tuple[int, int, int, int, int]] | None = None
+    metacyclic: Callable[..., tuple[int, int, int, int]] | None = None
     factors: Callable[[FamilySpec], Iterable[FamilySpec]] | None = None
     construct: Callable[[FamilySpec, int, str], Group] | None = None
     presentation: Callable[..., str] | None = None
@@ -225,21 +226,20 @@ def order_up_to(spec: FamilySpec, bound: int | None) -> int:
     return out
 
 
-def metacyclic_of(spec: FamilySpec) -> tuple[int, int, int, int, int] | None:
-    """The (p, n, q, m, r) of C_{q^m} x| C_{p^n} with the twist
-    a^-1 b a = b^r for a metacyclic family's spec, else None."""
+def metacyclic_of(spec: FamilySpec) -> tuple[int, int, int, int] | None:
+    """The (Q, P, r, t) of <b>.<a>, |b| = Q, a^P = b^t, a^-1 b a = b^r
+    (split when t = 0) for a metacyclic family's spec, else None."""
     fam = _row(spec.kind)
     if fam.metacyclic is None:
         return None
     return fam.metacyclic(*spec.params, spec.r)
 
 
-def _metacyclic(p: int, n: int, q: int, m: int, r: int, label: str, t: int = 0) -> Group:
-    """C_{q^m} x| C_{p^n} with the twist a^-1 b a = b^r (a the C_{p^n}
-    generator, b the C_{q^m} generator), numbered as the semidirect product
-    of the two cyclic groups: (v, k), standing for b^v a^k, is v * P + k
-    for Q = q^m and P = p^n.  A carry t makes a^P = b^t, not 1: Q(4Q) is
-    P = 2, r = -1, t = Q/2.
+def _metacyclic(Q: int, P: int, r: int, t: int, label: str) -> Group:
+    """<b>.<a> with |b| = Q, a^P = b^t and the twist a^-1 b a = b^r; t = 0
+    gives C_Q x| C_P, numbered as the semidirect product of the two cyclic
+    groups: (v, k), standing for b^v a^k, is v * P + k.  The carry t makes
+    a^P = b^t, not 1: Q(4Q) is (Q, 2, -1, Q/2).
 
     With s = r^-k1 mod Q, (v1, k1) * (v2, k2) = (v1 + s * v2, k1 + k2),
     t added to v when k1 + k2 >= P.  So row (v1, k1) is Q blocks of P
@@ -256,40 +256,39 @@ def _metacyclic(p: int, n: int, q: int, m: int, r: int, label: str, t: int = 0) 
     v -> r^-1 * v an automorphism of C_Q of order dividing P fixing
     b^t = a^P, are checked first; the error is `semidirect_product`'s.
     """
-    qq, pp = q**m, p**n
-    order = qq * pp
-    if pow(r, pp, qq) != 1 % qq or (r - 1) * t % qq:
+    order = Q * P
+    if pow(r, P, Q) != 1 % Q or (r - 1) * t % Q:
         raise ValueError(
             "generator images do not extend to a homomorphism K -> Aut(N)"
         )
-    rinv = pow(r, -1, qq)
+    rinv = pow(r, -1, Q)
     whole = tuple(range(order))
-    blocks = [whole[i:i + pp] for i in range(0, order, pp)]
-    doubled = [b + blocks[(u + t) % qq] for u, b in enumerate(blocks)]
+    blocks = [whole[i:i + P] for i in range(0, order, P)]
+    doubled = [b + blocks[(u + t) % Q] for u, b in enumerate(blocks)]
     times_a = getter(
-        tuple(chain.from_iterable(doubled[rinv * v % qq][1:1 + pp] for v in range(qq)))
+        tuple(chain.from_iterable(doubled[rinv * v % Q][1:1 + P] for v in range(Q)))
     )
     rows: list = [None] * order
     inv: list = [None] * order
     w = whole  # the row of a^k1
     rk = 1  # r^k1 mod Q
-    for k1 in range(pp):
+    for k1 in range(P):
         ww = w + w
-        starts = [rk * v % qq * pp for v in range(qq)]
-        rows[k1::pp] = [ww[u:u + order] for u in starts]
-        inv[k1::pp] = [(-u - (k1 > 0) * t * pp) % order + -k1 % pp for u in starts]
+        starts = [rk * v % Q * P for v in range(Q)]
+        rows[k1::P] = [ww[u:u + order] for u in starts]
+        inv[k1::P] = [(-u - (k1 > 0) * t * P) % order + -k1 % P for u in starts]
         w = times_a(w)
-        rk = rk * r % qq
-    gens = ([pp] if qq > 1 else []) + ([1] if pp > 1 else [])
+        rk = rk * r % Q
+    gens = ([P] if Q > 1 else []) + ([1] if P > 1 else [])
     return Group._with_inverses(rows, inv, gens, label)
 
 
-def _metacyclic_text(p: int, n: int, q: int, m: int, r: int) -> str:
-    qm = q**m
-    rr = r % qm
-    if rr == qm - 1:
+def _metacyclic_text(Q: int, P: int, r: int, t: int) -> str:
+    """The split presentation; a row with a carry has its own."""
+    rr = r % Q
+    if rr == Q - 1:
         rr = -1
-    return f"a, b | a^{p ** n} = 1, b^{qm} = 1, a^-1 b a = b^{rr}"
+    return f"a, b | a^{P} = 1, b^{Q} = 1, a^-1 b a = b^{rr}"
 
 
 def _direct_product(factors: Iterable[FamilySpec], cap: int, label: str) -> Group:
@@ -371,14 +370,6 @@ def _alternating(spec: FamilySpec, cap: int, label: str) -> Group:
     return group_from_generators(n, gens, cap=cap, label=label)
 
 
-def _c3q8(spec: FamilySpec, cap: int, label: str) -> Group:
-    q8 = build(FamilySpec(QUATERNION, (8,)), cap, check=False)
-    inv3 = (0, 2, 1)
-    id3 = (0, 1, 2)
-    action = [inv3] + [id3] * (len(q8.generators) - 1)
-    return semidirect_product(cyclic_group(3), q8, action, cap=cap, label=label)
-
-
 def build(spec: FamilySpec, cap: int = DEFAULT_ORDER_CAP, *, check: bool = True) -> Group:
     """Concrete group for a valid family spec of order at most cap.
 
@@ -412,11 +403,11 @@ def builtin_presentation(spec: FamilySpec) -> Presentation:
     """
     check_valid(spec)
     fam = FAMILIES[spec.kind]
+    if fam.presentation is not None:
+        return parse_presentation(fam.presentation(*spec.params))
     twist = metacyclic_of(spec)
     if twist is not None:
         return parse_presentation(_metacyclic_text(*twist))
-    if fam.presentation is not None:
-        return parse_presentation(fam.presentation(*spec.params))
     raise UnknownFamilyError(f"no presentation for family {spec}")
 
 
@@ -536,16 +527,14 @@ _ROWS = (
         "D({})",
         check=_check_dihedral,
         order=lambda n: ((n, 1),),
-        metacyclic=lambda n, r: (2, 1, n // 2, 1, -1),
+        metacyclic=lambda n, r: (n // 2, 2, -1, 0),
     ),
     Family(
         QUATERNION,
         "Q({})",
         check=_two_power(3),
         order=lambda n: ((n, 1),),
-        construct=lambda s, cap, label: _metacyclic(
-            2, 1, s.params[0] // 2, 1, -1, label, t=s.params[0] // 4
-        ),
+        metacyclic=lambda n, r: (n // 2, 2, -1, n // 4),
         presentation=lambda n: (
             f"a, b, z | a^{n // 4} = b^2 = z, z^2 = 1, b^-1 a b = a^-1"
         ),
@@ -555,7 +544,7 @@ _ROWS = (
         "S({})",
         check=_two_power(4),
         order=lambda n: ((n, 1),),
-        metacyclic=lambda n, r: (2, 1, 2, n.bit_length() - 2, n // 4 - 1),
+        metacyclic=lambda n, r: (n // 2, 2, n // 4 - 1, 0),
     ),
     Family(
         MODULAR,
@@ -563,7 +552,7 @@ _ROWS = (
         arity=2,
         check=_check_modular,
         order=lambda n, q: ((q, n),),
-        metacyclic=lambda n, q, r: (q, 1, q, n - 1, 1 + q ** (n - 2)),
+        metacyclic=lambda n, q, r: (q ** (n - 1), q, 1 + q ** (n - 2), 0),
     ),
     Family(
         EXTRASPECIAL,
@@ -582,7 +571,7 @@ _ROWS = (
         arity=4,
         check=_check_general,
         order=lambda p, n, q, m: ((p, n), (q, m)),
-        metacyclic=lambda p, n, q, m, r: (p, n, q, m, r),
+        metacyclic=lambda p, n, q, m, r: (q**m, p**n, r, 0),
         parse=_parse_general,
         keywords=True,
     ),
@@ -592,7 +581,7 @@ _ROWS = (
         arity=3,
         check=_prime_at(1),
         order=lambda n, q, m: ((2, n), (q, m)),
-        metacyclic=lambda n, q, m, r: (2, n, q, m, -1),
+        metacyclic=lambda n, q, m, r: (q**m, 2**n, -1, 0),
         parse=_parse_gshort,
     ),
     Family(
@@ -601,7 +590,7 @@ _ROWS = (
         arity=2,
         check=_check_f,
         order=lambda n, q: ((3, n), (q, 1)),
-        metacyclic=lambda n, q, r: (3, n, q, 1, _f_twist(q, r)),
+        metacyclic=lambda n, q, r: (q, 3**n, _f_twist(q, r), 0),
         parse=_parse_f,
     ),
     Family(
@@ -622,7 +611,7 @@ _ROWS = (
         arity=2,
         check=_prime_at(1),
         order=lambda n, q: ((q, n + 2),),
-        metacyclic=lambda n, q, r: (q, n, q, 2, q + 1),
+        metacyclic=lambda n, q, r: (q * q, q**n, q + 1, 0),
     ),
     Family(
         AFAMILY,
@@ -657,7 +646,7 @@ _ROWS = (
         C3Q8,
         arity=0,
         order=lambda: ((24, 1),),
-        construct=_c3q8,
+        metacyclic=lambda r: (12, 2, -1, 6),
         presentation=lambda: (
             "x, y, b | x^4 = y^4 = b^3 = [y,b] = 1, x^2 = y^2, "
             "[x,y] = x^2, b^x = b^-1"

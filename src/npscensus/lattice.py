@@ -52,11 +52,12 @@ times as the lattice layer.
 off its element orders and counts by Birkhoff's formula
 (`arith.subgroup_count_abelian`).
 
-`metacyclic_counts` needs no group at all: it counts a split metacyclic
-C_Q x|_r C_P from (Q, P, r) by divisor sums of geometric sums mod Q, in
+`metacyclic_counts` needs no group at all: it counts a metacyclic
+<b>.<a>, |b| = Q, a^P = b^t and a^-1 b a = b^r, split (t = 0) or not,
+from (Q, P, r, t) by divisor sums of geometric sums mod Q, in
 O(tau(P) tau(Q) log P) steps for s and tau(PQ) ord(r) log(PQ) for the
 power subgroups.  The CLI counts every valid metacyclic family spec this
-way; the lattice stays its oracle in the tests.
+way, Q(2^n) and C3Q8 included; the lattice stays its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -429,53 +430,62 @@ def counts_times_cyclic(A: Group, n: int, cap: int = DEFAULT_ORDER_CAP) -> Count
     )
 
 
-def metacyclic_counts(Q: int, P: int, r: int) -> CountSummary:
-    """counts() of C_Q x|_r C_P = <b> x| <a>, |b| = Q, |a| = P and
-    a^-1 b a = b^r, from (Q, P, r) alone: no table and no lattice.
+def metacyclic_counts(Q: int, P: int, r: int, t: int = 0) -> CountSummary:
+    """counts() of <b>.<a>, |b| = Q, a^P = b^t and a^-1 b a = b^r, from
+    (Q, P, r, t) alone, with no table and no lattice; t = 0 is C_Q x|_r C_P.
 
     Write the elements as a^e b^f.  As b^f a^e = a^e b^(f r^e),
     (a^e b^f)^k = a^(ke) b^(f (1 + r^e + ... + r^((k-1)e))).  A subgroup
     H meets <b> in <b^d>, d | Q, and maps onto <a^e>, e | P, in G/<b>;
-    with S_e = 1 + r^e + ... + r^((P/e - 1)e) mod Q it is <b^d, a^e b^f>
-    for the f mod d with f S_e = 0 mod d.  So
+    with S_e = 1 + r^e + ... + r^((P/e - 1)e) mod Q, (a^e b^f)^(P/e) =
+    b^(t + f S_e), so H is <b^d, a^e b^f> for the f mod d with
+    t + f S_e = 0 mod d.  There are g = gcd(S_e, d) of them when g | t,
+    and none otherwise, so
 
-        s = sum over d | Q and e | P of gcd(S_e, d),
+        s = sum over d | Q and e | P of [g | t] g,
 
-    and a^e b has order (P/e) Q / gcd(Q, S_e), the exponent being the lcm
-    of these.  (a^j b^f)^m = a^(jm) b^(f T_j) with T_j = 1 + r^j + ... +
-    r^((m-1)j), so G^m = <b^D, a^m> with D = gcd(Q, T_0, ..., T_(o-1)),
-    o the order of r mod Q, and the power subgroups are the distinct
-    pairs (D, gcd(m, P)) over m | PQ.  <b^D, a^g> has order (Q/D) (P/g);
-    two nontrivial subgroups of a cyclic p-group meet, so it is cyclic of
-    prime-power order > 1 exactly when one factor is 1 and the other a
-    prime power > 1.  Each sum is a geometric one, `arith.geometric_sum`.
+    and the elements a^e b^f have orders whose lcm is
+    (P/e) Q / gcd(Q, S_e, t), the exponent being the lcm of these.
+    (a^j b^f)^m = a^(jm) b^(f T_j) with T_j = 1 + r^j + ... + r^((m-1)j),
+    so with D = gcd(Q, T_0, ..., T_(o-1)), o the order of r mod Q, and
+    e = gcd(m, P), G^m holds b^D' for D' = gcd(D, (m/e) t), and a^e b^x
+    for x = ((u m - e)/P) t, as a^(um) = a^e (a^P)^((um - e)/P) for
+    u = (m/e)^-1 mod P/e, 0 for e = P.  G^m = <b^D', a^e b^x>, and the power
+    subgroups are the distinct (D', e, x mod D') over m | PQ.  One of
+    order p^k > 1 is cyclic when either part is trivial, or when a^e b^x
+    has order p^k, that is t + S_e x is not 0 mod p D': p | Q and the
+    order of r^e divides the p-power P/e, so r^e = 1 and S_e = 0 mod p,
+    and every a^e b^(x + iD') has that order.  Each sum is a geometric
+    one, `arith.geometric_sum`.
 
     With a^-1 for a the twist is r^-1 and the group the same, so the
-    counts of r and r^-1 agree.  ValueError when r^P is not 1 mod Q, as
-    for the table of the group.
+    counts of r and r^-1 agree.  ValueError when r^P is not 1 or r t is
+    not t mod Q, as for the table of the group.
     """
-    if pow(r, P, Q) != 1 % Q:
+    if pow(r, P, Q) != 1 % Q or (r - 1) * t % Q:
         raise ValueError(
             "generator images do not extend to a homomorphism K -> Aut(N)"
         )
     below_q = divisors(Q)
+    sums = {e: geometric_sum(pow(r, e, Q), P // e, Q) for e in divisors(P)}
     s, exp = 0, 1
-    for e in divisors(P):
-        se = geometric_sum(pow(r, e, Q), P // e, Q)
-        s += sum(gcd(se, d) for d in below_q)
-        exp = lcm(exp, P // e * (Q // gcd(Q, se)))
+    for e, se in sums.items():
+        s += sum(g for g in (gcd(se, d) for d in below_q) if t % g == 0)
+        exp = lcm(exp, P // e * (Q // gcd(Q, se, t)))
     twists = [pow(r, j, Q) for j in range(multiplicative_order(r, Q))]
     powers = set()
     for m in divisors(P * Q):
-        d = Q
+        d, e = Q, gcd(m, P)
         for x in twists:
             d = gcd(d, geometric_sum(x, m, Q))
-        powers.add((d, gcd(m, P)))
-    cyclic_powers = [
-        size
-        for size in (Q // d * (P // g) for d, g in powers if d == Q or g == P)
-        if size > 1 and len(factorize(size)) == 1
-    ]
+        d = gcd(d, m // e * t)
+        powers.add((d, e, (pow(m // e, -1, P // e) * m - e) // P * t % d))
+    cyclic_powers = []
+    for d, e, x in powers:
+        size = Q // d * (P // e)
+        primes = list(factorize(size))
+        if len(primes) == 1 and (d == Q or e == P or (t + sums[e] * x) % (primes[0] * d)):
+            cyclic_powers.append(size)
     return CountSummary(
         order=Q * P,
         exponent=exp,

@@ -154,6 +154,9 @@ class TestNps:
         [
             ("Gn(6,13)", "1200", (832, 832, 26, 13, 13)),
             ("D(600)", "600", (600, 300, 886, 13, 873)),
+            # the non-split case: a^P = b^t
+            ("Q(512)", "600", (512, 256, 264, 9, 255)),
+            ("C3Q8", "600", (24, 12, 18, 5, 13)),
         ],
     )
     def test_metacyclic_spec_counted_without_a_table(
@@ -384,6 +387,36 @@ class TestVerifyTheorems:
         assert "sym3: nps=3, matches Gn(1,3)" in out
         assert "c12: nps=0, cyclic=yes" in out
         assert "corpus_unmatched=0" in out
+
+    def test_only_groups_that_agree_on_order_and_counts_are_built(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        import npscensus.cli
+
+        built = []
+
+        def logged_build(spec, *args, **kwargs):
+            built.append(str(spec))
+            return build(spec, *args, **kwargs)
+
+        # D(8) and Q(8) share their order, not their counts; C(5) has an
+        # order of its own
+        members = [(parse_spec(t), t) for t in ("D(8)", "Q(8)", "C(5)")]
+        candidates = [parse_spec("D(8)"), parse_spec("Q(8)")]
+        monkeypatch.setattr(npscensus.cli, "instantiate_bucket", lambda k, n, cap: [])
+        monkeypatch.setattr(npscensus.cli, "minimal_instances", lambda k, cap: members)
+        monkeypatch.setattr(npscensus.cli, "instances_of_order", lambda k, order: candidates)
+        monkeypatch.setattr(npscensus.cli, "build", logged_build)
+        path = tmp_path / "c.json"
+        dump_corpus([entry_from_group("q8", build(parse_spec("Q(8)")))], path)
+        code, out, _ = run(
+            capsys, "verify-theorems", "--k-min", "3", "--k-max", "3", "--corpus", str(path)
+        )
+        assert code == 0
+        assert "k=3: 3 minimal members pairwise non-isomorphic" in out
+        assert "q8: nps=3, matches Q(8)" in out
+        # only the corpus candidate with the entry's counts
+        assert built == ["Q(8)"]
 
     def test_unmatched_corpus_entry_exits_1(self, capsys, tmp_path):
         # C3 x| C14 has nps 6, and no k = 6 member has an instance of order 42

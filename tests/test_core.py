@@ -687,7 +687,7 @@ class TestKernelsMatchPerCellLoops:
 
     @pytest.mark.parametrize(
         "text",
-        ["D(8)xD(8)", "Q(8)xC(2)xC(2)", "A(2)", "C3Q8", "X(2,5)", "M(3)", "B1(2,3)"],
+        ["D(8)xD(8)", "Q(8)xC(2)xC(2)", "A(2)", "X(2,5)", "M(3)", "B1(2,3)"],
     )
     def test_products(self, text, monkeypatch):
         from npscensus import families
@@ -726,13 +726,11 @@ class TestKernelsMatchPerCellLoops:
         from npscensus.specs import parse_spec
 
         spec = parse_spec(text)
-        p, n, q, m, r = metacyclic_of(spec)
-        qm = q**m
-        action = tuple(pow(r, -1, qm) * i % qm for i in range(qm))
+        Q, P, r, t = metacyclic_of(spec)
+        assert t == 0
+        action = tuple(pow(r, -1, Q) * i % Q for i in range(Q))
         new = build(spec)
-        ref = ref_semidirect_product(
-            ref_cyclic_group(qm), ref_cyclic_group(p**n), [action]
-        )
+        ref = ref_semidirect_product(ref_cyclic_group(Q), ref_cyclic_group(P), [action])
         assert_same_table(new, ref)
         assert new.label == text
 
@@ -747,16 +745,21 @@ class TestKernelsMatchPerCellLoops:
         assert_same_table(new, ref_metacyclic(2, new.order // 2, -1, new.order // 4))
         assert new.label == text
 
-    @pytest.mark.parametrize(
-        "p,n,q,m,r,t", [(2, 1, 8, 1, 3, 4), (3, 1, 9, 1, 4, 3), (2, 2, 4, 1, 1, 2)]
-    )
-    def test_carried_metacyclic(self, p, n, q, m, r, t):
+    def test_c3q8(self):
+        # C3 x| Q8 is the non-split C12.C2 with a^2 = b^6, a^-1 b a = b^-1
+        from npscensus.families import build
+        from npscensus.specs import parse_spec
+
+        new = build(parse_spec("C3Q8"))
+        assert_same_table(new, ref_metacyclic(2, 12, -1, 6))
+        assert new.label == "C3Q8"
+
+    @pytest.mark.parametrize("Q,P,r,t", [(8, 2, 3, 4), (9, 3, 4, 3), (4, 4, 1, 2)])
+    def test_carried_metacyclic(self, Q, P, r, t):
         # a^P = b^t with r * t = t mod Q, beyond the quaternion groups
         from npscensus.families import _metacyclic
 
-        assert_same_table(
-            _metacyclic(p, n, q, m, r, "x", t=t), ref_metacyclic(p**n, q**m, r, t)
-        )
+        assert_same_table(_metacyclic(Q, P, r, t, "x"), ref_metacyclic(P, Q, r, t))
 
     @pytest.mark.parametrize("text", ["Q(32)", "M(5)", "B1(2,3)"])
     def test_group_from_coset_table(self, text):

@@ -133,6 +133,9 @@ class TestPrimality:
         assert prime_power(q**2 * 43) is None
         assert prime_power(43**7 * 47) is None
         assert prime_power(3**200) == (3, 200)
+        # a small base with a long exponent: P = 2^n of Gn(n,q) past the cap
+        assert prime_power(2**1_000_000) == (2, 1_000_000)
+        assert prime_power(5**100_000 * 7) is None
 
     def test_integer_root(self):
         for n in list(range(200)) + [10**40, 10**40 - 1, 2**300 + 5]:
@@ -232,18 +235,24 @@ def _metacyclic_sweep_specs() -> list[str]:
     return list(dict.fromkeys(str(s) for s in specs if metacyclic_of(s)))
 
 
+def _split_sweep_specs() -> list[str]:
+    """The specs of `_metacyclic_sweep_specs` with no carry (t = 0)."""
+    from npscensus.families import metacyclic_of
+
+    return [t for t in _metacyclic_sweep_specs() if not metacyclic_of(parse_spec(t))[3]]
+
+
 class TestMetacyclicTables:
-    @pytest.mark.parametrize("text", _metacyclic_sweep_specs())
+    @pytest.mark.parametrize("text", _split_sweep_specs())
     def test_same_as_semidirect_product_of_cyclic_groups(self, text):
         from npscensus.core import cyclic_group, semidirect_product
         from npscensus.families import metacyclic_of
 
         spec = parse_spec(text)
-        p, n, q, m, r = metacyclic_of(spec)
-        qm = q**m
-        action = tuple(pow(r, -1, qm) * i % qm for i in range(qm))
+        Q, P, r, _ = metacyclic_of(spec)
+        action = tuple(pow(r, -1, Q) * i % Q for i in range(Q))
         old = semidirect_product(
-            cyclic_group(qm), cyclic_group(p**n), [action], cap=1200, label=text
+            cyclic_group(Q), cyclic_group(P), [action], cap=1200, label=text
         )
         new = build(spec, cap=1200)
         assert (new.mul, new.inv) == (old.mul, old.inv)
@@ -259,21 +268,22 @@ class TestMetacyclicTables:
         with pytest.raises(CapExceeded, match=r"order of D\(600\) exceeds cap 599"):
             build(parse_spec("D(600)"), cap=599)
 
-    @pytest.mark.parametrize("p,n,q,m,r", [(2, 1, 5, 1, 2), (2, 2, 9, 1, 3)])
-    def test_twist_must_have_order_dividing_p_to_the_n(self, p, n, q, m, r):
+    @pytest.mark.parametrize("Q,P,r", [(5, 2, 2), (9, 4, 3)])
+    def test_twist_must_have_order_dividing_p(self, Q, P, r):
         from npscensus.families import _metacyclic
 
         with pytest.raises(
             ValueError,
             match="generator images do not extend to a homomorphism K -> Aut",
         ):
-            _metacyclic(p, n, q, m, r, "x")
+            _metacyclic(Q, P, r, 0, "x")
 
 
 # the families whose table is not a split metacyclic product, each against
 # the coset enumeration of its built-in presentation
 PRESENTED = (
     *(f"Q({2 ** k})" for k in range(3, 10)),
+    "C3Q8",
     "M(3)", "M(5)", "M(7)",
     *(f"B1({n},2)" for n in range(1, 6)),
     "B1(1,3)", "B1(2,3)", "B1(3,3)", "B1(1,5)", "B1(2,5)",
@@ -316,7 +326,7 @@ class TestPresentedFamilies:
 
         # a^2 = b^t in C_4 x|_-1 C_2 needs -t = t mod 4
         with pytest.raises(ValueError, match="do not extend to a homomorphism"):
-            _metacyclic(2, 1, 4, 1, -1, "x", t=t)
+            _metacyclic(4, 2, -1, t, "x")
 
 
 class TestClaimedIsomorphisms:
@@ -343,6 +353,15 @@ class TestClaimedIsomorphisms:
         g = build(FamilySpec(GENERAL, (2, 2, 3, 1), r=1))
         assert is_abelian(g)
         assert are_isomorphic(g, build(product_spec(cyclic_spec(4), cyclic_spec(3))))
+
+    def test_c3q8_is_c3_by_q8(self):
+        # Q8 acting on C3 by inversion through one generator
+        from npscensus.core import cyclic_group, semidirect_product
+
+        q8 = build(parse_spec("Q(8)"))
+        action = [(0, 2, 1)] + [(0, 1, 2)] * (len(q8.generators) - 1)
+        c3q8 = semidirect_product(cyclic_group(3), q8, action)
+        assert are_isomorphic(build(parse_spec("C3Q8")), c3q8)
 
     def test_semidihedral_is_the_metacyclic_special_case(self):
         s16 = build(parse_spec("S(16)"))

@@ -1,10 +1,12 @@
-"""The split metacyclic counting path against the lattice oracle.
+"""The metacyclic counting path against the lattice oracle.
 
-`lattice.metacyclic_counts` counts C_Q x|_r C_P from (Q, P, r) alone.
-Every test here compares its whole `CountSummary` (order, exponent, s,
-ps, nps and the per-prime profile) with `_lattice_counts` on the group's
-table: on all split groups of order up to 300 with every twist, every metacyclic spec of the extended
-sweep and of the bucket instances, and each metacyclic family at its
+`lattice.metacyclic_counts` counts <b>.<a>, |b| = Q, a^P = b^t and
+a^-1 b a = b^r, from (Q, P, r, t) alone.  Every test here compares its
+whole `CountSummary` (order, exponent, s, ps, nps and the per-prime
+profile) with `_lattice_counts` on the group's table: on all split groups
+of order up to 300 with every twist, on all non-split ones of order up to
+64 with every twist and carry, on every metacyclic spec of the extended
+sweep and of the bucket instances, and on each metacyclic family at its
 smallest parameters.
 """
 
@@ -34,12 +36,13 @@ SMALLEST = [
     "F(1,7)",
     "B2(1,2)",
     "B2(2,2)",
+    "Q(8)",
+    "C3Q8",
 ]
 
 
 def arithmetic(spec):
-    p, n, q, m, r = metacyclic_of(spec)
-    return metacyclic_counts(q**m, p**n, r)
+    return metacyclic_counts(*metacyclic_of(spec))
 
 
 def test_geometric_sum():
@@ -56,7 +59,7 @@ def test_every_split_group_up_to_order_300():
             for r in range(Q):
                 if pow(r, P, Q) != 1 % Q:
                     continue
-                oracle = _lattice_counts(_metacyclic(P, 1, Q, 1, r, "G"), 300)
+                oracle = _lattice_counts(_metacyclic(Q, P, r, 0, "G"), 300)
                 if metacyclic_counts(Q, P, r) != oracle:
                     wrong.append((Q, P, r))
                 checked += 1
@@ -64,10 +67,30 @@ def test_every_split_group_up_to_order_300():
     assert checked == 3548
 
 
+def test_every_non_split_group_up_to_order_64():
+    # a^P = b^t for every carry 0 < t < Q with r t = t mod Q
+    checked, wrong = 0, []
+    for Q in range(2, 33):
+        for P in range(2, 64 // Q + 1):
+            for r in range(Q):
+                if pow(r, P, Q) != 1:
+                    continue
+                for t in range(1, Q):
+                    if (r - 1) * t % Q:
+                        continue
+                    oracle = _lattice_counts(_metacyclic(Q, P, r, t, "G"), 64)
+                    if metacyclic_counts(Q, P, r, t) != oracle:
+                        wrong.append((Q, P, r, t))
+                    checked += 1
+    assert wrong == []
+    assert checked == 1337
+
+
 def test_sweep_list():
-    # the sweep's 69, and 8 bucket instances that the sweep lacks
-    assert len(SWEEP) == 77
-    assert "Gn(6,13)" in SWEEP
+    # the sweep's 74, Q(8)...Q(64) and C3Q8 among them, and 8 bucket
+    # instances that the sweep lacks
+    assert len(SWEEP) == 82
+    assert {"Gn(6,13)", "Q(64)", "C3Q8"} <= set(SWEEP)
 
 
 @pytest.mark.parametrize("text", SWEEP + SMALLEST)
@@ -98,3 +121,9 @@ def test_a_bucket_family_past_the_cap(n):
 def test_twist_must_have_order_dividing_p():
     with pytest.raises(ValueError, match="do not extend to a homomorphism"):
         metacyclic_counts(5, 2, 2)
+
+
+@pytest.mark.parametrize("t", [1, 3])
+def test_carry_must_be_fixed_by_the_twist(t):
+    with pytest.raises(ValueError, match="do not extend to a homomorphism"):
+        metacyclic_counts(4, 2, -1, t)
