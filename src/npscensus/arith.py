@@ -19,6 +19,8 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:
+        return True  # a composite below 43^2 has a prime factor up to 41
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -71,16 +73,26 @@ def prime_power(n: int) -> tuple[int, int] | None:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: multiplicity}."""
+    """Prime factorization of n >= 1 as {prime: multiplicity}, primes
+    ascending.
+
+    Trial division stops as soon as the cofactor left is prime, tested by
+    `is_prime` each time the cofactor changes, so a large prime factor
+    costs no division loop.  `is_prime` is exact below 3.3 * 10^24, and
+    so is the early stop there.
+    """
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     out: dict[int, int] = {}
     m = n
     f = 2
-    while f * f <= m:
-        while m % f == 0:
-            out[f] = out.get(f, 0) + 1
-            m //= f
+    done = is_prime(m)
+    while not done and f * f <= m:
+        if m % f == 0:
+            while m % f == 0:
+                out[f] = out.get(f, 0) + 1
+                m //= f
+            done = is_prime(m)
         f += 1 if f == 2 else 2
     if m > 1:
         out[m] = out.get(m, 0) + 1
@@ -88,16 +100,11 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    small, large = [], []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            small.append(f)
-            if f != n // f:
-                large.append(n // f)
-        f += 1
-    return small + large[::-1]
+    """All positive divisors of n >= 1, ascending, from its factorization."""
+    out = [1]
+    for p, e in factorize(n).items():
+        out = [d * p**i for d in out for i in range(e + 1)]
+    return sorted(out)
 
 
 def totient(n: int) -> int:

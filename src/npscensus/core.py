@@ -8,12 +8,16 @@ indices.
 
 Permutations act on the right throughout: (p * q)[i] = q[p[i]], and in a
 semidirect product N x| K the factor K acts on N.
+
+Every table that is not cyclic or metacyclic is built by one routine,
+`group_from_columns`, from the right-multiplication columns of a
+generating set; `direct_product` and `semidirect_product` keep the
+numbering n * |K| + k of the pair (n, k).
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -152,23 +156,14 @@ class Group:
         if mul[0] != ident or tuple(row[0] for row in mul) != ident:
             raise ValueError("element 0 is not a two-sided identity")
         if given_inv is None:
-            inv = []
-            for x, row in enumerate(mul):
-                try:
-                    y = row.index(0)
-                except ValueError:
-                    y = -1
-                if y < 0 or mul[y][x] != 0:
-                    raise ValueError(f"element {x} has no two-sided inverse")
-                inv.append(y)
-            self.inv = tuple(inv)
-        else:
-            self.inv = tuple(given_inv)
-            if len(self.inv) != n:
-                raise ValueError("inverse table has wrong length")
-            for x, y in enumerate(self.inv):
-                if not 0 <= y < n or mul[x][y] or mul[y][x]:
-                    raise ValueError(f"{y} is not a two-sided inverse of element {x}")
+            # the identity's place in each row; a row without it fails below
+            given_inv = [row.index(0) if 0 in row else -1 for row in mul]
+        self.inv = tuple(given_inv)
+        if len(self.inv) != n:
+            raise ValueError("inverse table has wrong length")
+        for x, y in enumerate(self.inv):
+            if not 0 <= y < n or mul[x][y] or mul[y][x]:
+                raise ValueError(f"element {x} has no two-sided inverse")
         gens: list[int] = []
         for g in generators:
             if not 0 <= g < n:
@@ -470,9 +465,9 @@ def subgroup_group(G: Group, H: Subgroup, label: str | None = None) -> Group:
         raise ValueError("subgroup does not belong to this group")
     elems = list(_bits(H.members))
     index = {e: i for i, e in enumerate(elems)}
-    mul = [[index[G.mul[a][b]] for b in elems] for a in elems]
-    gens = [index[g] for g in generating_sequence_of_subset(G, elems)]
-    return Group(mul, gens, label=label)
+    gens = generating_sequence_of_subset(G, elems)
+    cols = [[index[G.mul[a][g]] for a in elems] for g in gens]
+    return group_from_columns(cols, [index[g] for g in gens], label)
 
 
 def generating_sequence_of_subset(G: Group, elems: list[int]) -> list[int]:
@@ -531,17 +526,13 @@ def group_from_generators(
     ident = tuple(range(degree))
     index = {ident: 0}
     elems = [ident]
-    parent: list[int] = [0]
-    genpos: list[int] = [-1]
-    gen_cols: list[list[int]] = [[] for _ in gens]
-    i = 0
-    while i < len(elems):
-        x = elems[i]
+    cols: list[list[int]] = [[] for _ in gens]
+    for x in elems:
         # x then p is p picked at the points of x: one itemgetter call,
         # faster than a list comprehension, and than map(p.__getitem__, x),
         # whose slot wrapper parses its argument on every call
         pick = getter(x)
-        for gi, p in enumerate(gens):
+        for p, col in zip(gens, cols):
             y = pick(p)
             j = index.get(y)
             if j is None:
@@ -552,50 +543,61 @@ def group_from_generators(
                     )
                 index[y] = j
                 elems.append(y)
-                parent.append(i)
-                genpos.append(gi)
-            gen_cols[gi].append(j)
-        i += 1
+            col.append(j)
 
-    n = len(elems)
     # the elements' permutations are not needed for the table: free them
     # first, so that its rows can reuse their memory
     del elems, index
-    mul = table_by_rows(gen_cols, range(1, n), parent, genpos)
-    gen_idx = [gen_cols[gi][0] for gi in range(len(gens))]
-    return Group(mul, gen_idx, label=label)
+    return group_from_columns(cols, [col[0] for col in cols], label)
 
 
-def table_by_rows(
-    perms: Sequence[Sequence[int]],
-    tree: Sequence[int],
-    parent: Sequence[int],
-    via: Sequence[int],
-) -> tuple[tuple[int, ...], ...]:
-    """Multiplication table of a group from its right-regular generators.
+def group_from_columns(
+    cols: Sequence[Sequence[int]],
+    generators: Sequence[int],
+    label: str | None = None,
+) -> Group:
+    """The group on indices 0..n-1 whose right multiplication by each s_j
+    of a generating set is given as a column: cols[j][x] is the index of
+    x * s_j.  No columns give the trivial group; columns that do not reach
+    every element raise ValueError.
 
-    `perms[j]` maps each element x to x * s_j for a generator s_j.  Every
-    element c != 0 is its spanning-tree parent times one generator,
-    c = parent[c] * s_via[c], and `tree` lists those elements parents
-    first.  Row c maps x to parent[c] * (s * x) for s = s_via[c]: it is row
-    parent[c] picked at the row of s, one itemgetter call per row.  The row
-    of each such s is walked down the same tree first, as
-    s * c = (s * parent[c]) * s_via[c].  Nothing as large as the table is
-    made besides the table itself, and every row shares the int objects of
-    row 0.
+    A breadth-first spanning tree from the identity writes every element
+    c != 0 as c = parent[c] * s, s = s_via[c].  Row c is row parent[c]
+    picked at the row of s, one itemgetter call per row, and the row of
+    each such s is walked down the same tree first, as
+    s * c = (s * parent[c]) * s_via[c].  So are the inverses,
+    c^-1 = s^-1 * parent[c]^-1, where s^-1 is the one element that the
+    column of s sends to 0.  Every row shares the int objects of row 0.
     """
-    n = len(parent)
+    n = len(cols[0]) if cols else 1
+    parent = [0] + [-1] * (n - 1)
+    via = [0] * n
+    tree = [0]
+    for p in tree:
+        for j, col in enumerate(cols):
+            c = col[p]
+            if parent[c] < 0:
+                parent[c] = p
+                via[c] = j
+                tree.append(c)
+    if len(tree) < n:
+        raise ValueError("the generators' columns do not reach every element")
+    del tree[0]
     rows: list = [None] * n
     rows[0] = tuple(range(n))
     picks = {}
     for j in dict.fromkeys(via[c] for c in tree):
-        left = [perms[j][0]] * n
+        left = [cols[j][0]] * n
         for c in tree:
-            left[c] = perms[via[c]][left[parent[c]]]
+            left[c] = cols[via[c]][left[parent[c]]]
         picks[j] = getter(left)
     for c in tree:
         rows[c] = picks[via[c]](rows[parent[c]])
-    return tuple(rows)
+    inv_rows = {j: rows[cols[j].index(0)] for j in picks}
+    inv = [0] * n
+    for c in tree:
+        inv[c] = inv_rows[via[c]][inv[parent[c]]]
+    return Group._with_inverses(tuple(rows), inv, generators, label)
 
 
 def trivial_group(label: str | None = None) -> Group:
@@ -620,53 +622,29 @@ def direct_product(
     n1, n2 = G.order, H.order
     if n1 * n2 > cap:
         raise CapExceeded(f"product order {n1 * n2} exceeds cap {cap}")
-    gens = [g * n2 for g in G.generators] + list(H.generators)
-    return Group._with_inverses(
-        _pair_table(G.mul, H.mul, None), _pair_inverses(G.inv, H.inv, None), gens, label
-    )
+    return group_from_columns(*product_columns([G, H]), label)
 
 
-def _pair_table(
-    nmul: Sequence[Sequence[int]],
-    kmul: Sequence[Sequence[int]],
-    act: Sequence | None,
-) -> tuple[tuple[int, ...], ...]:
-    """Table of N x| K on pairs (n, k) encoded n * |K| + k, with
-    act[k] = getter(auts[k]) for the action auts[k] of k on N (None for
-    the direct product):
-
-        (n1, k1) * (n2, k2) = (n1 * auts[k1](n2), k1 * k2)
-
-    Row (n1, k1) is |N| blocks of |K| entries.  Block n2 depends only on
-    v = n1 * auts[k1](n2) and on k1: it is v * |K| + K.mul[k1], so each
-    (k1, v) block is made once and the rows are joined from them.  Every
-    block is picked out of one tuple(range(|N| * |K|)), so the whole table
-    shares one int object per element.
-    """
-    nk = len(kmul)
-    r = tuple(range(len(nmul) * nk))
-    slices = [r[v:v + nk] for v in range(0, len(r), nk)]
-    blocks = [tuple(map(getter(krow), slices)) for krow in kmul]
-    rows = []
-    for nrow in nmul:
-        for k1, kblocks in enumerate(blocks):
-            vs = nrow if act is None else act[k1](nrow)
-            rows.append(tuple(chain.from_iterable(getter(vs)(kblocks))))
-    return tuple(rows)
-
-
-def _pair_inverses(
-    ninv: Sequence[int], kinv: Sequence[int], auts: Sequence[Sequence[int]] | None
-) -> tuple[int, ...]:
-    """Inverses in the table of `_pair_table`, with auts[k] the action of
-    k on N (None for the direct product):
-
-        (n, k)^-1 = (auts[k^-1](n^-1), k^-1)
-    """
-    nk = len(kinv)
-    if auts is None:
-        return tuple(a * nk + b for a in ninv for b in kinv)
-    return tuple(auts[b][a] * nk + b for a in ninv for b in kinv)
+def product_columns(groups: Sequence[Group]) -> tuple[list[list[int]], list[int]]:
+    """Columns and generators for `group_from_columns` of the direct
+    product of `groups` on tuples (x_1, ..., x_k) in mixed radix, x_1 the
+    most significant: the numbering of ((G_1 x G_2) x ...) x G_k by
+    `direct_product`.  The generators are each factor's in turn, each as
+    the tuple with the identity in every other place."""
+    n = prod(G.order for G in groups)
+    cols, gens = [], []
+    w = n
+    for G in groups:
+        # x = h + x_i * w + l with h a multiple of |G| * w and l < w;
+        # right multiplication by g changes only the digit x_i
+        block, w = w, w // G.order
+        for g in G.generators:
+            col = [row[g] * w for row in G.mul]
+            cols.append(
+                [h + c + l for h in range(0, n, block) for c in col for l in range(w)]
+            )
+            gens.append(g * w)
+    return cols, gens
 
 
 def semidirect_product(
@@ -712,35 +690,37 @@ def semidirect_product(
             raise ValueError("action entry is not an automorphism of N")
         gen_gets.append(tget)
 
-    # extend by BFS over K: act(k * g) = act(k) o act(g) as a left action
-    ident = tuple(range(nn))
-    auts: list[tuple[int, ...] | None] = [None] * nk
-    auts[0] = ident
+    # act(k * g) = act(k) o act(g) as a left action: breadth first over K,
+    # each k's action is set by the first pair (k', g) with k' * g = k,
+    # and every other pair must agree with it
+    auts: list = [None] * nk
+    auts[0] = tuple(range(nn))
     queue = [0]
+    agree = True
     for k in queue:
-        ak = auts[k]
-        assert ak is not None
-        for gi, g in enumerate(K.generators):
-            y = K.mul[k][g]
-            if auts[y] is None:
-                auts[y] = gen_gets[gi](ak)
-                queue.append(y)
-    if any(a is None for a in auts):
-        raise ValueError("K's generators do not generate K")
-    for k, ak in enumerate(auts):
         krow = K.mul[k]
-        for gi, g in enumerate(K.generators):
-            if auts[krow[g]] != gen_gets[gi](ak):
-                raise ValueError(
-                    "generator images do not extend to a homomorphism "
-                    "K -> Aut(N)"
-                )
+        for tget, g in zip(gen_gets, K.generators):
+            a, y = tget(auts[k]), krow[g]
+            if auts[y] is None:
+                auts[y] = a
+                queue.append(y)
+            elif auts[y] != a:
+                agree = False
+    if len(queue) < nk:
+        raise ValueError("K's generators do not generate K")
+    if not agree:
+        raise ValueError(
+            "generator images do not extend to a homomorphism K -> Aut(N)"
+        )
 
-    act = [getter(a) for a in auts]  # type: ignore[arg-type]
-    gens = [g * nk for g in N.generators] + list(K.generators)
-    return Group._with_inverses(
-        _pair_table(N.mul, K.mul, act), _pair_inverses(N.inv, K.inv, auts), gens, label
-    )
+    # (n, k) * (g, e) = (n * act(k)(g), k) for a generator g of N and the
+    # identity e of K; the columns of K's generators are the direct product's
+    cols, gens = product_columns([N, K])
+    cols[:len(N.generators)] = [
+        [row[a[g]] * nk + k for row in N.mul for k, a in enumerate(auts)]
+        for g in N.generators
+    ]
+    return group_from_columns(cols, gens, label)
 
 
 def is_normal_subgroup(G: Group, H: Subgroup) -> bool:
@@ -762,20 +742,16 @@ def quotient(G: Group, N: Subgroup, label: str | None = None) -> tuple[Group, Mo
         raise ValueError("subgroup does not belong to this group")
     if not is_normal_subgroup(G, N):
         raise ValueError("subgroup is not normal")
-    n = G.order
     mul = G.mul
     nelems = list(_bits(N.members))
-    coset_of = [-1] * n
+    coset_of = [-1] * G.order
     reps: list[int] = []
-    for x in range(n):
-        if coset_of[x] >= 0:
-            continue
-        c = len(reps)
-        reps.append(x)
-        for s in nelems:
-            coset_of[mul[s][x]] = c
-    q = len(reps)
-    qmul = [[coset_of[mul[reps[i]][reps[j]]] for j in range(q)] for i in range(q)]
-    qgens = [coset_of[g] for g in G.generators if coset_of[g] != 0]
-    Q = Group(qmul, list(dict.fromkeys(qgens)), label=label)
+    for x in range(G.order):
+        if coset_of[x] < 0:
+            for s in nelems:
+                coset_of[mul[s][x]] = len(reps)
+            reps.append(x)
+    qgens = list(dict.fromkeys(coset_of[g] for g in G.generators if coset_of[g]))
+    cols = [[coset_of[mul[x][reps[s]]] for x in reps] for s in qgens]
+    Q = group_from_columns(cols, qgens, label)
     return Q, Morphism(G, Q, tuple(coset_of))

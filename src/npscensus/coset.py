@@ -17,7 +17,7 @@ gives, and a cyclic relator such as a^n costs time linear in n, not n^2.
 from __future__ import annotations
 
 
-from .core import CapExceeded, Group, Record, table_by_rows
+from .core import CapExceeded, Group, Record, group_from_columns
 from .presentation import Presentation, Word
 
 DEFAULT_MAX_COSETS = 100_000
@@ -228,35 +228,14 @@ def enumerate_cosets(
 def group_from_coset_table(table: CosetTable, label: str | None = None) -> Group:
     """Concrete group from a complete table (regular representation).
 
-    Cosets become group elements; coset 0 is the identity.  The
-    multiplication table is filled column by column along a breadth-first
-    spanning tree of the coset graph, so the result is deterministic.
+    Cosets become group elements; coset 0 is the identity, and the
+    table's columns are right multiplication by each generator and its
+    inverse, which `group_from_columns` turns into the table.
     """
-    n = table.num_cosets
-    if n == 0:
+    if table.num_cosets == 0:
         raise ValueError("empty coset table")
-    rows = table.rows
-
-    # BFS parent/column words over the coset graph
-    parent = [0] * n
-    colof = [-1] * n
-    seen = [False] * n
-    seen[0] = True
-    queue = [0]
-    for c in queue:
-        for col in range(2 * table.num_generators):
-            d = rows[c][col]
-            if not seen[d]:
-                seen[d] = True
-                parent[d] = c
-                colof[d] = col
-                queue.append(d)
-    if not all(seen):
-        raise ValueError("coset table is not transitive")
-
-    mul = table_by_rows(tuple(zip(*rows)), queue[1:], parent, colof)
-    gens = [rows[0][2 * i] for i in range(table.num_generators)]
-    return Group(mul, list(dict.fromkeys(g for g in gens if g != 0)), label=label)
+    gens = dict.fromkeys(table.rows[0][2 * i] for i in range(table.num_generators))
+    return group_from_columns(tuple(zip(*table.rows)), [g for g in gens if g], label)
 
 
 def coset_enumerate(

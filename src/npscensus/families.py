@@ -26,7 +26,9 @@ from .core import (
     cyclic_group,
     direct_product,
     getter,
+    group_from_columns,
     group_from_generators,
+    product_columns,
     semidirect_product,
 )
 from .presentation import Presentation, parse_presentation
@@ -292,16 +294,11 @@ def _metacyclic_text(Q: int, P: int, r: int, t: int) -> str:
 
 
 def _direct_product(factors: Iterable[FamilySpec], cap: int, label: str) -> Group:
-    """The factors' direct product, left to right; only the last product
-    carries the label.  `build` has checked the product, and so each
-    factor."""
-    it = iter(factors)
-    g = build(next(it), cap, check=False)
-    f = next(it)
-    for after in it:
-        g = direct_product(g, build(f, cap, check=False), cap=cap)
-        f = after
-    return direct_product(g, build(f, cap, check=False), cap=cap, label=label)
+    """The factors' direct product in one pass, numbered as
+    `direct_product` taken left to right numbers it.  `build` has checked
+    the product, and so each factor."""
+    groups = [build(f, cap, check=False) for f in factors]
+    return group_from_columns(*product_columns(groups), label)
 
 
 def _sl23(spec: FamilySpec, cap: int, label: str) -> Group:
@@ -323,9 +320,9 @@ def _sl23(spec: FamilySpec, cap: int, label: str) -> Group:
             (c1 * b2 + d1 * d2) % 3,
         )
 
-    mul = [[index[mmul(x, y)] for y in mats] for x in mats]
     gens = [index[(1, 1, 0, 1)], index[(1, 0, 1, 1)]]
-    return Group(mul, gens, label=label)
+    cols = [[index[mmul(x, mats[g])] for x in mats] for g in gens]
+    return group_from_columns(cols, gens, label)
 
 
 def _class2(p: int, n: int, cap: int, label: str) -> Group:

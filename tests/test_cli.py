@@ -733,6 +733,29 @@ class TestPresent:
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
 
 
+def test_past_cap_query_with_a_large_prime_answers_quickly():
+    """F(1,q) for the prime q = 10^18 + 3 is counted from its parameters;
+    the divisors of q come from its factorization, which stops at the
+    prime cofactor, so there is no trial division up to the square root
+    of q."""
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "npscensus.cli", "nps", "F(1,1000000000000000003)",
+            "--max-order", "10000000000000000000000",
+        ],
+        env=_child_env(), capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    for want in (
+        "order: 3000000000000000009",
+        "subgroups: 1000000000000000006",
+        "power subgroups: 3",
+        "nonpower subgroups: 1000000000000000003",
+    ):
+        assert want in lines
+
+
 class TestWorkersFreeGroups:
     """A worker's group is freed by reference counting when the worker
     returns, and so is every group the CLI compares for isomorphism: the

@@ -5,6 +5,7 @@ oracles defined at the top of this file (naive set closures working on
 raw permutations or tables, no shared code with the package internals).
 """
 
+import functools
 import random
 import sys
 import tracemalloc
@@ -25,6 +26,7 @@ from npscensus.core import (
     exponent,
     generated_indices,
     generated_subgroup,
+    generating_sequence_of_subset,
     group_from_generators,
     is_abelian,
     is_normal_subgroup,
@@ -641,6 +643,29 @@ def ref_group_from_generators(degree, perms, cap=None, label=None):
     return RefGroup(mul, [gen_cols[gi][0] for gi in range(len(gens))], label=label)
 
 
+def ref_quotient(G, N, label=None):
+    n, mul = G.order, G.mul
+    nelems = [x for x in range(n) if N.members >> x & 1]
+    coset_of, reps = [-1] * n, []
+    for x in range(n):
+        if coset_of[x] < 0:
+            for s in nelems:
+                coset_of[mul[s][x]] = len(reps)
+            reps.append(x)
+    q = len(reps)
+    qmul = [[coset_of[mul[reps[i]][reps[j]]] for j in range(q)] for i in range(q)]
+    qgens = [coset_of[g] for g in G.generators if coset_of[g] != 0]
+    return RefGroup(qmul, list(dict.fromkeys(qgens)), label=label)
+
+
+def ref_subgroup_group(G, H, label=None):
+    elems = [x for x in range(G.order) if H.members >> x & 1]
+    index = {e: i for i, e in enumerate(elems)}
+    mul = [[index[G.mul[a][b]] for b in elems] for a in elems]
+    gens = [index[g] for g in generating_sequence_of_subset(G, elems)]
+    return RefGroup(mul, gens, label=label)
+
+
 def ref_metacyclic(P, Q, r, t, label=None):
     """b^v a^k as v * P + k with a^-1 b a = b^r and a^P = b^t, cell by
     cell: b^v1 a^k1 b^v2 a^k2 = b^(v1 + r^-k1 v2 + c) a^((k1 + k2) mod P),
@@ -693,10 +718,16 @@ class TestKernelsMatchPerCellLoops:
         from npscensus import families
         from npscensus.specs import parse_spec
 
+        def ref_product(factors, cap, label):
+            # the factors' product by the per-cell loop, left to right
+            groups = [families.build(f, cap, check=False) for f in factors]
+            return functools.reduce(ref_direct_product, groups)
+
         spec = parse_spec(text)
         new = families.build(spec)
         monkeypatch.setattr(families, "cyclic_group", ref_cyclic_group)
         monkeypatch.setattr(families, "direct_product", ref_direct_product)
+        monkeypatch.setattr(families, "_direct_product", ref_product)
         monkeypatch.setattr(families, "semidirect_product", ref_semidirect_product)
         ref = families.build(spec)
         assert isinstance(ref, RefGroup)
@@ -781,3 +812,22 @@ class TestKernelsMatchPerCellLoops:
                 group_from_generators(degree, perms),
                 ref_group_from_generators(degree, perms),
             )
+
+    def test_quotient_and_subgroup_group(self, zoo):
+        # by the centre, the derived subgroup and, in the smaller groups,
+        # every normal subgroup; each generator's cyclic subgroup besides
+        from npscensus.lattice import all_subgroups
+
+        for G in zoo.values():
+            normal = [center(G), derived_subgroup(G)]
+            if G.order <= 64:
+                lat = all_subgroups(G)
+                normal += [h for h, n in zip(lat.subgroups, lat.normal_flags) if n]
+            for N in normal:
+                assert_same_table(quotient(G, N)[0], ref_quotient(G, N))
+            for H in normal + [generated_subgroup(G, [g]) for g in G.generators]:
+                assert_same_table(subgroup_group(G, H), ref_subgroup_group(G, H))
+
+    def test_inverses_are_the_identity_in_each_row(self, zoo):
+        for G in zoo.values():
+            assert G.inv == tuple(row.index(0) for row in G.mul), G.label

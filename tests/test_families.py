@@ -6,6 +6,7 @@ from math import gcd, isqrt
 import pytest
 
 from npscensus.arith import (
+    divisors,
     factorize,
     integer_root,
     is_prime,
@@ -127,6 +128,16 @@ class TestPrimality:
             want = next(iter(fact.items())) if len(fact) == 1 else None
             assert prime_power(n) == want, n
 
+    def test_divisors_match_trial_division(self):
+        for n in range(1, 5001):
+            assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+
+    def test_factorize_stops_at_a_prime_cofactor(self):
+        q = 1000000000000000003
+        assert factorize(q) == {q: 1}
+        assert factorize(2**5 * 3 * q) == {2: 5, 3: 1, q: 1}
+        assert divisors(3 * q) == [1, 3, q, 3 * q]
+
     def test_prime_power_large(self):
         q = 2**61 - 1
         assert prime_power(q**5) == (q, 5)
@@ -196,7 +207,7 @@ class TestBuildOrders:
 
         monkeypatch.setattr(families, "_metacyclic", no_table)
         monkeypatch.setattr(families, "_class2", no_table)
-        monkeypatch.setattr(core, "_pair_table", no_table)
+        monkeypatch.setattr(core, "group_from_columns", no_table)
         with pytest.raises(CapExceeded, match="exceeds cap 600"):
             build(parse_spec(text), cap=600)
 
@@ -209,8 +220,8 @@ class TestBuildOrders:
 
         for module in (families, core):
             for name in (
-                "cyclic_group", "_metacyclic", "_class2", "_pair_table",
-                "table_by_rows", "_sl23",
+                "cyclic_group", "_metacyclic", "_class2", "group_from_columns",
+                "_sl23",
             ):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, no_table)
