@@ -130,7 +130,8 @@ class TestPrimality:
 
     def test_divisors_match_trial_division(self):
         for n in range(1, 5001):
-            assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+            small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+            assert divisors(n) == sorted({*small, *(n // d for d in small)}), n
 
     def test_factorize_stops_at_a_prime_cofactor(self):
         q = 1000000000000000003
