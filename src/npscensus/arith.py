@@ -101,8 +101,14 @@ def factorize(n: int) -> dict[int, int]:
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n >= 1, ascending, from its factorization."""
+    return divisors_of(factorize(n))
+
+
+def divisors_of(factors: dict[int, int]) -> list[int]:
+    """All positive divisors, ascending, of the number whose factorization
+    is {prime: multiplicity}."""
     out = [1]
-    for p, e in factorize(n).items():
+    for p, e in factors.items():
         out = [d * p**i for d in out for i in range(e + 1)]
     return sorted(out)
 

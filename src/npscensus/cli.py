@@ -16,14 +16,11 @@ among them), 2 input error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 from collections import Counter
 from itertools import chain, combinations
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .catalog import (
@@ -36,7 +33,7 @@ from .catalog import (
     instantiate_bucket,
     minimal_instances,
 )
-from .core import DEFAULT_ORDER_CAP, CapExceeded, element_orders
+from .core import DEFAULT_ORDER_CAP, CapExceeded, Group, element_orders
 from .corpus import CorpusEntry, CorpusError, load_corpus
 from .coset import DEFAULT_MAX_COSETS, enumerate_cosets, group_from_coset_table
 from .families import (
@@ -127,15 +124,24 @@ def _spec_counts(spec: FamilySpec, max_order: int) -> CountSummary:
     which the caller has checked.  A metacyclic spec, split or not, is
     counted from its parameters, with no table; a spec of direct factors,
     one of them a cyclic C(n), as A x C(n) from the lattice of A alone;
-    every other spec from its table and full lattice."""
-    twist = metacyclic_of(spec)
-    if twist is not None:
-        return metacyclic_counts(*twist)
+    every other spec from its table by `counts`."""
     split = split_cyclic(spec)
-    if split is None:
-        return counts(build(spec, max_order, check=False), cap=max_order)
+    if split is None or metacyclic_of(spec) is not None:
+        return _counted_table(spec, max_order)[0]
     rest, n = split
     return counts_times_cyclic(build(rest, max_order, check=False), n, max_order)
+
+
+def _counted_table(spec: FamilySpec, max_order: int) -> tuple[CountSummary, Group | None]:
+    """counts() of the group of a valid spec of order at most max_order,
+    and the table it was counted from: None for a metacyclic spec, counted
+    from its parameters.  The isomorphism loops compare the tables of
+    groups whose counts agree, so every other spec is built whole, once."""
+    twist = metacyclic_of(spec)
+    if twist is not None:
+        return metacyclic_counts(*twist), None
+    G = build(spec, max_order, check=False)
+    return counts(G, cap=max_order), G
 
 
 def _formula_worker(args: tuple[FamilySpec, int]) -> dict[str, object]:
@@ -182,6 +188,10 @@ def _pmap(worker, items, jobs: int) -> list:
 
 
 def _write_csv(out, columns, rows, comments: list[str]) -> None:
+    # csv and json are imported by the reports that write them, not by a
+    # one-shot query
+    import csv
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(columns)
@@ -193,6 +203,8 @@ def _write_csv(out, columns, rows, comments: list[str]) -> None:
 
 
 def _write_json(out, rows, summary: dict) -> None:
+    import json
+
     out.write(json.dumps({"rows": rows, "summary": summary}, indent=1, sort_keys=True))
     out.write("\n")
 
@@ -216,13 +228,11 @@ def _summary_lines(summary: dict) -> list[str]:
 
 def cmd_nps(args) -> int:
     text = args.spec
-    path = Path(text)
-    try:
-        is_file = path.is_file()
-    except OSError:  # e.g. a spec longer than the file-name limit
-        is_file = False
-    if is_file:
-        text = path.read_text(encoding="utf-8").strip()
+    # False also when the text cannot be a file name, e.g. one longer than
+    # the file-name limit
+    if os.path.isfile(text):
+        with open(text, encoding="utf-8") as fh:
+            text = fh.read().strip()
     spec = parse_spec(text)
     # the cap comes before the family checks, which can take long on large
     # parameters (a primality test), but after the shape check, without
@@ -278,18 +288,22 @@ def cmd_verify_theorems(args) -> int:
 
     # pairwise non-isomorphism at minimal parameters; isomorphic groups
     # agree on order and counts, so only the pairs that agree on both are
-    # built and compared
+    # compared, each group built once
     distinct_ok = True
     distinct_lines: list[str] = []
     for k in range(args.k_min, args.k_max + 1):
         specs = [s for s, _ in minimal_instances(k, args.max_order)]
         orders = [expected_order(s) for s in specs]
-        keys = [
-            _spec_counts(s, args.max_order) if orders.count(o) > 1 else o
-            for s, o in zip(specs, orders)
-        ]
+        keys: list = list(orders)
+        tables: dict[int, Group | None] = {}
+        for i, (s, o) in enumerate(zip(specs, orders)):
+            if orders.count(o) > 1:
+                keys[i], tables[i] = _counted_table(s, args.max_order)
         pairs = [(i, j) for i, j in combinations(range(len(keys)), 2) if keys[i] == keys[j]]
-        groups = {i: build(specs[i], cap=args.max_order) for i in set(chain(*pairs))}
+        groups = {
+            i: tables[i] or build(specs[i], cap=args.max_order) for i in set(chain(*pairs))
+        }
+        del tables
         clashes = [
             f"{specs[i]} ~ {specs[j]}"
             for i, j in pairs
@@ -330,8 +344,9 @@ def cmd_verify_theorems(args) -> int:
             hit = None
             for cand in instances_of_order(k, g.order):
                 # a candidate with other counts is not isomorphic to g
-                if _spec_counts(cand, args.max_order) == c and are_isomorphic(
-                    g, build(cand, cap=args.max_order), cap=args.max_order
+                cc, h = _counted_table(cand, args.max_order)
+                if cc == c and are_isomorphic(
+                    g, h or build(cand, cap=args.max_order), cap=args.max_order
                 ):
                     hit = str(cand)
                     break
@@ -379,6 +394,8 @@ def cmd_census(args) -> int:
 def cmd_present(args) -> int:
     text = args.presentation
     if text.startswith("@"):
+        from pathlib import Path
+
         text = Path(text[1:]).read_text(encoding="utf-8").strip()
     pres = parse_presentation(text)
     table = enumerate_cosets(pres, max_cosets=args.max_cosets)

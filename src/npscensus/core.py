@@ -513,6 +513,17 @@ def group_from_generators(
     closure order from the identity, applying generators in input order.
     Raises CapExceeded when the closure outgrows `cap`, ValueError on
     non-bijective input.
+
+    The closure first keys each element by its images of a base, the
+    smallest point of each orbit of the group, and not of all points.
+    Two elements with one key differ by an element of the pointwise
+    stabilizer H of the base, so that closure walks the right cosets of H
+    and its columns are the generators' action on them.  The left
+    translations built down the spanning tree commute with every column
+    exactly when each generator normalizes H; a normal subgroup that fixes
+    a point of every orbit fixes every point, so H is then trivial and the
+    columns are the group's own.  Otherwise the closure runs again keyed by
+    all points.  Either way the numbering is the one above.
     """
     if degree < 1:
         raise ValueError("degree must be positive")
@@ -523,32 +534,106 @@ def group_from_generators(
             raise ValueError(f"not a permutation of 0..{degree - 1}: {p!r}")
         gens.append(t)
 
-    ident = tuple(range(degree))
-    index = {ident: 0}
-    elems = [ident]
+    cols = _closure(gens, _orbit_minima(degree, gens), cap)
+    if not _translations_commute(cols):
+        cols = _closure(gens, range(degree), cap)
+    return group_from_columns(cols, [col[0] for col in cols], label)
+
+
+def _orbit_minima(degree: int, gens: Sequence[Sequence[int]]) -> list[int]:
+    """The smallest point of each orbit of <gens> on 0..degree-1."""
+    seen = [False] * degree
+    base = []
+    for b in range(degree):
+        if not seen[b]:
+            base.append(b)
+            seen[b] = True
+            orbit = [b]
+            for x in orbit:
+                for p in gens:
+                    y = p[x]
+                    if not seen[y]:
+                        seen[y] = True
+                        orbit.append(y)
+    return base
+
+
+def _closure(
+    gens: Sequence[tuple[int, ...]], points: Iterable[int], cap: int
+) -> list[list[int]]:
+    """The columns of `gens` acting on the distinct images of `points`,
+    numbered breadth first from the points themselves.  An element x is
+    keyed by its images x[b] of the points b; x then p has the key p
+    picked at the points of x's key."""
+    key = tuple(points)
+    index = {key: 0}
+    keys = [key]
     cols: list[list[int]] = [[] for _ in gens]
-    for x in elems:
-        # x then p is p picked at the points of x: one itemgetter call,
-        # faster than a list comprehension, and than map(p.__getitem__, x),
-        # whose slot wrapper parses its argument on every call
+    for x in keys:
+        # one itemgetter call, faster than a list comprehension, and than
+        # map(p.__getitem__, x), whose slot wrapper parses its argument on
+        # every call
         pick = getter(x)
         for p, col in zip(gens, cols):
             y = pick(p)
             j = index.get(y)
             if j is None:
-                j = len(elems)
+                j = len(keys)
                 if j >= cap:
                     raise CapExceeded(
-                        f"closure exceeds cap {cap} (degree {degree})"
+                        f"closure exceeds cap {cap} (degree {len(gens[0])})"
                     )
                 index[y] = j
-                elems.append(y)
+                keys.append(y)
             col.append(j)
+    return cols
 
-    # the elements' permutations are not needed for the table: free them
-    # first, so that its rows can reuse their memory
-    del elems, index
-    return group_from_columns(cols, [col[0] for col in cols], label)
+
+def _spanning_tree(cols: Sequence[Sequence[int]]) -> tuple[list[int], list[int], list[int]]:
+    """A breadth-first spanning tree from 0 of the graph whose edges are
+    the columns: (parent, via, tree), with c = cols[via[c]][parent[c]] for
+    every c != 0, and tree the elements in the order reached.  ValueError
+    when the columns do not reach every element."""
+    n = len(cols[0]) if cols else 1
+    parent = [0] + [-1] * (n - 1)
+    via = [0] * n
+    tree = [0]
+    for p in tree:
+        for j, col in enumerate(cols):
+            c = col[p]
+            if parent[c] < 0:
+                parent[c] = p
+                via[c] = j
+                tree.append(c)
+    if len(tree) < n:
+        raise ValueError("the generators' columns do not reach every element")
+    return parent, via, tree
+
+
+def _left_translation(
+    cols: Sequence[Sequence[int]], j: int, parent: list[int], via: list[int], tree: list[int]
+) -> list[int]:
+    """s_j * c for every c, walked down the spanning tree as
+    s_j * c = (s_j * parent[c]) * s_via[c]."""
+    left = [cols[j][0]] * len(parent)
+    for c in tree:
+        left[c] = cols[via[c]][left[parent[c]]]
+    return left
+
+
+def _translations_commute(cols: Sequence[Sequence[int]]) -> bool:
+    """Whether the left translation by each s_j, built down the spanning
+    tree, commutes with the right multiplication by every s_k: s_j * (x *
+    s_k) = (s_j * x) * s_k for every x.  O(n k^2) for n elements and k
+    columns."""
+    parent, via, tree = _spanning_tree(cols)
+    del tree[0]
+    for j in range(len(cols)):
+        left = _left_translation(cols, j, parent, via, tree)
+        after = getter(left)
+        if any(getter(col)(left) != after(col) for col in cols):
+            return False
+    return True
 
 
 def group_from_columns(
@@ -569,28 +654,15 @@ def group_from_columns(
     c^-1 = s^-1 * parent[c]^-1, where s^-1 is the one element that the
     column of s sends to 0.  Every row shares the int objects of row 0.
     """
-    n = len(cols[0]) if cols else 1
-    parent = [0] + [-1] * (n - 1)
-    via = [0] * n
-    tree = [0]
-    for p in tree:
-        for j, col in enumerate(cols):
-            c = col[p]
-            if parent[c] < 0:
-                parent[c] = p
-                via[c] = j
-                tree.append(c)
-    if len(tree) < n:
-        raise ValueError("the generators' columns do not reach every element")
+    parent, via, tree = _spanning_tree(cols)
+    n = len(parent)
     del tree[0]
     rows: list = [None] * n
     rows[0] = tuple(range(n))
-    picks = {}
-    for j in dict.fromkeys(via[c] for c in tree):
-        left = [cols[j][0]] * n
-        for c in tree:
-            left[c] = cols[via[c]][left[parent[c]]]
-        picks[j] = getter(left)
+    picks = {
+        j: getter(_left_translation(cols, j, parent, via, tree))
+        for j in dict.fromkeys(via[c] for c in tree)
+    }
     for c in tree:
         rows[c] = picks[via[c]](rows[parent[c]])
     inv_rows = {j: rows[cols[j].index(0)] for j in picks}

@@ -11,8 +11,7 @@ data/corpus.schema.json for the schema and data/*.json for samples.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+import os
 
 from .core import Group, Record, group_from_generators
 
@@ -59,8 +58,12 @@ def entry_from_obj(obj: object, where: str) -> CorpusEntry:
     return CorpusEntry(name=name, degree=degree, generators=tuple(perms))
 
 
-def load_corpus(path: str | Path) -> list[CorpusEntry]:
+def load_corpus(path: str | os.PathLike[str]) -> list[CorpusEntry]:
     """Parse a corpus file; raises CorpusError on file-level problems."""
+    # json and pathlib are imported here, not by a one-shot query
+    import json
+    from pathlib import Path
+
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -86,7 +89,10 @@ def entry_from_group(name: str, G: Group) -> CorpusEntry:
     )
 
 
-def dump_corpus(entries: list[CorpusEntry], path: str | Path) -> None:
+def dump_corpus(entries: list[CorpusEntry], path: str | os.PathLike[str]) -> None:
+    import json
+    from pathlib import Path
+
     payload = [
         {
             "name": e.name,

@@ -50,7 +50,9 @@ times as the lattice layer.
 
 `counts` of an abelian group builds no lattice: it reads the group's type
 off its element orders and counts by Birkhoff's formula
-(`arith.subgroup_count_abelian`).
+(`arith.subgroup_count_abelian`).  Nor does `counts` of a metacyclic
+group: it reads (Q, P, r, t) off the table (`_metacyclic_parameters`) and
+counts by `metacyclic_counts`.
 
 `metacyclic_counts` needs no group at all: it counts a metacyclic
 <b>.<a>, |b| = Q, a^P = b^t and a^-1 b a = b^r, split (t = 0) or not,
@@ -58,6 +60,8 @@ from (Q, P, r, t) by divisor sums of geometric sums mod Q, in
 O(tau(P) tau(Q) log P) steps for s and tau(PQ) ord(r) log(PQ) for the
 power subgroups.  The CLI counts every valid metacyclic family spec this
 way, Q(2^n) and C3Q8 included; the lattice stays its oracle in the tests.
+Q and P are factorized once a call, and every divisor list and prime set
+comes from those two factorizations.
 """
 
 from __future__ import annotations
@@ -65,10 +69,12 @@ from __future__ import annotations
 from collections import Counter
 from math import gcd, lcm
 from operator import itemgetter
+from typing import Iterable
 
 from .arith import (
     conjugate_partition,
     divisors,
+    divisors_of,
     factorize,
     geometric_sum,
     multiplicative_order,
@@ -87,6 +93,7 @@ from .core import (
     check_cap,
     coset_closure,
     cyclic_subgroups,
+    derived_subgroup,
     element_orders,
     exponent,
     generated_subgroup,
@@ -323,12 +330,60 @@ def power_subgroups(G: Group, cap: int = DEFAULT_ORDER_CAP) -> dict[int, Subgrou
 
 def counts(G: Group, cap: int = DEFAULT_ORDER_CAP) -> CountSummary:
     """s(G), ps(G), nps(G) and the per-prime (f, k) profile: from the type
-    for an abelian group, from the lattice for the rest.  The cap applies
-    to both."""
+    for an abelian group, from (Q, P, r, t) by `metacyclic_counts` for a
+    metacyclic one that `_metacyclic_parameters` recognizes, from the
+    lattice for the rest.  The cap applies to all three.  The counts are
+    cached on the group as plain data: `are_isomorphic` asks again for the
+    counts of groups that the CLI has counted."""
     check_cap(G.order, cap)
-    if is_abelian(G):
-        return _abelian_counts(_abelian_type(G))
-    return _lattice_counts(G, cap)
+    cached = G._cache.get("counts")
+    if cached is None:
+        if is_abelian(G):
+            cached = _abelian_counts(_abelian_type(G))
+        else:
+            twist = _metacyclic_parameters(G)
+            if twist is not None:
+                cached = metacyclic_counts(*twist)
+            else:
+                cached = _lattice_counts(G, cap)
+        G._cache["counts"] = cached
+    return cached  # type: ignore[return-value]
+
+
+def _metacyclic_parameters(G: Group) -> tuple[int, int, int, int] | None:
+    """(Q, P, r, t) of G as <b>.<a>, |b| = Q, a^P = b^t and a^-1 b a = b^r,
+    read off the table; None when G has no cyclic normal subgroup with a
+    cyclic quotient, so that G is not metacyclic.
+
+    The cyclic subgroups N = <b> are tried largest first.  N is normal when
+    each generator conjugates b into N, and G/N is cyclic only if N holds
+    G'.  G/N, of order P = |G|/|N|, is then generated by aN exactly when
+    a^(P/q) is not in N for each prime q dividing P; the order of a is a
+    multiple of P then, and every generator of <a> does as well as a, so
+    one generator of each cyclic subgroup is tried.
+    """
+    n = G.order
+    mul, inv = G.mul, G.inv
+    bits = bit_table(G)
+    derived = derived_subgroup(G).members
+    cyclics = cyclic_subgroups(G)
+    for powers in sorted(cyclics, key=len, reverse=True):
+        members = sum(getter(powers)(bits))
+        if derived & ~members:
+            continue
+        b = powers[1]
+        if any(not (members >> mul[mul[inv[g]][b]][g]) & 1 for g in G.generators):
+            continue
+        P = n // len(powers)
+        cuts = [P // q for q in factorize(P)]
+        for other in cyclics:
+            if len(other) % P or any((members >> other[c]) & 1 for c in cuts):
+                continue
+            a = other[1]
+            exps = {x: e for e, x in enumerate(powers)}
+            r = exps[mul[mul[inv[a]][b]][a]]
+            return len(powers), P, r, exps[other[P % len(other)]]
+    return None
 
 
 def _lattice_counts(G: Group, cap: int) -> CountSummary:
@@ -350,7 +405,7 @@ def _lattice_counts(G: Group, cap: int) -> CountSummary:
         s=s,
         ps=ps,
         nps=s - ps,
-        per_prime=_per_prime(G.order, e, cyclic_powers),
+        per_prime=_per_prime(factorize(G.order), e, cyclic_powers),
     )
 
 
@@ -426,7 +481,7 @@ def counts_times_cyclic(A: Group, n: int, cap: int = DEFAULT_ORDER_CAP) -> Count
         s=s,
         ps=len(powers),
         nps=s - len(powers),
-        per_prime=_per_prime(order, lcm(e, n), cyclic_powers),
+        per_prime=_per_prime(factorize(order), lcm(e, n), cyclic_powers),
     )
 
 
@@ -466,15 +521,19 @@ def metacyclic_counts(Q: int, P: int, r: int, t: int = 0) -> CountSummary:
         raise ValueError(
             "generator images do not extend to a homomorphism K -> Aut(N)"
         )
-    below_q = divisors(Q)
-    sums = {e: geometric_sum(pow(r, e, Q), P // e, Q) for e in divisors(P)}
+    # Q and P factorized once; every divisor list and prime set below
+    # comes from these
+    fq, fp = factorize(Q), factorize(P)
+    fpq = {p: fq.get(p, 0) + fp.get(p, 0) for p in fq.keys() | fp.keys()}
+    below_q = divisors_of(fq)
+    sums = {e: geometric_sum(pow(r, e, Q), P // e, Q) for e in divisors_of(fp)}
     s, exp = 0, 1
     for e, se in sums.items():
         s += sum(g for g in (gcd(se, d) for d in below_q) if t % g == 0)
         exp = lcm(exp, P // e * (Q // gcd(Q, se, t)))
     twists = [pow(r, j, Q) for j in range(multiplicative_order(r, Q))]
     powers = set()
-    for m in divisors(P * Q):
+    for m in divisors_of(fpq):
         d, e = Q, gcd(m, P)
         for x in twists:
             d = gcd(d, geometric_sum(x, m, Q))
@@ -483,7 +542,7 @@ def metacyclic_counts(Q: int, P: int, r: int, t: int = 0) -> CountSummary:
     cyclic_powers = []
     for d, e, x in powers:
         size = Q // d * (P // e)
-        primes = list(factorize(size))
+        primes = [p for p in fpq if size % p == 0]
         if len(primes) == 1 and (d == Q or e == P or (t + sums[e] * x) % (primes[0] * d)):
             cyclic_powers.append(size)
     return CountSummary(
@@ -492,7 +551,7 @@ def metacyclic_counts(Q: int, P: int, r: int, t: int = 0) -> CountSummary:
         s=s,
         ps=len(powers),
         nps=s - len(powers),
-        per_prime=_per_prime(Q * P, exp, cyclic_powers),
+        per_prime=_per_prime(fpq, exp, cyclic_powers),
     )
 
 
@@ -539,17 +598,20 @@ def _abelian_counts(types: dict[int, list[int]]) -> CountSummary:
     )
 
 
-def _per_prime(order: int, exp: int, cyclic_powers: list[int]) -> tuple[PrimeData, ...]:
-    """The per-prime profile.  The p-part of the exponent `exp` is the
-    largest p-element order; `cyclic_powers` holds the orders of the power
-    subgroups that are cyclic of prime-power order > 1."""
+def _per_prime(
+    primes: Iterable[int], exp: int, cyclic_powers: list[int]
+) -> tuple[PrimeData, ...]:
+    """The per-prime profile over the primes dividing the order.  The
+    p-part of the exponent `exp` is the largest p-element order;
+    `cyclic_powers` holds the orders of the power subgroups that are
+    cyclic of prime-power order > 1."""
     return tuple(
         PrimeData(
             p=p,
             f=p_valuation(exp, p),
             k=max((p_valuation(c, p) for c in cyclic_powers if c % p == 0), default=0),
         )
-        for p in sorted(factorize(order))
+        for p in sorted(primes)
     )
 
 

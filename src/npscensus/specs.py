@@ -12,6 +12,8 @@ Names are case-insensitive and whitespace is ignored.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .families import FAMILIES, Family, FamilySpec, product_spec
 
 
@@ -81,8 +83,12 @@ def _make_spec(
     return FamilySpec(fam.kind, tuple(args))
 
 
+@cache
 def parse_spec(text: str) -> FamilySpec:
-    """Parse mini-language text into a FamilySpec (no validation)."""
+    """Parse mini-language text into a FamilySpec (no validation).
+
+    Cached by text: a FamilySpec is immutable, and a SpecError is not
+    cached, so malformed text raises anew on each call."""
     src = "".join(text.split())
     if not src:
         raise SpecError("empty spec")

@@ -418,6 +418,35 @@ class TestVerifyTheorems:
         # only the corpus candidate with the entry's counts
         assert built == ["Q(8)"]
 
+    def test_each_table_is_built_once(self, capsys, monkeypatch, tmp_path):
+        import npscensus.cli
+
+        built = []
+
+        def logged_build(spec, *args, **kwargs):
+            built.append(str(spec))
+            return build(spec, *args, **kwargs)
+
+        # none of these is metacyclic, so each is counted from its table:
+        # SL23 and Sym(4) share their order, not their counts; Alt(4) and
+        # A(1) are one group, so their tables are compared as well
+        members = [(parse_spec(t), t) for t in ("SL23", "Sym(4)", "Alt(4)", "A(1)")]
+        candidates = [parse_spec("Sym(4)"), parse_spec("SL23")]
+        monkeypatch.setattr(npscensus.cli, "instantiate_bucket", lambda k, n, cap: [])
+        monkeypatch.setattr(npscensus.cli, "minimal_instances", lambda k, cap: members)
+        monkeypatch.setattr(npscensus.cli, "instances_of_order", lambda k, order: candidates)
+        monkeypatch.setattr(npscensus.cli, "build", logged_build)
+        path = tmp_path / "c.json"
+        dump_corpus([entry_from_group("sl23", build(parse_spec("SL23")))], path)
+        code, out, _ = run(
+            capsys, "verify-theorems", "--k-min", "11", "--k-max", "11", "--corpus", str(path)
+        )
+        assert code == 1
+        assert "k=11: isomorphic pair(s): Alt(4) ~ A(1)" in out
+        assert "sl23: nps=11, matches SL23" in out
+        # the distinctness loop's tables, then the corpus loop's
+        assert built == ["SL23", "Sym(4)", "Alt(4)", "A(1)", "Sym(4)", "SL23"]
+
     def test_unmatched_corpus_entry_exits_1(self, capsys, tmp_path):
         # C3 x| C14 has nps 6, and no k = 6 member has an instance of order 42
         path = tmp_path / "c.json"
@@ -756,6 +785,29 @@ def test_past_cap_query_with_a_large_prime_answers_quickly():
         assert want in lines
 
 
+def test_metacyclic_query_factorizes_its_parameters_once():
+    """D(2n) for n = 10000019 * 10000079 is counted from (Q, P, r, t) =
+    (n, 2, -1, 0).  Q and P are factorized once each, a trial division up
+    to 10000019 for Q, and every divisor list comes from those; factorizing
+    Q again for each divisor list took about 4.5 s."""
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "npscensus.cli", "nps", "D(200001960003002)",
+            "--max-order", "1000000000000000000000",
+        ],
+        env=_child_env(), capture_output=True, text=True, timeout=3,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    for want in (
+        "order: 200001960003002",
+        "subgroups: 100001000001604",
+        "power subgroups: 5",
+        "nonpower subgroups: 100001000001599",
+    ):
+        assert want in lines
+
+
 class TestWorkersFreeGroups:
     """A worker's group is freed by reference counting when the worker
     returns, and so is every group the CLI compares for isomorphism: the
@@ -857,7 +909,16 @@ def _child_env() -> dict[str, str]:
 
 
 # modules a one-process run never uses, and that cost start-up time to import
-UNUSED_AT_START = ("concurrent.futures.process", "multiprocessing", "dataclasses", "fractions")
+UNUSED_AT_START = (
+    "concurrent.futures.process",
+    "multiprocessing",
+    "dataclasses",
+    "fractions",
+    # the reports' writers and the corpus reader import these themselves
+    "json",
+    "csv",
+    "pathlib",
+)
 
 _IMPORT_PROBE = """
 import contextlib, io, sys
@@ -873,14 +934,37 @@ print([m for m in unused if m in sys.modules])
 
 def test_one_shot_query_imports_no_unused_module():
     """A fresh interpreter that imports the CLI and answers `nps D(8)` loads
-    neither the process pool, nor fractions, nor dataclasses.  `-S` leaves
-    out site, whose .pth files may import anything."""
+    neither the process pool, nor fractions, nor dataclasses, nor the
+    modules that only reports and corpora need.  `-S` leaves out site,
+    whose .pth files may import anything."""
     proc = subprocess.run(
         [sys.executable, "-S", "-c", _IMPORT_PROBE, *UNUSED_AT_START],
         env=_child_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
+_PACKAGE_PROBE = """
+import sys
+import npscensus
+print(sorted(m for m in sys.modules if m.startswith("npscensus")))
+names = {}
+exec("from npscensus import *", names)
+print(sorted(n for n in names if not n.startswith("__")) == sorted(npscensus.__all__))
+print(npscensus.counts is sys.modules["npscensus.lattice"].counts)
+"""
+
+
+def test_package_imports_its_modules_on_first_use():
+    """`import npscensus` loads no module of the package; each exported
+    name loads the module that defines it when it is first asked for."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _PACKAGE_PROBE],
+        env=_child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["['npscensus']", "True", "True"]
 
 
 def test_env_var_sets_default_cap(capsys, monkeypatch):

@@ -831,3 +831,92 @@ class TestKernelsMatchPerCellLoops:
     def test_inverses_are_the_identity_in_each_row(self, zoo):
         for G in zoo.values():
             assert G.inv == tuple(row.index(0) for row in G.mul), G.label
+
+
+def _natural_sym(n):
+    """Sym(n) on its n points: an n-cycle and a transposition."""
+    if n == 1:
+        return []
+    return [tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))]
+
+
+# permutation groups that are not regular on their points, with the number
+# of closures group_from_generators makes: 1 when the base images already
+# tell the elements apart, 2 when it closes again on all points
+NOT_REGULAR = [
+    ("Sym(3)", 3, _natural_sym(3), 2),
+    ("Sym(5)", 5, _natural_sym(5), 2),
+    ("Sym(4)", 4, _natural_sym(4), 2),
+    # C7 x| C6, x -> x + 1 and x -> 3x
+    ("C7:C6", 7, [tuple((x + 1) % 7 for x in range(7)), tuple(3 * x % 7 for x in range(7))], 2),
+    # Sym(3) on 0..2 and a 4-cycle on 3..6 in one generator, two fixed points
+    ("intransitive", 9, [(1, 2, 0, 4, 5, 6, 3, 7, 8), (1, 0, 2, 3, 4, 5, 6, 7, 8)], 2),
+    # C2 x C3 on two orbits: one base point of each tells the elements apart
+    ("C2xC3", 5, [(1, 0, 3, 4, 2)], 1),
+    # the Klein group on 4 points, regular, and beside two fixed points
+    ("V4", 6, [(1, 0, 3, 2, 4, 5), (2, 3, 0, 1, 4, 5)], 1),
+    ("identity", 4, [(0, 1, 2, 3)], 1),
+    ("trivial", 3, [], 1),
+]
+
+
+class TestBaseKeyedClosure:
+    """group_from_generators closes on the images of one point per orbit,
+    and on all points when those do not tell the elements apart; the table
+    is the all-points closure's either way."""
+
+    @pytest.mark.parametrize("name, degree, perms, closures", NOT_REGULAR)
+    def test_matches_the_all_points_closure(self, name, degree, perms, closures, monkeypatch):
+        from npscensus import core
+
+        keys = []
+        real = core._closure
+
+        def counted(gens, points, cap):
+            keys.append(list(points))
+            return real(gens, points, cap)
+
+        monkeypatch.setattr(core, "_closure", counted)
+        assert_same_table(
+            group_from_generators(degree, perms), ref_group_from_generators(degree, perms)
+        )
+        assert len(keys) == closures
+        if closures == 2:
+            assert keys[1] == list(range(degree))
+
+    def test_corpora_and_regular_representations(self, monkeypatch):
+        from pathlib import Path
+
+        from npscensus import core
+        from npscensus.corpus import load_corpus, regular_representation
+        from npscensus.families import build
+        from npscensus.specs import parse_spec
+
+        data = Path(__file__).resolve().parent.parent / "data"
+        for name in ("bucket_groups.json", "control_groups.json"):
+            for e in load_corpus(data / name):
+                assert_same_table(
+                    group_from_generators(e.degree, e.generators),
+                    ref_group_from_generators(e.degree, e.generators),
+                )
+        calls = []
+        real = core._closure
+        monkeypatch.setattr(core, "_closure", lambda *args: calls.append(1) or real(*args))
+        for text in ("D(600)", "Q(256)", "Sym(5)", "D(8)xD(8)xC(2)"):
+            G = build(parse_spec(text))
+            perms = regular_representation(G)
+            calls.clear()
+            assert_same_table(
+                group_from_generators(G.order, perms), ref_group_from_generators(G.order, perms)
+            )
+            # one orbit, and its smallest point tells the elements apart
+            assert len(calls) == 1, text
+
+    def test_random_permutation_groups(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            degree = rng.randint(1, 5)
+            perms = [rng.sample(range(degree), degree) for _ in range(rng.randint(0, 3))]
+            assert_same_table(
+                group_from_generators(degree, perms), ref_group_from_generators(degree, perms)
+            )

@@ -7,16 +7,30 @@ profile) with `_lattice_counts` on the group's table: on all split groups
 of order up to 300 with every twist, on all non-split ones of order up to
 64 with every twist and carry, on every metacyclic spec of the extended
 sweep and of the bucket instances, and on each metacyclic family at its
-smallest parameters.
+smallest parameters.  `counts` reads (Q, P, r, t) off a table: it is
+compared with the lattice on renumbered tables of every non-abelian
+metacyclic group of order up to 120, on the test zoo and on both corpora.
 """
+
+import random
+from pathlib import Path
 
 import pytest
 
 from npscensus.arith import divisors, geometric_sum
+from npscensus.core import Group, is_abelian
+from npscensus.corpus import load_corpus
 from npscensus.families import FAMILIES, _metacyclic, build, metacyclic_of
-from npscensus.lattice import _lattice_counts, metacyclic_counts
+from npscensus.lattice import (
+    _lattice_counts,
+    _metacyclic_parameters,
+    counts,
+    metacyclic_counts,
+)
 from npscensus.specs import parse_spec
 from test_families import _metacyclic_sweep_specs
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 # every metacyclic spec of formula_sweep(6, 1200) and of the bucket
 # instances with max_n 6, once each
@@ -127,3 +141,69 @@ def test_twist_must_have_order_dividing_p():
 def test_carry_must_be_fixed_by_the_twist(t):
     with pytest.raises(ValueError, match="do not extend to a homomorphism"):
         metacyclic_counts(4, 2, -1, t)
+
+
+# groups with no cyclic normal subgroup whose quotient is cyclic: counts
+# takes the lattice for them
+NOT_METACYCLIC = ["Q(8)xC(2)", "SL23", "Alt(4)", "M(5)", "D(8)xD(8)"]
+
+
+def _relabelled(G, rng):
+    """G with its elements other than the identity renumbered at random:
+    the product of sigma(x) and sigma(y) is sigma(x y)."""
+    n = G.order
+    sigma = [0] + rng.sample(range(1, n), n - 1)
+    unsigma = [0] * n
+    for x, y in enumerate(sigma):
+        unsigma[y] = x
+    mul = [None] * n
+    for x, row in enumerate(G.mul):
+        # row sigma(x) at z is sigma(x * sigma^-1(z))
+        mul[sigma[x]] = [sigma[row[y]] for y in unsigma]
+    return Group(mul, [sigma[g] for g in G.generators])
+
+
+class TestCountsRecognizeMetacyclicTables:
+    """`counts` reads (Q, P, r, t) off the table of a metacyclic group and
+    counts it by `metacyclic_counts`; the lattice stays the oracle."""
+
+    def test_zoo_and_corpora_match_the_lattice(self, zoo):
+        groups = list(zoo.values())
+        for name in ("bucket_groups.json", "control_groups.json"):
+            groups += [e.group(cap=600) for e in load_corpus(DATA / name)]
+        checked = 0
+        for G in groups:
+            if not is_abelian(G):
+                assert counts(G) == _lattice_counts(G, 600), G.label
+                checked += 1
+        assert checked > 100
+
+    def test_every_metacyclic_spec_of_the_zoo_is_recognized(self, zoo):
+        for label, G in zoo.items():
+            if label != "C7:C6" and metacyclic_of(parse_spec(label)) is not None:
+                assert _metacyclic_parameters(G) is not None, label
+
+    def test_relabelled_tables_up_to_order_120(self):
+        # every (Q, P, r, t) with a non-abelian group of order at most 120,
+        # split and not, its table renumbered at random
+        rng = random.Random(22)
+        checked = 0
+        for Q in range(3, 61):
+            for P in range(2, 120 // Q + 1):
+                for r in range(2, Q):
+                    if pow(r, P, Q) != 1:
+                        continue
+                    for t in range(Q):
+                        if (r - 1) * t % Q:
+                            continue
+                        G = _relabelled(_metacyclic(Q, P, r, t, "G"), rng)
+                        assert _metacyclic_parameters(G) is not None, (Q, P, r, t)
+                        assert counts(G) == _lattice_counts(G, 120), (Q, P, r, t)
+                        checked += 1
+        assert checked == 1404
+
+    @pytest.mark.parametrize("text", NOT_METACYCLIC)
+    def test_fall_through_to_the_lattice(self, text):
+        G = build(parse_spec(text))
+        assert _metacyclic_parameters(G) is None
+        assert counts(G) == _lattice_counts(G, 600)

@@ -98,6 +98,18 @@ class TestErrors:
             parse_spec("Q(8)y")
         assert info.value.position is not None
 
+    def test_error_raised_on_every_call(self):
+        # parse_spec is cached by text, and an exception is never cached
+        for _ in range(2):
+            with pytest.raises(SpecError, match="expected 'x' or end of spec"):
+                parse_spec("Q(8)y")
+
+
+def test_parse_is_cached_by_text():
+    spec = parse_spec("Q(8)xC(2)")
+    assert parse_spec("Q(8)xC(2)") is spec
+    assert parse_spec("Q(8) x C(2)") == spec
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
