@@ -840,10 +840,10 @@ def _natural_sym(n):
     return [tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))]
 
 
-# permutation groups that are not regular on their points, with the number
+# permutation groups, most of them not regular on their points, with the number
 # of closures group_from_generators makes: 1 when the base images already
 # tell the elements apart, 2 when it closes again on all points
-NOT_REGULAR = [
+PERMUTATION_GROUPS = [
     ("Sym(3)", 3, _natural_sym(3), 2),
     ("Sym(5)", 5, _natural_sym(5), 2),
     ("Sym(4)", 4, _natural_sym(4), 2),
@@ -865,7 +865,7 @@ class TestBaseKeyedClosure:
     and on all points when those do not tell the elements apart; the table
     is the all-points closure's either way."""
 
-    @pytest.mark.parametrize("name, degree, perms, closures", NOT_REGULAR)
+    @pytest.mark.parametrize("name, degree, perms, closures", PERMUTATION_GROUPS)
     def test_matches_the_all_points_closure(self, name, degree, perms, closures, monkeypatch):
         from npscensus import core
 
