@@ -33,12 +33,20 @@ from .catalog import (
     instantiate_bucket,
     minimal_instances,
 )
-from .core import DEFAULT_ORDER_CAP, CapExceeded, Group, element_orders
+from .core import (
+    DEFAULT_ORDER_CAP,
+    CapExceeded,
+    Group,
+    closure_columns,
+    element_orders,
+    group_from_columns,
+)
 from .corpus import CorpusEntry, CorpusError, load_corpus
 from .coset import DEFAULT_MAX_COSETS, enumerate_cosets, group_from_coset_table
 from .families import (
     FamilySpec,
     build,
+    cyclic_orders,
     expected_order,
     metacyclic_of,
     order_up_to,
@@ -47,7 +55,14 @@ from .families import (
     validate,
 )
 from .isomorphism import are_isomorphic
-from .lattice import CountSummary, counts, counts_times_cyclic, metacyclic_counts
+from .lattice import (
+    CountSummary,
+    column_counts,
+    counts,
+    counts_times_cyclic,
+    cyclic_product_counts,
+    metacyclic_counts,
+)
 from .presentation import PresentationError, parse_presentation
 from .specs import SpecError, parse_spec
 
@@ -122,11 +137,12 @@ def formula_sweep(max_n: int = 4, max_order: int = DEFAULT_ORDER_CAP) -> list[Fa
 def _spec_counts(spec: FamilySpec, max_order: int) -> CountSummary:
     """counts() of the group of a valid spec of order at most max_order,
     which the caller has checked.  A metacyclic spec, split or not, is
-    counted from its parameters, with no table; a spec of direct factors,
+    counted from its parameters, and a product of cyclic factors (C(n)
+    too) from its type, with no table; any other spec of direct factors,
     one of them a cyclic C(n), as A x C(n) from the lattice of A alone;
     every other spec from its table by `counts`."""
     split = split_cyclic(spec)
-    if split is None or metacyclic_of(spec) is not None:
+    if split is None or cyclic_orders(spec) is not None:
         return _counted_table(spec, max_order)[0]
     rest, n = split
     return counts_times_cyclic(build(rest, max_order, check=False), n, max_order)
@@ -135,11 +151,15 @@ def _spec_counts(spec: FamilySpec, max_order: int) -> CountSummary:
 def _counted_table(spec: FamilySpec, max_order: int) -> tuple[CountSummary, Group | None]:
     """counts() of the group of a valid spec of order at most max_order,
     and the table it was counted from: None for a metacyclic spec, counted
-    from its parameters.  The isomorphism loops compare the tables of
-    groups whose counts agree, so every other spec is built whole, once."""
+    from its parameters, and for a product of cyclic factors, counted from
+    its type.  The isomorphism loops compare the tables of groups whose
+    counts agree, so every other spec is built whole, once."""
     twist = metacyclic_of(spec)
     if twist is not None:
         return metacyclic_counts(*twist), None
+    orders = cyclic_orders(spec)
+    if orders is not None:
+        return cyclic_product_counts(orders), None
     G = build(spec, max_order, check=False)
     return counts(G, cap=max_order), G
 
@@ -158,17 +178,21 @@ def _theorem_worker(args: tuple[int, FamilySpec, str, int]) -> dict[str, object]
 
 def _census_worker(args: tuple[CorpusEntry, int]) -> dict[str, object]:
     """A census report row, keyed by `_CENSUS_COLUMNS`; the counts are
-    blank in the row of an entry that fails."""
+    blank in the row of an entry that fails.  An abelian entry is counted
+    from its closure's columns and builds no table; any other builds one
+    table from the same columns, with no second closure."""
     entry, max_order = args
     row = dict.fromkeys(_CENSUS_COLUMNS, "")
     row["name"] = entry.name
     try:
-        g = entry.group(cap=max_order)
-        c = counts(g, cap=max_order)
+        cols = closure_columns(entry.degree, entry.generators, max_order)
+        c = column_counts(cols)
+        if c is None:
+            c = counts(group_from_columns(cols, label=entry.name), cap=max_order)
     except (CapExceeded, ValueError) as exc:
         row["status"] = f"error: {exc}"
         return row
-    row.update(order=g.order, exponent=c.exponent, s=c.s, ps=c.ps, nps=c.nps, status="ok")
+    row.update(order=c.order, exponent=c.exponent, s=c.s, ps=c.ps, nps=c.nps, status="ok")
     return row
 
 
@@ -279,6 +303,61 @@ def cmd_verify_formulas(args) -> int:
     return 1 if tally[FAIL] else 0
 
 
+def _distinctness(k: int, max_order: int) -> tuple[bool, str]:
+    """Whether the minimal members of bucket k are pairwise non-isomorphic,
+    and the report line.  Isomorphic groups agree on order and counts, so
+    only the pairs that agree on both are compared, each group built once;
+    the tables die when this returns."""
+    specs = [s for s, _ in minimal_instances(k, max_order)]
+    orders = [expected_order(s) for s in specs]
+    keys: list = list(orders)
+    tables: dict[int, Group | None] = {}
+    for i, (s, o) in enumerate(zip(specs, orders)):
+        if orders.count(o) > 1:
+            keys[i], tables[i] = _counted_table(s, max_order)
+    pairs = [(i, j) for i, j in combinations(range(len(keys)), 2) if keys[i] == keys[j]]
+    groups = {i: tables[i] or build(specs[i], cap=max_order) for i in set(chain(*pairs))}
+    del tables
+    clashes = [
+        f"{specs[i]} ~ {specs[j]}"
+        for i, j in pairs
+        if are_isomorphic(groups[i], groups[j], cap=max_order)
+    ]
+    if clashes:
+        return False, f"k={k}: isomorphic pair(s): " + "; ".join(clashes)
+    return True, f"k={k}: {len(specs)} minimal members pairwise non-isomorphic"
+
+
+def _corpus_line(entry: CorpusEntry, k_min: int, k_max: int, max_order: int) -> tuple[str, bool]:
+    """The report line of one corpus entry, and whether it is unmatched:
+    cyclic for nps = 0, else isomorphic to no bucket member of its nps and
+    order.  Its table and each candidate's die when this returns."""
+    try:
+        g = entry.group(cap=max_order)
+        c = counts(g, cap=max_order)
+    except (CapExceeded, ValueError) as exc:
+        return f"{entry.name}: error: {exc}", False
+    k = c.nps
+    if not k_min <= k <= k_max:
+        return f"{entry.name}: nps={k}, outside k range", False
+    if k == 0:
+        ok = g.order in element_orders(g)
+        return f"{entry.name}: nps=0, cyclic={'yes' if ok else 'NO'}", not ok
+    for cand in instances_of_order(k, g.order):
+        if _matches(g, c, cand, max_order):
+            return f"{entry.name}: nps={k}, matches {cand}", False
+    return f"{entry.name}: nps={k}, NO bucket match (potential counterexample)", True
+
+
+def _matches(g: Group, c: CountSummary, cand: FamilySpec, max_order: int) -> bool:
+    """Whether the group of spec `cand` is isomorphic to g, whose counts
+    are c; the candidate's table dies when this returns, before the next
+    one is built."""
+    # a candidate with other counts is not isomorphic to g
+    cc, h = _counted_table(cand, max_order)
+    return cc == c and are_isomorphic(g, h or build(cand, cap=max_order), cap=max_order)
+
+
 def cmd_verify_theorems(args) -> int:
     work = []
     for k in range(args.k_min, args.k_max + 1):
@@ -286,77 +365,19 @@ def cmd_verify_theorems(args) -> int:
             work.append((k, spec, template, args.max_order))
     rows = _pmap(_theorem_worker, work, args.jobs)
 
-    # pairwise non-isomorphism at minimal parameters; isomorphic groups
-    # agree on order and counts, so only the pairs that agree on both are
-    # compared, each group built once
-    distinct_ok = True
-    distinct_lines: list[str] = []
-    for k in range(args.k_min, args.k_max + 1):
-        specs = [s for s, _ in minimal_instances(k, args.max_order)]
-        orders = [expected_order(s) for s in specs]
-        keys: list = list(orders)
-        tables: dict[int, Group | None] = {}
-        for i, (s, o) in enumerate(zip(specs, orders)):
-            if orders.count(o) > 1:
-                keys[i], tables[i] = _counted_table(s, args.max_order)
-        pairs = [(i, j) for i, j in combinations(range(len(keys)), 2) if keys[i] == keys[j]]
-        groups = {
-            i: tables[i] or build(specs[i], cap=args.max_order) for i in set(chain(*pairs))
-        }
-        del tables
-        clashes = [
-            f"{specs[i]} ~ {specs[j]}"
-            for i, j in pairs
-            if are_isomorphic(groups[i], groups[j], cap=args.max_order)
-        ]
-        if clashes:
-            distinct_ok = False
-            distinct_lines.append(f"k={k}: isomorphic pair(s): " + "; ".join(clashes))
-        else:
-            distinct_lines.append(
-                f"k={k}: {len(specs)} minimal members pairwise non-isomorphic"
-            )
+    # pairwise non-isomorphism at minimal parameters
+    distinct = [_distinctness(k, args.max_order) for k in range(args.k_min, args.k_max + 1)]
+    distinct_ok = all(ok for ok, _ in distinct)
+    distinct_lines = [line for _, line in distinct]
 
     # optional corpus completeness report
     corpus_lines: list[str] = []
     unmatched = 0
     if args.corpus:
-        entries = load_corpus(args.corpus)
-        for entry in entries:
-            try:
-                g = entry.group(cap=args.max_order)
-                c = counts(g, cap=args.max_order)
-            except (CapExceeded, ValueError) as exc:
-                corpus_lines.append(f"{entry.name}: error: {exc}")
-                continue
-            k = c.nps
-            if not args.k_min <= k <= args.k_max:
-                corpus_lines.append(f"{entry.name}: nps={k}, outside k range")
-                continue
-            if k == 0:
-                ok = g.order in element_orders(g)
-                corpus_lines.append(
-                    f"{entry.name}: nps=0, cyclic={'yes' if ok else 'NO'}"
-                )
-                if not ok:
-                    unmatched += 1
-                continue
-            hit = None
-            for cand in instances_of_order(k, g.order):
-                # a candidate with other counts is not isomorphic to g
-                cc, h = _counted_table(cand, args.max_order)
-                if cc == c and are_isomorphic(
-                    g, h or build(cand, cap=args.max_order), cap=args.max_order
-                ):
-                    hit = str(cand)
-                    break
-            if hit:
-                corpus_lines.append(f"{entry.name}: nps={k}, matches {hit}")
-            else:
-                unmatched += 1
-                corpus_lines.append(
-                    f"{entry.name}: nps={k}, NO bucket match (potential counterexample)"
-                )
+        for entry in load_corpus(args.corpus):
+            line, bad = _corpus_line(entry, args.k_min, args.k_max, args.max_order)
+            corpus_lines.append(line)
+            unmatched += bad
 
     tally = Counter(r["status"] for r in rows)
     summary = {

@@ -507,12 +507,26 @@ def group_from_generators(
     cap: int = DEFAULT_ORDER_CAP,
     label: str | None = None,
 ) -> Group:
-    """Group generated by permutations of 0..degree-1.
+    """Group generated by permutations of 0..degree-1: `group_from_columns`
+    of the columns of `closure_columns`.
 
     Element 0 is the identity; elements are numbered in breadth-first
     closure order from the identity, applying generators in input order.
     Raises CapExceeded when the closure outgrows `cap`, ValueError on
-    non-bijective input.
+    non-bijective input.  This builds the whole table; the census counts
+    an abelian group from the columns alone (`lattice.column_counts`)
+    and builds no table for it.
+    """
+    return group_from_columns(closure_columns(degree, perms, cap), label=label)
+
+
+def closure_columns(
+    degree: int, perms: Sequence[Sequence[int]], cap: int = DEFAULT_ORDER_CAP
+) -> list[list[int]]:
+    """The columns cols[j][x] = x * s_j of the group generated by the
+    permutations s_j of 0..degree-1, in the numbering of
+    `group_from_generators`.  Raises CapExceeded when the closure
+    outgrows `cap`, ValueError on non-bijective input.
 
     The closure first keys each element by its images of a base, the
     smallest point of each orbit of the group, and not of all points.
@@ -537,7 +551,7 @@ def group_from_generators(
     cols = _closure(gens, _orbit_minima(degree, gens), cap)
     if not _translations_commute(cols):
         cols = _closure(gens, range(degree), cap)
-    return group_from_columns(cols, [col[0] for col in cols], label)
+    return cols
 
 
 def _orbit_minima(degree: int, gens: Sequence[Sequence[int]]) -> list[int]:
@@ -638,13 +652,14 @@ def _translations_commute(cols: Sequence[Sequence[int]]) -> bool:
 
 def group_from_columns(
     cols: Sequence[Sequence[int]],
-    generators: Sequence[int],
+    generators: Sequence[int] | None = None,
     label: str | None = None,
 ) -> Group:
     """The group on indices 0..n-1 whose right multiplication by each s_j
     of a generating set is given as a column: cols[j][x] is the index of
     x * s_j.  No columns give the trivial group; columns that do not reach
-    every element raise ValueError.
+    every element raise ValueError.  The generators default to the s_j,
+    the entries cols[j][0].
 
     A breadth-first spanning tree from the identity writes every element
     c != 0 as c = parent[c] * s, s = s_via[c].  Row c is row parent[c]
@@ -669,6 +684,8 @@ def group_from_columns(
     inv = [0] * n
     for c in tree:
         inv[c] = inv_rows[via[c]][inv[parent[c]]]
+    if generators is None:
+        generators = [col[0] for col in cols]
     return Group._with_inverses(tuple(rows), inv, generators, label)
 
 

@@ -164,6 +164,21 @@ def split_cyclic(spec: FamilySpec) -> tuple[FamilySpec, int] | None:
     return product_spec(*fs[:i], *fs[i + 1 :]), fs[i].params[0]
 
 
+def cyclic_orders(spec: FamilySpec) -> list[int] | None:
+    """The orders of the factors of a spec whose every direct factor is
+    cyclic, C(n) itself included: [n_1, n_2, ...] for
+    C(n_1) x C(n_2) x ...  None for any other spec."""
+    if spec.kind == CYCLIC:
+        return [spec.params[0]]
+    fam = _row(spec.kind)
+    if fam.factors is None:
+        return None
+    fs = list(fam.factors(spec))
+    if any(f.kind != CYCLIC for f in fs):
+        return None
+    return [f.params[0] for f in fs]
+
+
 def validate(spec: FamilySpec) -> str | None:
     """None when the parameters satisfy the family's constraints, else a
     diagnostic naming the violated constraint.  Never raises."""

@@ -50,7 +50,10 @@ times as the lattice layer.
 
 `counts` of an abelian group builds no lattice: it reads the group's type
 off its element orders and counts by Birkhoff's formula
-(`arith.subgroup_count_abelian`).  Nor does `counts` of a metacyclic
+(`arith.subgroup_count_abelian`).  `column_counts` reads the type of an
+abelian permutation group off the columns of its closure, and
+`cyclic_product_counts` that of C(n_1) x C(n_2) x ... off the n_i, so
+neither needs a table.  Nor does `counts` of a metacyclic
 group: it reads (Q, P, r, t) off the table (`_metacyclic_parameters`) and
 counts by `metacyclic_counts`.
 
@@ -69,7 +72,7 @@ from __future__ import annotations
 from collections import Counter
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .arith import (
     conjugate_partition,
@@ -89,6 +92,7 @@ from .core import (
     Record,
     Subgroup,
     _bits,
+    _spanning_tree,
     bit_table,
     check_cap,
     coset_closure,
@@ -334,7 +338,10 @@ def counts(G: Group, cap: int = DEFAULT_ORDER_CAP) -> CountSummary:
     metacyclic one that `_metacyclic_parameters` recognizes, from the
     lattice for the rest.  The cap applies to all three.  The counts are
     cached on the group as plain data: `are_isomorphic` asks again for the
-    counts of groups that the CLI has counted."""
+    counts of groups that the CLI has counted.  Two abelian paths need no
+    table and so do not come here: `column_counts`, which the census uses
+    on a corpus entry's closure, and `cyclic_product_counts`, which the
+    CLI uses on a spec of cyclic factors."""
     check_cap(G.order, cap)
     cached = G._cache.get("counts")
     if cached is None:
@@ -360,12 +367,17 @@ def _metacyclic_parameters(G: Group) -> tuple[int, int, int, int] | None:
     G'.  G/N, of order P = |G|/|N|, is then generated by aN exactly when
     a^(P/q) is not in N for each prime q dividing P; the order of a is a
     multiple of P then, and every generator of <a> does as well as a, so
-    one generator of each cyclic subgroup is tried.
+    one generator of each cyclic subgroup is tried.  The search is
+    skipped when G' is not cyclic: no element of G' has order |G'|.
     """
     n = G.order
     mul, inv = G.mul, G.inv
     bits = bit_table(G)
-    derived = derived_subgroup(G).members
+    derived = derived_subgroup(G)
+    # G' lies in every N that the search can return, so it is cyclic
+    if not _is_cyclic(G, derived.members, derived.size):
+        return None
+    derived = derived.members
     cyclics = cyclic_subgroups(G)
     for powers in sorted(cyclics, key=len, reverse=True):
         members = sum(getter(powers)(bits))
@@ -435,10 +447,7 @@ def counts_times_cyclic(A: Group, n: int, cap: int = DEFAULT_ORDER_CAP) -> Count
     order = A.order * n
     check_cap(order, cap)
     if is_abelian(A):
-        types = _abelian_type(A)
-        for p, m in factorize(n).items():
-            types.setdefault(p, []).append(m)
-        return _abelian_counts(types)
+        return _abelian_counts(_times_cyclic(_abelian_type(A), [n]))
     lat = _lattice_data(A, cap)
     cyclics = _cyclic_nodes(A)
     conj: dict[int, tuple[int, ...]] = {}  # x -> bit of x^-1 y x for each y
@@ -556,23 +565,104 @@ def metacyclic_counts(Q: int, P: int, r: int, t: int = 0) -> CountSummary:
 
 
 def _abelian_type(G: Group) -> dict[int, list[int]]:
-    """The type of an abelian G: for each prime p dividing |G|, the
-    partition l with Sylow p-subgroup C_{p^l_1} x C_{p^l_2} x ...
-
-    The elements of order dividing p^j form a subgroup of order
-    p^(l'_1 + ... + l'_j), l' the conjugate partition, and there are such
-    elements of every order p^j up to the largest."""
+    """The type of an abelian G, `_type_from_omegas` of the sizes
+    |Omega_{p^j}| summed from the tally of element orders: the elements
+    of order dividing p^j are those of order p^i, i <= j."""
     tally = Counter(element_orders(G))
+
+    def omegas(p: int) -> Iterator[int]:
+        size, q = 1, p
+        while True:
+            size += tally[q]
+            yield size
+            q *= p
+
+    return _type_from_omegas(G.order, omegas)
+
+
+def _type_from_omegas(
+    order: int, omegas: Callable[[int], Iterator[int]]
+) -> dict[int, list[int]]:
+    """The type of an abelian group of this order: for each prime p
+    dividing it, the partition l with Sylow p-subgroup
+    C_{p^l_1} x C_{p^l_2} x ...
+
+    omegas(p) yields |Omega_{p^j}| for j = 1, 2, ..., the number of
+    elements x with x^(p^j) = 1.  They form a subgroup of order
+    p^(l'_1 + ... + l'_j), l' the conjugate partition, which grows with j
+    until it is the Sylow p-subgroup; the sizes are read until then."""
     out = {}
-    for p in factorize(G.order):
+    for p, e in factorize(order).items():
         conj = []
-        below, q = 1, p
-        while q in tally:
-            size = below + tally[q]
+        below, top = 1, p**e
+        for size in omegas(p):
             conj.append(p_valuation(size // below, p))
-            below, q = size, q * p
+            if size == top:
+                break
+            below = size
         out[p] = conjugate_partition(conj)
     return out
+
+
+def _times_cyclic(types: dict[int, list[int]], orders: Iterable[int]) -> dict[int, list[int]]:
+    """The type `types` (prime -> partition) extended, in place, by a
+    cyclic factor C(n) for each n in `orders`."""
+    for n in orders:
+        for p, m in factorize(n).items():
+            types.setdefault(p, []).append(m)
+    return types
+
+
+def cyclic_product_counts(orders: Iterable[int]) -> CountSummary:
+    """counts() of C(n_1) x C(n_2) x ... for the orders n_i, from its type,
+    with no table."""
+    return _abelian_counts(_times_cyclic({}, orders))
+
+
+def column_counts(cols: Sequence[Sequence[int]]) -> CountSummary | None:
+    """counts() of the group whose right multiplications by a generating
+    set are the columns, cols[j][x] = x * s_j as `core.group_from_columns`
+    reads them, when it is abelian, with no table; None when it is not.
+
+    G is abelian exactly when its generators commute, that is when the
+    columns commute as permutations: O(n k^2) for n elements and k
+    columns.  In an abelian G, x -> x^q is a homomorphism.  The spanning
+    tree of `group_from_columns` writes c = parent[c] * s, so
+    c^q = parent[c]^q * s^q, and the column of s^q is the q-th power of
+    the column of s: one pass down the tree gives the q-th power of every
+    element.  |Omega_{p^j}| is the number of c with c^(p^j) = 0, and the
+    type and counts follow as for a table (`_type_from_omegas`).
+    """
+    if any(getter(a)(b) != getter(b)(a) for i, a in enumerate(cols) for b in cols[:i]):
+        return None
+    parent, via, tree = _spanning_tree(cols)
+    del tree[0]
+
+    def omegas(p: int) -> Iterator[int]:
+        steps = [_permutation_power(col, p) for col in cols]
+        power = [0] * len(parent)  # c -> c^p
+        for c in tree:
+            power[c] = steps[via[c]][power[parent[c]]]
+        pick = getter(power)
+        powers = power  # c -> c^(p^j)
+        while True:
+            yield powers.count(0)
+            powers = pick(powers)
+
+    return _abelian_counts(_type_from_omegas(len(parent), omegas))
+
+
+def _permutation_power(perm: Sequence[int], q: int) -> Sequence[int]:
+    """perm^q for q >= 1, a permutation given by its images, by binary
+    powering; getter(a)(b) is a then b."""
+    out = None
+    while True:
+        if q & 1:
+            out = perm if out is None else getter(out)(perm)
+        q >>= 1
+        if not q:
+            return out  # type: ignore[return-value]
+        perm = getter(perm)(perm)
 
 
 def _abelian_counts(types: dict[int, list[int]]) -> CountSummary:

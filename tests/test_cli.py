@@ -535,6 +535,75 @@ class TestCensus:
         assert "C2,2,2,2,2,0,ok" in out
         assert "error" in out
 
+    def test_abelian_entries_build_no_table(self, capsys, tmp_path, monkeypatch):
+        import npscensus.cli
+        from npscensus import core
+        from npscensus.lattice import counts
+
+        texts = ["C(600)", "C(2)xC(2)xC(2)xC(2)xC(2)xC(2)", "C(8)xC(8)xC(2)", "C(1)"]
+        groups = [build(parse_spec(t)) for t in texts]
+        entries = [entry_from_group(t, g) for t, g in zip(texts, groups)]
+        entries.append(CorpusEntry("C2xC3 on 5 points", 5, ((1, 0, 3, 4, 2),)))
+        groups.append(build(parse_spec("C(6)")))
+        entries.append(CorpusEntry("no generators", 3, ()))
+        groups.append(build(parse_spec("C(1)")))
+        path = tmp_path / "abelian.json"
+        dump_corpus(entries, path)
+        want = []
+        for e, g in zip(entries, groups):
+            c = counts(g)
+            want.append(f"{e.name},{c.order},{c.exponent},{c.s},{c.ps},{c.nps},ok")
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(npscensus.cli, "group_from_columns", no_table)
+        monkeypatch.setattr(core, "group_from_columns", no_table)
+        monkeypatch.setattr(core.Group, "_setup", no_table)
+        code, out, _ = run(capsys, "census", str(path))
+        assert code == 0
+        assert out.splitlines()[1:len(want) + 1] == want
+
+    def test_each_entry_closes_once(self, capsys, monkeypatch):
+        # the non-abelian entries build one table each, from the columns
+        # of their one closure; the abelian C(12) builds none
+        import npscensus.cli
+
+        closures, tables = [], []
+        real_closure = npscensus.cli.closure_columns
+        real_table = npscensus.cli.group_from_columns
+
+        def closure(*args):
+            closures.append(1)
+            return real_closure(*args)
+
+        def table(cols, label=None):
+            tables.append(label)
+            return real_table(cols, label=label)
+
+        def no_group(*args, **kwargs):
+            raise AssertionError("closed again")
+
+        monkeypatch.setattr(npscensus.cli, "closure_columns", closure)
+        monkeypatch.setattr(npscensus.cli, "group_from_columns", table)
+        monkeypatch.setattr(CorpusEntry, "group", no_group)
+        path = Path(__file__).resolve().parent.parent / "data" / "control_groups.json"
+        code, _, _ = run(capsys, "census", str(path))
+        assert code == 0
+        assert len(closures) == 9
+        assert len(tables) == 8 and "C(12)" not in tables
+
+    def test_closure_past_the_cap_keeps_its_message(self, capsys, tmp_path):
+        path = tmp_path / "sym7.json"
+        cycle, swap = [1, 2, 3, 4, 5, 6, 0], [1, 0, 2, 3, 4, 5, 6]
+        path.write_text(
+            json.dumps([{"name": "Sym(7)", "degree": 7, "generators": [cycle, swap]}]),
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "census", str(path))
+        assert code == 2
+        assert out.splitlines()[1] == "Sym(7),,,,,,error: closure exceeds cap 600 (degree 7)"
+
     def test_json_rows_match_csv(self, capsys, tmp_path):
         from pathlib import Path
 
@@ -853,6 +922,45 @@ class TestWorkersFreeGroups:
         assert "q8: nps=3, matches Q(8)" in out
         assert "c12: nps=0, cyclic=yes" in out
         assert "c2xc4: nps=5, outside k range" in out
+
+    def test_verify_theorems_frees_each_comparison(self, capsys, monkeypatch):
+        # when the corpus is loaded, and at each corpus entry, no group of
+        # an earlier comparison is alive, not even one the cycle collector
+        # would free: the distinctness tables and the previous entry's
+        # table and candidates are gone
+        import gc
+
+        import npscensus.cli
+        from npscensus.core import Group
+
+        gc.collect()
+        # kept alive, so that no new group takes the id of one of them
+        earlier = [o for o in gc.get_objects() if isinstance(o, Group)]
+        known = set(map(id, earlier))
+        alive = []
+
+        def probe(where):
+            gc.collect()
+            new = [repr(o) for o in gc.get_objects() if isinstance(o, Group) and id(o) not in known]
+            alive.append((where, new))
+
+        real_load, real_group = npscensus.cli.load_corpus, CorpusEntry.group
+
+        def load(path):
+            probe("load_corpus")
+            return real_load(path)
+
+        def group(entry, cap):
+            probe(entry.name)
+            return real_group(entry, cap)
+
+        monkeypatch.setattr(npscensus.cli, "load_corpus", load)
+        monkeypatch.setattr(CorpusEntry, "group", group)
+        path = Path(__file__).resolve().parent.parent / "data" / "bucket_groups.json"
+        code, out, _ = run(capsys, "verify-theorems", "--max-n", "6", "--corpus", str(path))
+        assert code == 0
+        assert len(alive) == 59
+        assert [(where, new) for where, new in alive if new] == []
 
     def test_present_iso_check(self, groups_left_for_collector, capsys):
         for other in ("D(8)", "Q(8)"):

@@ -207,3 +207,17 @@ class TestCountsRecognizeMetacyclicTables:
         G = build(parse_spec(text))
         assert _metacyclic_parameters(G) is None
         assert counts(G) == _lattice_counts(G, 600)
+
+    @pytest.mark.parametrize("text", ["SL23", "Alt(4)", "D(8)xD(8)", "Sym(4)", "Sym(5)"])
+    def test_non_cyclic_derived_subgroup_skips_the_search(self, text, monkeypatch):
+        # G' lies in the cyclic normal subgroup of a metacyclic G, so a
+        # non-cyclic G' rules G out before any cyclic subgroup is tried
+        from npscensus import lattice
+
+        G = build(parse_spec(text))
+
+        def no_search(G):
+            raise AssertionError("the cyclic subgroups were searched")
+
+        monkeypatch.setattr(lattice, "cyclic_subgroups", no_search)
+        assert _metacyclic_parameters(G) is None
