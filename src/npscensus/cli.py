@@ -359,6 +359,8 @@ def _matches(g: Group, c: CountSummary, cand: FamilySpec, max_order: int) -> boo
 
 
 def cmd_verify_theorems(args) -> int:
+    if args.k_min > args.k_max:
+        raise ValueError(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
     work = []
     for k in range(args.k_min, args.k_max + 1):
         for spec, template in instantiate_bucket(k, args.max_n, args.max_order):

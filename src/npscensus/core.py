@@ -9,10 +9,10 @@ indices.
 Permutations act on the right throughout: (p * q)[i] = q[p[i]], and in a
 semidirect product N x| K the factor K acts on N.
 
-Every table that is not cyclic or metacyclic is built by one routine,
-`group_from_columns`, from the right-multiplication columns of a
-generating set; `direct_product` and `semidirect_product` keep the
-numbering n * |K| + k of the pair (n, k).
+Every table is built by one routine, `group_from_columns`, from the
+right-multiplication columns of a generating set; `direct_product`,
+`semidirect_product` and `metacyclic_group` keep the numbering
+n * |K| + k of the pair (n, k).
 """
 
 from __future__ import annotations
@@ -694,14 +694,39 @@ def trivial_group(label: str | None = None) -> Group:
 
 
 def cyclic_group(n: int, label: str | None = None) -> Group:
+    """C_n, the metacyclic group (n, 1, 1, 0): element i is b^i."""
     if n < 1:
         raise ValueError("order must be positive")
-    r = tuple(range(n))
-    rr = r + r
-    mul = tuple(rr[i:i + n] for i in range(n))
-    gens = [1] if n > 1 else []
-    # -i mod n: 0, n-1, ..., 1
-    return Group._with_inverses(mul, r[:1] + r[:0:-1], gens, label=label or f"C{n}")
+    return metacyclic_group(n, 1, 1, 0, label or f"C{n}")
+
+
+def metacyclic_group(Q: int, P: int, r: int, t: int = 0, label: str | None = None) -> Group:
+    """<b>.<a> with |b| = Q, a^P = b^t and the twist a^-1 b a = b^r; t = 0
+    gives C_Q x| C_P.  b^v a^k is numbered v * P + k, as
+    `semidirect_product` numbers the pair (v, k) of the two cyclic groups.
+    The carry t makes a^P = b^t, not 1: Q(4Q) is (Q, 2, -1, Q/2).
+
+    The table is `group_from_columns` of the generators' columns.  As
+    a^k b = b^(r^-k) a^k, b^v a^k * b = b^(v + r^-k) a^k, and
+    b^v a^k * a = b^v a^(k+1), with a^P wrapping to b^t.  b is left out
+    when Q = 1, and a when P = 1, where it is b^t.  The caller checks the
+    cap.  r^P = 1 and r * t = t mod Q, which make v -> r^-1 * v an
+    automorphism of C_Q of order dividing P fixing b^t = a^P, are checked
+    first; the error is `semidirect_product`'s.
+    """
+    if pow(r, P, Q) != 1 % Q or (r - 1) * t % Q:
+        raise ValueError(
+            "generator images do not extend to a homomorphism K -> Aut(N)"
+        )
+    cols = []
+    if Q > 1:
+        shifts = [pow(r, -k, Q) for k in range(P)]
+        cols.append([(v + s) % Q * P + k for v in range(Q) for k, s in enumerate(shifts)])
+    if P > 1:
+        cols.append(
+            [v * P + k + 1 if k + 1 < P else (v + t) % Q * P for v in range(Q) for k in range(P)]
+        )
+    return group_from_columns(cols, label=label)
 
 
 def direct_product(

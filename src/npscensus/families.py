@@ -3,8 +3,9 @@
 Everything the package knows about a family kind sits in one row of
 `FAMILIES`: its spec syntax, its checks, its order, its construction, its
 built-in presentation and its display text.  `build` makes each table
-directly, by `_metacyclic` (Q(2^n) and C3Q8 too), by `_class2` (M(p),
-B1(n,p)), as a product or by the row's own rule; the built-in
+directly, by `core.metacyclic_group` from the row's (Q, P, r, t) (Q(2^n)
+and C3Q8 too), by `_class2` (M(p), B1(n,p)), as a product or by the row's
+own rule; each ends in `core.group_from_columns`.  The built-in
 presentations serve `present` and the tests, which check each table
 against them.
 
@@ -25,9 +26,9 @@ from .core import (
     Record,
     cyclic_group,
     direct_product,
-    getter,
     group_from_columns,
     group_from_generators,
+    metacyclic_group,
     product_columns,
     semidirect_product,
 )
@@ -252,54 +253,6 @@ def metacyclic_of(spec: FamilySpec) -> tuple[int, int, int, int] | None:
     return fam.metacyclic(*spec.params, spec.r)
 
 
-def _metacyclic(Q: int, P: int, r: int, t: int, label: str) -> Group:
-    """<b>.<a> with |b| = Q, a^P = b^t and the twist a^-1 b a = b^r; t = 0
-    gives C_Q x| C_P, numbered as the semidirect product of the two cyclic
-    groups: (v, k), standing for b^v a^k, is v * P + k.  The carry t makes
-    a^P = b^t, not 1: Q(4Q) is (Q, 2, -1, Q/2).
-
-    With s = r^-k1 mod Q, (v1, k1) * (v2, k2) = (v1 + s * v2, k1 + k2),
-    t added to v when k1 + k2 >= P.  So row (v1, k1) is Q blocks of P
-    entries, block v2 being B(v1 + s * v2) = (v1 + s * v2) * P + the row
-    k1 of C_P, its wrapped entries carried to the block t further on.  As
-    v1 + s * v2 = s * (v2 + u) for u = r^k1 * v1, the row is W = B(0) B(s)
-    B(2s) ... B((Q-1)s) rotated by u blocks: one slice of W twice over.
-    W is the row of a^k1 itself; the row of a is made of slices of doubled
-    blocks of range(QP), and the row of a^(k1+1) is the row of a^k1 picked
-    at the row of a, so the whole table shares one int object per element.
-    The inverse of (v, k) is (-r^k * v, -k), less t on v for k > 0.
-
-    `build` has checked the cap.  r^P = 1 and r * t = t mod Q, which make
-    v -> r^-1 * v an automorphism of C_Q of order dividing P fixing
-    b^t = a^P, are checked first; the error is `semidirect_product`'s.
-    """
-    order = Q * P
-    if pow(r, P, Q) != 1 % Q or (r - 1) * t % Q:
-        raise ValueError(
-            "generator images do not extend to a homomorphism K -> Aut(N)"
-        )
-    rinv = pow(r, -1, Q)
-    whole = tuple(range(order))
-    blocks = [whole[i:i + P] for i in range(0, order, P)]
-    doubled = [b + blocks[(u + t) % Q] for u, b in enumerate(blocks)]
-    times_a = getter(
-        tuple(chain.from_iterable(doubled[rinv * v % Q][1:1 + P] for v in range(Q)))
-    )
-    rows: list = [None] * order
-    inv: list = [None] * order
-    w = whole  # the row of a^k1
-    rk = 1  # r^k1 mod Q
-    for k1 in range(P):
-        ww = w + w
-        starts = [rk * v % Q * P for v in range(Q)]
-        rows[k1::P] = [ww[u:u + order] for u in starts]
-        inv[k1::P] = [(-u - (k1 > 0) * t * P) % order + -k1 % P for u in starts]
-        w = times_a(w)
-        rk = rk * r % Q
-    gens = ([P] if Q > 1 else []) + ([1] if P > 1 else [])
-    return Group._with_inverses(rows, inv, gens, label)
-
-
 def _metacyclic_text(Q: int, P: int, r: int, t: int) -> str:
     """The split presentation; a row with a carry has its own."""
     rr = r % Q
@@ -401,7 +354,7 @@ def build(spec: FamilySpec, cap: int = DEFAULT_ORDER_CAP, *, check: bool = True)
     label = str(spec)
     twist = metacyclic_of(spec)
     if twist is not None:
-        return _metacyclic(*twist, label)
+        return metacyclic_group(*twist, label)
     if fam.factors is not None:
         return _direct_product(fam.factors(spec), cap, label)
     return fam.construct(spec, cap, label)  # type: ignore[misc]

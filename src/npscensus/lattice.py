@@ -49,13 +49,13 @@ computed only inside `all_subgroups`, the call that `bench/trace_child.py`
 times as the lattice layer.
 
 `counts` of an abelian group builds no lattice: it reads the group's type
-off its element orders and counts by Birkhoff's formula
-(`arith.subgroup_count_abelian`).  `column_counts` reads the type of an
-abelian permutation group off the columns of its closure, and
-`cyclic_product_counts` that of C(n_1) x C(n_2) x ... off the n_i, so
-neither needs a table.  Nor does `counts` of a metacyclic
-group: it reads (Q, P, r, t) off the table (`_metacyclic_parameters`) and
-counts by `metacyclic_counts`.
+off its generators' columns (`_column_type`) and counts by Birkhoff's
+formula (`arith.subgroup_count_abelian`).  `column_counts` reads the type
+of an abelian permutation group off the columns of its closure by the
+same `_column_type`, and `cyclic_product_counts` that of
+C(n_1) x C(n_2) x ... off the n_i, so neither needs a table.  Nor does
+`counts` of a metacyclic group: it reads (Q, P, r, t) off the table
+(`_metacyclic_parameters`) and counts by `metacyclic_counts`.
 
 `metacyclic_counts` needs no group at all: it counts a metacyclic
 <b>.<a>, |b| = Q, a^P = b^t and a^-1 b a = b^r, split (t = 0) or not,
@@ -69,10 +69,9 @@ comes from those two factorizations.
 
 from __future__ import annotations
 
-from collections import Counter
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .arith import (
     conjugate_partition,
@@ -333,8 +332,9 @@ def power_subgroups(G: Group, cap: int = DEFAULT_ORDER_CAP) -> dict[int, Subgrou
 
 
 def counts(G: Group, cap: int = DEFAULT_ORDER_CAP) -> CountSummary:
-    """s(G), ps(G), nps(G) and the per-prime (f, k) profile: from the type
-    for an abelian group, from (Q, P, r, t) by `metacyclic_counts` for a
+    """s(G), ps(G), nps(G) and the per-prime (f, k) profile: from the type,
+    read off the generators' columns by `_column_type`, for an abelian
+    group, from (Q, P, r, t) by `metacyclic_counts` for a
     metacyclic one that `_metacyclic_parameters` recognizes, from the
     lattice for the rest.  The cap applies to all three.  The counts are
     cached on the group as plain data: `are_isomorphic` asks again for the
@@ -346,7 +346,8 @@ def counts(G: Group, cap: int = DEFAULT_ORDER_CAP) -> CountSummary:
     cached = G._cache.get("counts")
     if cached is None:
         if is_abelian(G):
-            cached = _abelian_counts(_abelian_type(G))
+            cols = [tuple(map(itemgetter(g), G.mul)) for g in G.generators]
+            cached = _abelian_counts(_column_type(cols))
         else:
             twist = _metacyclic_parameters(G)
             if twist is not None:
@@ -442,12 +443,14 @@ def counts_times_cyclic(A: Group, n: int, cap: int = DEFAULT_ORDER_CAP) -> Count
     (A x C_n)^m = A^m x C_n^m, so the power subgroups are the distinct
     pairs (A^m, gcd(m, n)).  The cap applies to the order of A x C_n, as
     for counts() of the product.  For an abelian A the product is
-    abelian too, and is counted from its type as counts() does.
+    abelian too, and is counted from its type, A's read off its columns
+    as counts() does.
     """
     order = A.order * n
     check_cap(order, cap)
     if is_abelian(A):
-        return _abelian_counts(_times_cyclic(_abelian_type(A), [n]))
+        cols = [tuple(map(itemgetter(g), A.mul)) for g in A.generators]
+        return _abelian_counts(_times_cyclic(_column_type(cols), [n]))
     lat = _lattice_data(A, cap)
     cyclics = _cyclic_nodes(A)
     conj: dict[int, tuple[int, ...]] = {}  # x -> bit of x^-1 y x for each y
@@ -564,42 +567,39 @@ def metacyclic_counts(Q: int, P: int, r: int, t: int = 0) -> CountSummary:
     )
 
 
-def _abelian_type(G: Group) -> dict[int, list[int]]:
-    """The type of an abelian G, `_type_from_omegas` of the sizes
-    |Omega_{p^j}| summed from the tally of element orders: the elements
-    of order dividing p^j are those of order p^i, i <= j."""
-    tally = Counter(element_orders(G))
+def _column_type(cols: Sequence[Sequence[int]]) -> dict[int, list[int]]:
+    """The type of the abelian group whose right multiplications by a
+    generating set are the columns, cols[j][x] = x * s_j as
+    `core.group_from_columns` reads them: for each prime p dividing its
+    order, the partition l with Sylow p-subgroup C_{p^l_1} x C_{p^l_2} x ...
 
-    def omegas(p: int) -> Iterator[int]:
-        size, q = 1, p
-        while True:
-            size += tally[q]
-            yield size
-            q *= p
-
-    return _type_from_omegas(G.order, omegas)
-
-
-def _type_from_omegas(
-    order: int, omegas: Callable[[int], Iterator[int]]
-) -> dict[int, list[int]]:
-    """The type of an abelian group of this order: for each prime p
-    dividing it, the partition l with Sylow p-subgroup
-    C_{p^l_1} x C_{p^l_2} x ...
-
-    omegas(p) yields |Omega_{p^j}| for j = 1, 2, ..., the number of
-    elements x with x^(p^j) = 1.  They form a subgroup of order
-    p^(l'_1 + ... + l'_j), l' the conjugate partition, which grows with j
-    until it is the Sylow p-subgroup; the sizes are read until then."""
+    In an abelian G, x -> x^q is a homomorphism.  The spanning tree of
+    `group_from_columns` writes c = parent[c] * s, so c^q = parent[c]^q *
+    s^q, and the column of s^q is the q-th power of the column of s: one
+    pass down the tree gives the p-th power of every element, and the map
+    iterated gives the p^j-th.  The c with c^(p^j) = 0 form Omega_{p^j},
+    of order p^(l'_1 + ... + l'_j), l' the conjugate partition, which
+    grows with j until it is the Sylow p-subgroup; the sizes are read
+    until then."""
+    parent, via, tree = _spanning_tree(cols)
+    del tree[0]
     out = {}
-    for p, e in factorize(order).items():
+    for p, e in factorize(len(parent)).items():
+        steps = [_permutation_power(col, p) for col in cols]
+        power = [0] * len(parent)  # c -> c^p
+        for c in tree:
+            power[c] = steps[via[c]][power[parent[c]]]
+        pick = getter(power)
+        powers = power  # c -> c^(p^j)
         conj = []
         below, top = 1, p**e
-        for size in omegas(p):
+        while True:
+            size = powers.count(0)
             conj.append(p_valuation(size // below, p))
             if size == top:
                 break
             below = size
+            powers = pick(powers)
         out[p] = conjugate_partition(conj)
     return out
 
@@ -626,30 +626,11 @@ def column_counts(cols: Sequence[Sequence[int]]) -> CountSummary | None:
 
     G is abelian exactly when its generators commute, that is when the
     columns commute as permutations: O(n k^2) for n elements and k
-    columns.  In an abelian G, x -> x^q is a homomorphism.  The spanning
-    tree of `group_from_columns` writes c = parent[c] * s, so
-    c^q = parent[c]^q * s^q, and the column of s^q is the q-th power of
-    the column of s: one pass down the tree gives the q-th power of every
-    element.  |Omega_{p^j}| is the number of c with c^(p^j) = 0, and the
-    type and counts follow as for a table (`_type_from_omegas`).
+    columns.  The type is then `_column_type`'s, as for a table.
     """
     if any(getter(a)(b) != getter(b)(a) for i, a in enumerate(cols) for b in cols[:i]):
         return None
-    parent, via, tree = _spanning_tree(cols)
-    del tree[0]
-
-    def omegas(p: int) -> Iterator[int]:
-        steps = [_permutation_power(col, p) for col in cols]
-        power = [0] * len(parent)  # c -> c^p
-        for c in tree:
-            power[c] = steps[via[c]][power[parent[c]]]
-        pick = getter(power)
-        powers = power  # c -> c^(p^j)
-        while True:
-            yield powers.count(0)
-            powers = pick(powers)
-
-    return _abelian_counts(_type_from_omegas(len(parent), omegas))
+    return _abelian_counts(_column_type(cols))
 
 
 def _permutation_power(perm: Sequence[int], q: int) -> Sequence[int]:

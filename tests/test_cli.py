@@ -170,7 +170,7 @@ class TestNps:
             raise AssertionError("a table or a lattice was built")
 
         monkeypatch.setattr(npscensus.cli, "build", no_table)
-        monkeypatch.setattr(npscensus.families, "_metacyclic", no_table)
+        monkeypatch.setattr(npscensus.families, "metacyclic_group", no_table)
         monkeypatch.setattr(npscensus.lattice, "all_subgroups", no_table)
         code, out, err = run(capsys, "nps", text, "--max-order", cap)
         assert (code, err) == (0, "")
@@ -371,6 +371,20 @@ class TestVerifyTheorems:
     def test_empty_buckets_pass_vacuously(self, capsys):
         code, out, _ = run(capsys, "verify-theorems", "--k-min", "1", "--k-max", "2")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            (["--k-min", "9", "--k-max", "3"], "--k-min 9 exceeds --k-max 3"),
+            (["--k-min", "14"], "--k-min 14 exceeds --k-max 13"),
+        ],
+    )
+    def test_empty_k_range_refused(self, capsys, bounds, message):
+        # an empty range would report every corpus entry as outside it
+        corpus = str(Path(__file__).resolve().parent.parent / "data" / "bucket_groups.json")
+        code, out, err = run(capsys, "verify-theorems", *bounds, "--corpus", corpus)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     def test_corpus_matching(self, capsys, tmp_path):
         entries = [

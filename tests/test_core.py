@@ -692,9 +692,12 @@ def assert_same_table(new, ref):
 
 
 class TestKernelsMatchPerCellLoops:
-    @pytest.mark.parametrize("n", [1, 12])
+    @pytest.mark.parametrize("n", [*range(1, 65), 600])
     def test_cyclic_group(self, n):
-        assert_same_table(cyclic_group(n), ref_cyclic_group(n))
+        # C(n) is the metacyclic table (n, 1, 1, 0)
+        new = cyclic_group(n)
+        assert_same_table(new, ref_cyclic_group(n))
+        assert new.label == f"C{n}"
 
     def test_trivial_factors(self):
         c1, c3 = cyclic_group(1), cyclic_group(3)
@@ -751,7 +754,7 @@ class TestKernelsMatchPerCellLoops:
     )
     def test_metacyclic(self, text):
         # one spec per metacyclic family, a trivial twist and a prime-power
-        # C_{q^m} among them: the rotated table against the per-cell
+        # C_{q^m} among them: the column-built table against the per-cell
         # semidirect product of the two cyclic groups
         from npscensus.families import build, metacyclic_of
         from npscensus.specs import parse_spec
@@ -767,7 +770,7 @@ class TestKernelsMatchPerCellLoops:
 
     @pytest.mark.parametrize("text", ["Q(8)", "Q(16)", "Q(128)"])
     def test_quaternion(self, text):
-        # the non-split case of the rotated table, a^2 = b^(Q/2), against
+        # the non-split case of the column-built table, a^2 = b^(Q/2), against
         # the per-cell product of b^v a^k
         from npscensus.families import build
         from npscensus.specs import parse_spec
@@ -785,12 +788,26 @@ class TestKernelsMatchPerCellLoops:
         assert_same_table(new, ref_metacyclic(2, 12, -1, 6))
         assert new.label == "C3Q8"
 
-    @pytest.mark.parametrize("Q,P,r,t", [(8, 2, 3, 4), (9, 3, 4, 3), (4, 4, 1, 2)])
-    def test_carried_metacyclic(self, Q, P, r, t):
-        # a^P = b^t with r * t = t mod Q, beyond the quaternion groups
-        from npscensus.families import _metacyclic
+    def test_carried_metacyclic(self):
+        # every valid (Q, P, r, t) of order at most 48, split and not, with
+        # Q = 1 (the cyclic C_P) and P = 1 (C_Q, with a = b^t) among them:
+        # r^P = 1 and r * t = t mod Q
+        from npscensus.core import metacyclic_group
 
-        assert_same_table(_metacyclic(Q, P, r, t, "x"), ref_metacyclic(P, Q, r, t))
+        checked = 0
+        for Q in range(1, 49):
+            for P in range(1, 48 // Q + 1):
+                for r in range(Q):
+                    if pow(r, P, Q) != 1 % Q:
+                        continue
+                    for t in range(Q):
+                        if (r - 1) * t % Q:
+                            continue
+                        new = metacyclic_group(Q, P, r, t, "x")
+                        assert_same_table(new, ref_metacyclic(P, Q, r, t))
+                        assert new.label == "x"
+                        checked += 1
+        assert checked == 2145
 
     @pytest.mark.parametrize("text", ["Q(32)", "M(5)", "B1(2,3)"])
     def test_group_from_coset_table(self, text):

@@ -206,7 +206,7 @@ class TestBuildOrders:
         def no_table(*args, **kwargs):
             raise AssertionError("a table was started")
 
-        monkeypatch.setattr(families, "_metacyclic", no_table)
+        monkeypatch.setattr(families, "metacyclic_group", no_table)
         monkeypatch.setattr(families, "_class2", no_table)
         monkeypatch.setattr(core, "group_from_columns", no_table)
         with pytest.raises(CapExceeded, match="exceeds cap 600"):
@@ -221,7 +221,7 @@ class TestBuildOrders:
 
         for module in (families, core):
             for name in (
-                "cyclic_group", "_metacyclic", "_class2", "group_from_columns",
+                "cyclic_group", "metacyclic_group", "_class2", "group_from_columns",
                 "_sl23",
             ):
                 if hasattr(module, name):
@@ -276,19 +276,19 @@ class TestMetacyclicTables:
         def no_table(*args, **kwargs):
             raise AssertionError("metacyclic table started")
 
-        monkeypatch.setattr(families, "_metacyclic", no_table)
+        monkeypatch.setattr(families, "metacyclic_group", no_table)
         with pytest.raises(CapExceeded, match=r"order of D\(600\) exceeds cap 599"):
             build(parse_spec("D(600)"), cap=599)
 
     @pytest.mark.parametrize("Q,P,r", [(5, 2, 2), (9, 4, 3)])
     def test_twist_must_have_order_dividing_p(self, Q, P, r):
-        from npscensus.families import _metacyclic
+        from npscensus.core import metacyclic_group
 
         with pytest.raises(
             ValueError,
             match="generator images do not extend to a homomorphism K -> Aut",
         ):
-            _metacyclic(Q, P, r, 0, "x")
+            metacyclic_group(Q, P, r, 0, "x")
 
 
 # the families whose table is not a split metacyclic product, each against
@@ -334,11 +334,11 @@ class TestPresentedFamilies:
 
     @pytest.mark.parametrize("t", [1, 3])
     def test_carry_must_be_fixed_by_the_twist(self, t):
-        from npscensus.families import _metacyclic
+        from npscensus.core import metacyclic_group
 
         # a^2 = b^t in C_4 x|_-1 C_2 needs -t = t mod 4
         with pytest.raises(ValueError, match="do not extend to a homomorphism"):
-            _metacyclic(4, 2, -1, t, "x")
+            metacyclic_group(4, 2, -1, t, "x")
 
 
 class TestClaimedIsomorphisms:

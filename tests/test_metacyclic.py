@@ -18,9 +18,9 @@ from pathlib import Path
 import pytest
 
 from npscensus.arith import divisors, geometric_sum
-from npscensus.core import Group, is_abelian
+from npscensus.core import Group, is_abelian, metacyclic_group
 from npscensus.corpus import load_corpus
-from npscensus.families import FAMILIES, _metacyclic, build, metacyclic_of
+from npscensus.families import FAMILIES, build, metacyclic_of
 from npscensus.lattice import (
     _lattice_counts,
     _metacyclic_parameters,
@@ -73,7 +73,7 @@ def test_every_split_group_up_to_order_300():
             for r in range(Q):
                 if pow(r, P, Q) != 1 % Q:
                     continue
-                oracle = _lattice_counts(_metacyclic(Q, P, r, 0, "G"), 300)
+                oracle = _lattice_counts(metacyclic_group(Q, P, r, 0, "G"), 300)
                 if metacyclic_counts(Q, P, r) != oracle:
                     wrong.append((Q, P, r))
                 checked += 1
@@ -92,7 +92,7 @@ def test_every_non_split_group_up_to_order_64():
                 for t in range(1, Q):
                     if (r - 1) * t % Q:
                         continue
-                    oracle = _lattice_counts(_metacyclic(Q, P, r, t, "G"), 64)
+                    oracle = _lattice_counts(metacyclic_group(Q, P, r, t, "G"), 64)
                     if metacyclic_counts(Q, P, r, t) != oracle:
                         wrong.append((Q, P, r, t))
                     checked += 1
@@ -196,7 +196,7 @@ class TestCountsRecognizeMetacyclicTables:
                     for t in range(Q):
                         if (r - 1) * t % Q:
                             continue
-                        G = _relabelled(_metacyclic(Q, P, r, t, "G"), rng)
+                        G = _relabelled(metacyclic_group(Q, P, r, t, "G"), rng)
                         assert _metacyclic_parameters(G) is not None, (Q, P, r, t)
                         assert counts(G) == _lattice_counts(G, 120), (Q, P, r, t)
                         checked += 1
