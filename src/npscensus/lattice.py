@@ -346,8 +346,7 @@ def counts(G: Group, cap: int = DEFAULT_ORDER_CAP) -> CountSummary:
     cached = G._cache.get("counts")
     if cached is None:
         if is_abelian(G):
-            cols = [tuple(map(itemgetter(g), G.mul)) for g in G.generators]
-            cached = _abelian_counts(_column_type(cols))
+            cached = _abelian_counts(_table_type(G))
         else:
             twist = _metacyclic_parameters(G)
             if twist is not None:
@@ -449,8 +448,7 @@ def counts_times_cyclic(A: Group, n: int, cap: int = DEFAULT_ORDER_CAP) -> Count
     order = A.order * n
     check_cap(order, cap)
     if is_abelian(A):
-        cols = [tuple(map(itemgetter(g), A.mul)) for g in A.generators]
-        return _abelian_counts(_times_cyclic(_column_type(cols), [n]))
+        return _abelian_counts(_times_cyclic(_table_type(A), [n]))
     lat = _lattice_data(A, cap)
     cyclics = _cyclic_nodes(A)
     conj: dict[int, tuple[int, ...]] = {}  # x -> bit of x^-1 y x for each y
@@ -602,6 +600,15 @@ def _column_type(cols: Sequence[Sequence[int]]) -> dict[int, list[int]]:
             powers = pick(powers)
         out[p] = conjugate_partition(conj)
     return out
+
+
+def _table_type(G: Group) -> dict[int, list[int]]:
+    """`_column_type` of the columns x -> x * g of G's generators.  No
+    columns make the trivial group, so a larger G without generators is
+    refused, as columns that reach too few elements are."""
+    if G.order > 1 and not G.generators:
+        raise ValueError("the generators' columns do not reach every element")
+    return _column_type([tuple(map(itemgetter(g), G.mul)) for g in G.generators])
 
 
 def _times_cyclic(types: dict[int, list[int]], orders: Iterable[int]) -> dict[int, list[int]]:

@@ -33,6 +33,7 @@ from npscensus.arith import (
 )
 from npscensus.core import (
     CapExceeded,
+    Group,
     closure_columns,
     cyclic_group,
     group_from_generators,
@@ -205,6 +206,15 @@ class TestAbelianPathMatchesLattice:
             counts(cyclic_group(32), cap=16)
         with pytest.raises(CapExceeded, match="order 32 exceeds lattice cap 16"):
             counts_times_cyclic(cyclic_group(16), 2, cap=16)
+
+    @pytest.mark.parametrize("generators", [[], [2]])
+    def test_generators_that_miss_elements_are_refused(self, generators):
+        # the type is read off the generators' columns, which must reach
+        # the whole group: C4 has no generators, or only its square
+        c4 = Group(cyclic_group(4).mul, generators)
+        for count in (lambda: counts(c4), lambda: counts_times_cyclic(c4, 3)):
+            with pytest.raises(ValueError, match="do not reach every element"):
+                count()
 
 
 def corpus_entries():
