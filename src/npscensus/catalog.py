@@ -22,16 +22,16 @@ coprime composition for a product (`_family_counts`).
 For coprime direct products A x B the counts compose:
 ps(AxB) = ps(A) ps(B) and nps(AxB) = nps(A) s(B) + ps(A) nps(B).
 
-The computed side of a check is `lattice.counts` on the built group,
-except for a product spec with a cyclic factor C(n): the CLI counts it as
-A x C(n) by Goursat's lemma from the lattice of A
-(`lattice.counts_times_cyclic`).  Both count an abelian group from its
-type by Birkhoff's formula (`arith.subgroup_count_abelian`) instead.  The
-full lattice stays the oracle for every other group and in the tests,
-which compare each path with it.  The abelian values here come from their
-own formulas (`arith.subgroup_count_rank2`,
-`arith.subgroup_count_elementary_abelian`), not from Birkhoff's, so an
-abelian row checks one formula against another.
+The CLI counts the computed side of a check with no table for a
+metacyclic spec (from its parameters) and a spec of cyclic factors (from
+their orders), by Goursat's lemma from the lattice of A for any other
+A x C(n), and by `lattice.counts` on the built group for every other spec.
+Every path counts an abelian group from its type by Birkhoff's formula
+(`arith.subgroup_count_abelian`).  The full lattice stays the oracle for
+every other group and in the tests, which compare each path with it.  The
+abelian values here come from their own formulas
+(`arith.subgroup_count_rank2`, `arith.subgroup_count_elementary_abelian`),
+not from Birkhoff's, so an abelian row checks one formula against another.
 """
 
 from __future__ import annotations

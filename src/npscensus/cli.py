@@ -38,7 +38,6 @@ from .core import (
     CapExceeded,
     Group,
     closure_columns,
-    element_orders,
     group_from_columns,
 )
 from .corpus import CorpusEntry, CorpusError, load_corpus
@@ -134,61 +133,56 @@ def formula_sweep(max_n: int = 4, max_order: int = DEFAULT_ORDER_CAP) -> list[Fa
     return [s for s in map(parse_spec, texts) if expected_order(s) <= max_order]
 
 
-def _spec_counts(spec: FamilySpec, max_order: int) -> CountSummary:
+def _spec_counts(spec: FamilySpec, max_order: int) -> tuple[CountSummary, Group | None]:
     """counts() of the group of a valid spec of order at most max_order,
-    which the caller has checked.  A metacyclic spec, split or not, is
-    counted from its parameters, and a product of cyclic factors (C(n)
-    too) from its type, with no table; any other spec of direct factors,
-    one of them a cyclic C(n), as A x C(n) from the lattice of A alone;
-    every other spec from its table by `counts`."""
-    split = split_cyclic(spec)
-    if split is None or cyclic_orders(spec) is not None:
-        return _counted_table(spec, max_order)[0]
-    rest, n = split
-    return counts_times_cyclic(build(rest, max_order, check=False), n, max_order)
-
-
-def _counted_table(spec: FamilySpec, max_order: int) -> tuple[CountSummary, Group | None]:
-    """counts() of the group of a valid spec of order at most max_order,
-    and the table it was counted from: None for a metacyclic spec, counted
-    from its parameters, and for a product of cyclic factors, counted from
-    its type.  The isomorphism loops compare the tables of groups whose
-    counts agree, so every other spec is built whole, once."""
+    which the caller has checked, and the table it was counted from.  A
+    metacyclic spec, split or not, is counted from its parameters, and a
+    product of cyclic factors (C(n) too) from its type; any other spec of
+    direct factors, one of them a cyclic C(n), as A x C(n) from the lattice
+    of A alone.  Their table is None.  Every other spec is built whole,
+    once, and counted from its table by `counts`."""
     twist = metacyclic_of(spec)
     if twist is not None:
         return metacyclic_counts(*twist), None
     orders = cyclic_orders(spec)
     if orders is not None:
         return cyclic_product_counts(orders), None
+    split = split_cyclic(spec)
+    if split is not None:
+        rest, n = split
+        return counts_times_cyclic(build(rest, max_order, check=False), n, max_order), None
     G = build(spec, max_order, check=False)
     return counts(G, cap=max_order), G
 
 
-def _formula_worker(args: tuple[FamilySpec, int]) -> dict[str, object]:
-    spec, max_order = args
-    exp = expected_nps(spec)
-    return _record(spec, exp, _spec_counts(spec, max_order).nps)
+def _entry_counts(
+    entry: CorpusEntry, max_order: int
+) -> tuple[CountSummary, list[list[int]], Group | None]:
+    """counts() of the group of a corpus entry, the columns of its one
+    closure, and the table it was counted from.  An abelian entry is
+    counted from the columns and its table is None; any other builds one
+    table from the same columns, with no second closure."""
+    cols = closure_columns(entry.degree, entry.generators, max_order)
+    c = column_counts(cols)
+    if c is not None:
+        return c, cols, None
+    G = group_from_columns(cols, label=entry.name)
+    return counts(G, cap=max_order), cols, G
 
 
-def _theorem_worker(args: tuple[int, FamilySpec, str, int]) -> dict[str, object]:
-    k, spec, template, max_order = args
-    exp = ExpectedNps(EXACT, k, f"classification bucket k={k}: {template}")
-    return _record(spec, exp, _spec_counts(spec, max_order).nps)
+def _verify_worker(args: tuple[FamilySpec, ExpectedNps, int]) -> dict[str, object]:
+    spec, exp, max_order = args
+    return _record(spec, exp, _spec_counts(spec, max_order)[0].nps)
 
 
 def _census_worker(args: tuple[CorpusEntry, int]) -> dict[str, object]:
     """A census report row, keyed by `_CENSUS_COLUMNS`; the counts are
-    blank in the row of an entry that fails.  An abelian entry is counted
-    from its closure's columns and builds no table; any other builds one
-    table from the same columns, with no second closure."""
+    blank in the row of an entry that fails."""
     entry, max_order = args
     row = dict.fromkeys(_CENSUS_COLUMNS, "")
     row["name"] = entry.name
     try:
-        cols = closure_columns(entry.degree, entry.generators, max_order)
-        c = column_counts(cols)
-        if c is None:
-            c = counts(group_from_columns(cols, label=entry.name), cap=max_order)
+        c = _entry_counts(entry, max_order)[0]
     except (CapExceeded, ValueError) as exc:
         row["status"] = f"error: {exc}"
         return row
@@ -275,7 +269,7 @@ def cmd_nps(args) -> int:
     if err:
         print(f"invalid spec {spec}: {err}", file=sys.stderr)
         return 2
-    c = _spec_counts(spec, args.max_order)
+    c = _spec_counts(spec, args.max_order)[0]
     print(f"group: {spec}")
     print(f"order: {c.order}")
     print(f"exponent: {c.exponent}")
@@ -287,7 +281,8 @@ def cmd_nps(args) -> int:
 
 def cmd_verify_formulas(args) -> int:
     specs = formula_sweep(max_n=args.max_n, max_order=args.max_order)
-    rows = _pmap(_formula_worker, [(s, args.max_order) for s in specs], args.jobs)
+    work = [(s, expected_nps(s), args.max_order) for s in specs]
+    rows = _pmap(_verify_worker, work, args.jobs)
     tally = Counter(r["status"] for r in rows)
     summary = {
         "rows": len(rows),
@@ -314,7 +309,7 @@ def _distinctness(k: int, max_order: int) -> tuple[bool, str]:
     tables: dict[int, Group | None] = {}
     for i, (s, o) in enumerate(zip(specs, orders)):
         if orders.count(o) > 1:
-            keys[i], tables[i] = _counted_table(s, max_order)
+            keys[i], tables[i] = _spec_counts(s, max_order)
     pairs = [(i, j) for i, j in combinations(range(len(keys)), 2) if keys[i] == keys[j]]
     groups = {i: tables[i] or build(specs[i], cap=max_order) for i in set(chain(*pairs))}
     del tables
@@ -331,31 +326,28 @@ def _distinctness(k: int, max_order: int) -> tuple[bool, str]:
 def _corpus_line(entry: CorpusEntry, k_min: int, k_max: int, max_order: int) -> tuple[str, bool]:
     """The report line of one corpus entry, and whether it is unmatched:
     cyclic for nps = 0, else isomorphic to no bucket member of its nps and
-    order.  Its table and each candidate's die when this returns."""
+    order.  An abelian entry's table is built only for a candidate with its
+    counts; its table and each candidate's die when this returns."""
     try:
-        g = entry.group(cap=max_order)
-        c = counts(g, cap=max_order)
+        c, cols, g = _entry_counts(entry, max_order)
     except (CapExceeded, ValueError) as exc:
         return f"{entry.name}: error: {exc}", False
     k = c.nps
     if not k_min <= k <= k_max:
         return f"{entry.name}: nps={k}, outside k range", False
     if k == 0:
-        ok = g.order in element_orders(g)
+        ok = c.exponent == c.order
         return f"{entry.name}: nps=0, cyclic={'yes' if ok else 'NO'}", not ok
-    for cand in instances_of_order(k, g.order):
-        if _matches(g, c, cand, max_order):
-            return f"{entry.name}: nps={k}, matches {cand}", False
+    for cand in instances_of_order(k, c.order):
+        cc, h = _spec_counts(cand, max_order)
+        # a candidate with other counts is not isomorphic to the entry
+        if cc == c:
+            g = g or group_from_columns(cols, label=entry.name)
+            if are_isomorphic(g, h or build(cand, cap=max_order), cap=max_order):
+                return f"{entry.name}: nps={k}, matches {cand}", False
+        # the candidate's table dies before the next one is built
+        del h
     return f"{entry.name}: nps={k}, NO bucket match (potential counterexample)", True
-
-
-def _matches(g: Group, c: CountSummary, cand: FamilySpec, max_order: int) -> bool:
-    """Whether the group of spec `cand` is isomorphic to g, whose counts
-    are c; the candidate's table dies when this returns, before the next
-    one is built."""
-    # a candidate with other counts is not isomorphic to g
-    cc, h = _counted_table(cand, max_order)
-    return cc == c and are_isomorphic(g, h or build(cand, cap=max_order), cap=max_order)
 
 
 def cmd_verify_theorems(args) -> int:
@@ -364,8 +356,9 @@ def cmd_verify_theorems(args) -> int:
     work = []
     for k in range(args.k_min, args.k_max + 1):
         for spec, template in instantiate_bucket(k, args.max_n, args.max_order):
-            work.append((k, spec, template, args.max_order))
-    rows = _pmap(_theorem_worker, work, args.jobs)
+            exp = ExpectedNps(EXACT, k, f"classification bucket k={k}: {template}")
+            work.append((spec, exp, args.max_order))
+    rows = _pmap(_verify_worker, work, args.jobs)
 
     # pairwise non-isomorphism at minimal parameters
     distinct = [_distinctness(k, args.max_order) for k in range(args.k_min, args.k_max + 1)]

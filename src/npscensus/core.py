@@ -513,9 +513,9 @@ def group_from_generators(
     Element 0 is the identity; elements are numbered in breadth-first
     closure order from the identity, applying generators in input order.
     Raises CapExceeded when the closure outgrows `cap`, ValueError on
-    non-bijective input.  This builds the whole table; the census counts
-    an abelian group from the columns alone (`lattice.column_counts`)
-    and builds no table for it.
+    non-bijective input.  This builds the whole table; the CLI counts an
+    abelian corpus entry from its `closure_columns` (`lattice.column_counts`)
+    and builds its table only for an isomorphism test.
     """
     return group_from_columns(closure_columns(degree, perms, cap), label=label)
 

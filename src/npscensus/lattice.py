@@ -339,9 +339,9 @@ def counts(G: Group, cap: int = DEFAULT_ORDER_CAP) -> CountSummary:
     lattice for the rest.  The cap applies to all three.  The counts are
     cached on the group as plain data: `are_isomorphic` asks again for the
     counts of groups that the CLI has counted.  Two abelian paths need no
-    table and so do not come here: `column_counts`, which the census uses
-    on a corpus entry's closure, and `cyclic_product_counts`, which the
-    CLI uses on a spec of cyclic factors."""
+    table and so do not come here: `column_counts`, which the CLI uses on
+    a corpus entry's closure, and `cyclic_product_counts`, which it uses
+    on a spec of cyclic factors."""
     check_cap(G.order, cap)
     cached = G._cache.get("counts")
     if cached is None:

@@ -334,10 +334,10 @@ def table_counts(factors):
 
 class TestCyclicProductSpecs:
     """A spec of cyclic factors, C(n) included, is counted from its type:
-    `cli._spec_counts` and `cli._counted_table` build no table for it."""
+    `cli._spec_counts` builds no table for it."""
 
     def test_every_spec_up_to_600(self):
-        from npscensus.cli import _counted_table, _spec_counts
+        from npscensus.cli import _spec_counts
 
         specs = cyclic_products(600)
         assert len(specs) == 3793
@@ -346,8 +346,7 @@ class TestCyclicProductSpecs:
             # counts are the same for every spec of one group, so the table
             # of its invariant factors is built once a group
             want = table_counts(invariant_factors(orders))
-            assert _spec_counts(spec, 600) == want, spec
-            assert _counted_table(spec, 600) == (want, None), spec
+            assert _spec_counts(spec, 600) == (want, None), spec
             assert cyclic_product_counts(orders) == want, spec
 
     @pytest.mark.parametrize(

@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import npscensus
+from npscensus.catalog import expected_nps
 from npscensus.cli import (
     _census_worker,
-    _formula_worker,
-    _theorem_worker,
+    _verify_worker,
     formula_sweep,
     main,
 )
@@ -470,6 +470,35 @@ class TestVerifyTheorems:
         assert "# corpus_unmatched=1" in out
         assert "c3:c14: nps=6, NO bucket match (potential counterexample)" in out
 
+    def test_abelian_entries_build_no_table_without_a_candidate(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # an abelian entry is counted from its closure's columns, and its
+        # cyclicity read from its counts; its table would be built only for
+        # a candidate with its counts, and no k = 6 candidate of order 20
+        # has those of C(2)xC(10)
+        import npscensus.cli
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was built")
+
+        texts = ["C(2)xC(10)", "C(12)", "C(2)xC(4)"]
+        path = tmp_path / "c.json"
+        dump_corpus([entry_from_group(t, build(parse_spec(t))) for t in texts], path)
+        monkeypatch.setattr(CorpusEntry, "group", no_table)
+        monkeypatch.setattr(npscensus.cli, "group_from_columns", no_table)
+        code, out, _ = run(
+            capsys, "verify-theorems", "--k-min", "6", "--k-max", "6", "--corpus", str(path)
+        )
+        assert code == 1
+        assert "C(2)xC(10): nps=6, NO bucket match (potential counterexample)" in out
+        assert "C(12): nps=0, outside k range" in out
+        assert "C(2)xC(4): nps=5, outside k range" in out
+        code, out, _ = run(
+            capsys, "verify-theorems", "--k-min", "0", "--k-max", "0", "--corpus", str(path)
+        )
+        assert "C(12): nps=0, cyclic=yes" in out
+
     def test_shipped_bucket_corpus_exits_0(self, capsys):
         path = Path(__file__).resolve().parent.parent / "data" / "bucket_groups.json"
         code, out, _ = run(capsys, "verify-theorems", "--corpus", str(path))
@@ -898,13 +927,11 @@ class TestWorkersFreeGroups:
     group left to the cycle collector would keep its table alive while the
     next is built."""
 
-    def test_formula_worker(self, groups_left_for_collector):
-        arg = (parse_spec("Q(8)xC(2)"), 600)
-        assert groups_left_for_collector(lambda: _formula_worker(arg)) == []
-
-    def test_theorem_worker(self, groups_left_for_collector):
-        arg = (7, parse_spec("D(8)"), "D(8)", 600)
-        assert groups_left_for_collector(lambda: _theorem_worker(arg)) == []
+    @pytest.mark.parametrize("text", ["Q(8)xC(2)", "D(8)", "SL23"])
+    def test_verify_worker(self, groups_left_for_collector, text):
+        spec = parse_spec(text)
+        arg = (spec, expected_nps(spec), 600)
+        assert groups_left_for_collector(lambda: _verify_worker(arg)) == []
 
     def test_census_worker(self, groups_left_for_collector):
         entry = CorpusEntry("Sym(3)", 3, ((1, 2, 0), (1, 0, 2)))
@@ -958,18 +985,18 @@ class TestWorkersFreeGroups:
             new = [repr(o) for o in gc.get_objects() if isinstance(o, Group) and id(o) not in known]
             alive.append((where, new))
 
-        real_load, real_group = npscensus.cli.load_corpus, CorpusEntry.group
+        real_load, real_closure = npscensus.cli.load_corpus, npscensus.cli.closure_columns
 
         def load(path):
             probe("load_corpus")
             return real_load(path)
 
-        def group(entry, cap):
-            probe(entry.name)
-            return real_group(entry, cap)
+        def closure(degree, perms, cap):
+            probe(degree)
+            return real_closure(degree, perms, cap)
 
         monkeypatch.setattr(npscensus.cli, "load_corpus", load)
-        monkeypatch.setattr(CorpusEntry, "group", group)
+        monkeypatch.setattr(npscensus.cli, "closure_columns", closure)
         path = Path(__file__).resolve().parent.parent / "data" / "bucket_groups.json"
         code, out, _ = run(capsys, "verify-theorems", "--max-n", "6", "--corpus", str(path))
         assert code == 0
