@@ -281,8 +281,8 @@ def cmd_nps(args) -> int:
 
 def cmd_verify_formulas(args) -> int:
     specs = formula_sweep(max_n=args.max_n, max_order=args.max_order)
-    work = [(s, expected_nps(s), args.max_order) for s in specs]
-    rows = _pmap(_verify_worker, work, args.jobs)
+    # a temporary list, so that the expected counts die with it
+    rows = _pmap(_verify_worker, [(s, expected_nps(s), args.max_order) for s in specs], args.jobs)
     tally = Counter(r["status"] for r in rows)
     summary = {
         "rows": len(rows),
@@ -353,12 +353,13 @@ def _corpus_line(entry: CorpusEntry, k_min: int, k_max: int, max_order: int) -> 
 def cmd_verify_theorems(args) -> int:
     if args.k_min > args.k_max:
         raise ValueError(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
-    work = []
-    for k in range(args.k_min, args.k_max + 1):
-        for spec, template in instantiate_bucket(k, args.max_n, args.max_order):
-            exp = ExpectedNps(EXACT, k, f"classification bucket k={k}: {template}")
-            work.append((spec, exp, args.max_order))
-    rows = _pmap(_verify_worker, work, args.jobs)
+    work = (
+        (spec, ExpectedNps(EXACT, k, f"classification bucket k={k}: {template}"), args.max_order)
+        for k in range(args.k_min, args.k_max + 1)
+        for spec, template in instantiate_bucket(k, args.max_n, args.max_order)
+    )
+    # a temporary list, so that the expected counts die with it
+    rows = _pmap(_verify_worker, list(work), args.jobs)
 
     # pairwise non-isomorphism at minimal parameters
     distinct = [_distinctness(k, args.max_order) for k in range(args.k_min, args.k_max + 1)]
