@@ -497,6 +497,7 @@ class TestVerifyTheorems:
         code, out, _ = run(
             capsys, "verify-theorems", "--k-min", "0", "--k-max", "0", "--corpus", str(path)
         )
+        assert code == 0
         assert "C(12): nps=0, cyclic=yes" in out
 
     def test_shipped_bucket_corpus_exits_0(self, capsys):
