@@ -197,9 +197,11 @@ def _below(bound: list[int], top: int) -> Iterator[list[int]]:
             yield [first] + rest
 
 
-def subgroup_count_abelian(p: int, partition: Iterable[int]) -> int:
-    """Total subgroup count of the abelian p-group of type `partition`,
-    the product of the C_{p^l} for l in it.
+def subgroup_type_counts(p: int, partition: Iterable[int]) -> Iterator[tuple[list[int], int]]:
+    """(m', N) for each type m inside the type l = `partition` of an
+    abelian p-group, the product of the C_{p^l_i}: m' is the conjugate of
+    m, with zeros up to the length of l', and N the number of subgroups of
+    type m.
 
     By Birkhoff (Proc. LMS 1935; Butler, Mem. AMS 539, 1994), with l' and
     m' conjugate partitions, a group of type l has
@@ -210,14 +212,18 @@ def subgroup_count_abelian(p: int, partition: Iterable[int]) -> int:
     subgroups of type m, for each m inside l (m'_i <= l'_i for every i).
     """
     conj = conjugate_partition(partition)
-    total = 0
     for mu in _below(conj, conj[0] if conj else 0):
         term = 1
         for i, (l, m) in enumerate(zip(conj, mu)):
             nxt = mu[i + 1] if i + 1 < len(mu) else 0
             term *= p ** (nxt * (l - m)) * gaussian_binomial(l - nxt, m - nxt, p)
-        total += term
-    return total
+        yield mu, term
+
+
+def subgroup_count_abelian(p: int, partition: Iterable[int]) -> int:
+    """Total subgroup count of the abelian p-group of type `partition`:
+    Birkhoff's counts of `subgroup_type_counts`, summed over the types."""
+    return sum(n for _, n in subgroup_type_counts(p, partition))
 
 
 def subgroup_count_elementary_abelian(p: int, n: int) -> int:

@@ -23,11 +23,13 @@ For coprime direct products A x B the counts compose:
 ps(AxB) = ps(A) ps(B) and nps(AxB) = nps(A) s(B) + ps(A) nps(B).
 
 The CLI counts the computed side of a check with no table for a
-metacyclic spec (from its parameters) and a spec of cyclic factors (from
-their orders), by Goursat's lemma from the lattice of A for any other
-A x C(n), and by `lattice.counts` on the built group for every other spec.
-Every path counts an abelian group from its type by Birkhoff's formula
-(`arith.subgroup_count_abelian`).  The full lattice stays the oracle for
+metacyclic spec (from its parameters) and for a spec with cyclic factors,
+A x B with B their product, as a sum of |Hom(A1, B/B2)| over A1 <= A from
+the lattice of A (`lattice.counts_times_abelian`), and by `lattice.counts`
+on the built group for every other spec.  Every path counts an abelian
+group from its type by Birkhoff's formula (`arith.subgroup_count_abelian`),
+and B's subgroups by their types (`arith.subgroup_type_counts`).  This
+module imports nothing from `lattice`.  The full lattice stays the oracle for
 every other group and in the tests, which compare each path with it.  The
 abelian values here come from their own formulas
 (`arith.subgroup_count_rank2`, `arith.subgroup_count_elementary_abelian`),

@@ -45,7 +45,6 @@ from .coset import DEFAULT_MAX_COSETS, enumerate_cosets, group_from_coset_table
 from .families import (
     FamilySpec,
     build,
-    cyclic_orders,
     expected_order,
     metacyclic_of,
     order_up_to,
@@ -58,8 +57,7 @@ from .lattice import (
     CountSummary,
     column_counts,
     counts,
-    counts_times_cyclic,
-    cyclic_product_counts,
+    counts_times_abelian,
     metacyclic_counts,
 )
 from .presentation import PresentationError, parse_presentation
@@ -136,21 +134,19 @@ def formula_sweep(max_n: int = 4, max_order: int = DEFAULT_ORDER_CAP) -> list[Fa
 def _spec_counts(spec: FamilySpec, max_order: int) -> tuple[CountSummary, Group | None]:
     """counts() of the group of a valid spec of order at most max_order,
     which the caller has checked, and the table it was counted from.  A
-    metacyclic spec, split or not, is counted from its parameters, and a
-    product of cyclic factors (C(n) too) from its type; any other spec of
-    direct factors, one of them a cyclic C(n), as A x C(n) from the lattice
-    of A alone.  Their table is None.  Every other spec is built whole,
-    once, and counted from its table by `counts`."""
+    metacyclic spec, split or not, is counted from its parameters, and C(n)
+    or a spec of direct factors with a cyclic one as A x B, B the product
+    of every cyclic factor, from the lattice of A alone, or from the type
+    when A is abelian or trivial.  Their table is None.  Every other spec
+    is built whole, once, and counted from its table by `counts`."""
     twist = metacyclic_of(spec)
     if twist is not None:
         return metacyclic_counts(*twist), None
-    orders = cyclic_orders(spec)
-    if orders is not None:
-        return cyclic_product_counts(orders), None
     split = split_cyclic(spec)
     if split is not None:
-        rest, n = split
-        return counts_times_cyclic(build(rest, max_order, check=False), n, max_order), None
+        rest, orders = split
+        A = None if rest is None else build(rest, max_order, check=False)
+        return counts_times_abelian(A, orders, max_order), None
     G = build(spec, max_order, check=False)
     return counts(G, cap=max_order), G
 

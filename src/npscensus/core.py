@@ -436,14 +436,15 @@ def center(G: Group) -> Subgroup:
     return Subgroup(G, members, size)
 
 
-def derived_subgroup(G: Group) -> Subgroup:
-    """G' as the normal closure of the commutators of the generators: in
-    the quotient by that closure the generators commute, so it is abelian.
+def derived_subgroup(G: Group, gens: Sequence[int] | None = None) -> Subgroup:
+    """H' for the subgroup H of G that `gens` generate, G's generators by
+    default, as the normal closure in H of the commutators of `gens`: in
+    the quotient by that closure they commute, so it is abelian.
 
-    The closure grows until conjugating each of its generators by each
-    generator of G stays inside it, which makes it normal.
+    The closure grows until conjugating each of its generators by each of
+    `gens` stays inside it, which makes it normal in H.
     """
-    gens = G.generators
+    gens = G.generators if gens is None else gens
     mul, inv = G.mul, G.inv
     hgens = [G.commutator(a, b) for i, a in enumerate(gens) for b in gens[:i]]
     H = generated_subgroup(G, hgens)

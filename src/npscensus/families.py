@@ -149,35 +149,24 @@ def cyclic_spec(n: int) -> FamilySpec:
     return FamilySpec(CYCLIC, (n,))
 
 
-def split_cyclic(spec: FamilySpec) -> tuple[FamilySpec, int] | None:
-    """(A, n) with spec = A x C(n), for a spec made of direct factors of
-    which at least one is cyclic: C(n) is the cyclic factor of largest
-    order (the last of equal ones) and A the product of the others, in
-    order.  None for any other spec."""
+def split_cyclic(spec: FamilySpec) -> tuple[FamilySpec | None, list[int]] | None:
+    """(A, [n_1, n_2, ...]) with spec = A x C(n_1) x C(n_2) x ..., for
+    C(n) and for a spec made of direct factors of which at least one is
+    cyclic: the n_i are the orders of every cyclic factor and A the
+    product of the others, both in order, A None when there are none.
+    None for any other spec."""
     fam = _row(spec.kind)
-    if fam.factors is None:
-        return None
-    fs = list(fam.factors(spec))
-    cyclic = [i for i, f in enumerate(fs) if f.kind == CYCLIC]
-    if not cyclic:
-        return None
-    i = max(cyclic, key=lambda i: (fs[i].params[0], i))
-    return product_spec(*fs[:i], *fs[i + 1 :]), fs[i].params[0]
-
-
-def cyclic_orders(spec: FamilySpec) -> list[int] | None:
-    """The orders of the factors of a spec whose every direct factor is
-    cyclic, C(n) itself included: [n_1, n_2, ...] for
-    C(n_1) x C(n_2) x ...  None for any other spec."""
     if spec.kind == CYCLIC:
-        return [spec.params[0]]
-    fam = _row(spec.kind)
-    if fam.factors is None:
+        fs = [spec]
+    elif fam.factors is not None:
+        fs = list(fam.factors(spec))
+    else:
         return None
-    fs = list(fam.factors(spec))
-    if any(f.kind != CYCLIC for f in fs):
+    orders = [f.params[0] for f in fs if f.kind == CYCLIC]
+    if not orders:
         return None
-    return [f.params[0] for f in fs]
+    rest = [f for f in fs if f.kind != CYCLIC]
+    return (product_spec(*rest) if rest else None), orders
 
 
 def validate(spec: FamilySpec) -> str | None:

@@ -52,10 +52,11 @@ times as the lattice layer.
 off its generators' columns (`_column_type`) and counts by Birkhoff's
 formula (`arith.subgroup_count_abelian`).  `column_counts` reads the type
 of an abelian permutation group off the columns of its closure by the
-same `_column_type`, and `cyclic_product_counts` that of
-C(n_1) x C(n_2) x ... off the n_i, so neither needs a table.  Nor does
-`counts` of a metacyclic group: it reads (Q, P, r, t) off the table
+same `_column_type`, so it needs no table.  Nor does `counts` of a
+metacyclic group: it reads (Q, P, r, t) off the table
 (`_metacyclic_parameters`) and counts by `metacyclic_counts`.
+`counts_times_abelian` counts A x C(n_1) x C(n_2) x ... from the lattice
+of A alone, and from the type when A is abelian or trivial.
 
 `metacyclic_counts` needs no group at all: it counts a metacyclic
 <b>.<a>, |b| = Q, a^P = b^t and a^-1 b a = b^r, split (t = 0) or not,
@@ -69,8 +70,8 @@ comes from those two factorizations.
 
 from __future__ import annotations
 
-from math import gcd, lcm
-from operator import itemgetter
+from math import gcd, lcm, prod
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 from .arith import (
@@ -83,6 +84,7 @@ from .arith import (
     p_part,
     p_valuation,
     subgroup_count_abelian,
+    subgroup_type_counts,
     totient,
 )
 from .core import (
@@ -153,8 +155,8 @@ class Lattice(Record):
 
 class _LatticeData(Record):
     """The cached lattice of a group, with no reference to the group: the
-    subgroups' bitsets and sizes in lattice order, and the rest as in
-    `Lattice`."""
+    subgroups' bitsets, sizes and the generators the search joined each
+    from, in lattice order, and the rest as in `Lattice`."""
 
     members: tuple[int, ...]
     sizes: tuple[int, ...]
@@ -162,6 +164,7 @@ class _LatticeData(Record):
     conjugacy_classes: tuple[tuple[int, ...], ...]
     power_index: dict[int, int]
     index: dict[int, int]
+    gens: tuple[tuple[int, ...], ...]
 
 
 def _cyclic_nodes(G: Group) -> list[_Node]:
@@ -309,6 +312,7 @@ def _compute_lattice(G: Group) -> _LatticeData:
         conjugacy_classes=tuple(classes),
         power_index=power_index,
         index=index,
+        gens=tuple(nd.gens for nd in order),
     )
 
 
@@ -338,10 +342,11 @@ def counts(G: Group, cap: int = DEFAULT_ORDER_CAP) -> CountSummary:
     metacyclic one that `_metacyclic_parameters` recognizes, from the
     lattice for the rest.  The cap applies to all three.  The counts are
     cached on the group as plain data: `are_isomorphic` asks again for the
-    counts of groups that the CLI has counted.  Two abelian paths need no
-    table and so do not come here: `column_counts`, which the CLI uses on
-    a corpus entry's closure, and `cyclic_product_counts`, which it uses
-    on a spec of cyclic factors."""
+    counts of groups that the CLI has counted.  Two paths build no table
+    of the group they count and so do not come here: `column_counts`,
+    which the CLI uses on a corpus entry's closure, and
+    `counts_times_abelian`, which it uses on a spec with a cyclic
+    factor."""
     check_cap(G.order, cap)
     cached = G._cache.get("counts")
     if cached is None:
@@ -421,77 +426,86 @@ def _lattice_counts(G: Group, cap: int) -> CountSummary:
     )
 
 
-def counts_times_cyclic(A: Group, n: int, cap: int = DEFAULT_ORDER_CAP) -> CountSummary:
-    """counts() of A x C_n, from the lattice of A alone.
+def counts_times_abelian(
+    A: Group | None, orders: Sequence[int], cap: int = DEFAULT_ORDER_CAP
+) -> CountSummary:
+    """counts() of A x B for B = C(n_1) x C(n_2) x ..., the n_i the orders,
+    from the lattice of A alone; A None is the trivial group.
 
-    By Goursat's lemma the subgroups of A x B match the pairs of sections
-    A1/A2 of A and B1/B2 of B (A2 normal in A1 <= A, the same in B)
-    together with an isomorphism A1/A2 -> B1/B2.  In B = C_n the sections
-    isomorphic to C_k, for k | n, are C_d / C_{d/k} for the tau(n/k)
-    multiples d of k dividing n, and C_k has phi(k) automorphisms, so
+    Each subgroup H of A x B is one triple (A1, B2, f): A1 the image of H
+    in A, B2 = H meet B, and f: A1 -> B/B2 the homomorphism that sends a
+    to the coset of the b with (a, b) in H, as B is abelian.  So s(A x B)
+    sums |Hom(A1/A1', B/B2)| over A1 <= A and B2 <= B, a product over the
+    primes p of |B|.  By duality B_p, of type l, has as many B2 with
+    quotient of type g as subgroups of type g, Birkhoff's N(l, g)
+    (`arith.subgroup_type_counts`), and there are p^(sum over i, j of
+    min(a_i, g_j)) = p^(sum over k of a'_k g'_k) homomorphisms from type a
+    to type g, a' and g' the conjugate partitions.  So A1 with A1/A1' of
+    p-type a adds
 
-        s(A x C_n) = sum over k | n of tau(n/k) * phi(k) * N_A(k)
+        prod over p of  sum over g inside l of  N(l, g) p^(sum a'_k g'_k).
 
-    with N_A(k) the number of sections A1/A2 of A isomorphic to C_k.  Such
-    a section is A2<x> / A2 for each of the phi(k) * |A2| elements x of A1
-    whose coset generates it, so phi(k) * |A2| * N_A(k) sums, over the
-    subgroups A2, the x that normalize A2 and have order k modulo A2.
-    Those x are counted by the cyclic subgroups <x>, whose generators
-    behave alike, and for one A2 per conjugacy class.
+    Omega_{p^j} of A1/A1' has order p^(a'_1 + ... + a'_j): the x in A1
+    whose coset has order dividing p^j, over |A1'|, counted by the cyclic
+    subgroups of A in A1, whose generators behave alike.  A1' is the
+    derived subgroup of the generators the lattice joined A1 from, and one
+    A1 per conjugacy class is taken, weighted by the class size.
 
-    (A x C_n)^m = A^m x C_n^m, so the power subgroups are the distinct
-    pairs (A^m, gcd(m, n)).  The cap applies to the order of A x C_n, as
-    for counts() of the product.  For an abelian A the product is
-    abelian too, and is counted from its type, A's read off its columns
-    as counts() does.
+    (A x B)^m = A^m x B^m, so the power subgroups are the distinct pairs
+    (A^m, B^m), B^m given by gcd(m, exp B).  The cap applies to the order
+    of A x B.  An abelian A makes an abelian product, counted from its
+    type, A's read off its columns as counts() does.
     """
-    order = A.order * n
+    order = (1 if A is None else A.order) * prod(orders)
     check_cap(order, cap)
-    if is_abelian(A):
-        return _abelian_counts(_times_cyclic(_table_type(A), [n]))
+    types: dict[int, list[int]] = {}  # the type of B
+    for n in orders:
+        for p, m in factorize(n).items():
+            types.setdefault(p, []).append(m)
+    if A is None or is_abelian(A):
+        own = {} if A is None else _table_type(A)
+        return _abelian_counts({p: own.get(p, []) + types.get(p, []) for p in own | types})
     lat = _lattice_data(A, cap)
-    cyclics = _cyclic_nodes(A)
-    conj: dict[int, tuple[int, ...]] = {}  # x -> bit of x^-1 y x for each y
-    sections = dict.fromkeys(divisors(n), 0)  # k -> N_A(k)
+    cyclics = [(z.members, z.size, totient(z.size)) for z in _cyclic_nodes(A)]
+    below_b = {p: list(subgroup_type_counts(p, parts)) for p, parts in types.items()}
+    s = 0
     for cls in lat.conjugacy_classes:
-        m2, size2 = lat.members[cls[0]], lat.sizes[cls[0]]
-        take = None if len(cls) == 1 else getter(list(_bits(m2)))
-        found: dict[int, int] = {}  # k -> elements of order k modulo A2
-        for z in cyclics:
-            k = z.size // (z.members & m2).bit_count()
-            if k not in sections:
-                continue
-            # x normalizes A2 when A2 is normal or holds x (k = 1)
-            if take is not None and k > 1:
-                x = z.elems[1]
-                if x not in conj:
-                    conj[x] = _conjugation_bits(A, x)
-                if sum(take(conj[x])) != m2:
-                    continue  # x does not normalize A2
-            found[k] = found.get(k, 0) + totient(z.size)
-        for k, elements in found.items():
-            sections[k] += len(cls) * elements // (totient(k) * size2)
-    s = sum(len(divisors(n // k)) * totient(k) * N for k, N in sections.items())
+        m1 = lat.members[cls[0]]
+        derived = derived_subgroup(A, lat.gens[cls[0]]).members
+        found: dict[int, int] = {}  # k -> the x in A1 whose coset has order k
+        for members, size, phi in cyclics:
+            if not members & ~m1:
+                k = size // (members & derived).bit_count()
+                found[k] = found.get(k, 0) + phi
+        term = 1
+        for p, below in below_b.items():
+            a, omega = [], found[1]  # a', and |Omega_{p^j}| |A1'|
+            for j in range(1, max(types[p]) + 1):
+                larger = omega + found.get(p**j, 0)
+                a.append(p_valuation(larger // omega, p))
+                omega = larger
+            term *= sum(N * p ** sum(map(mul, a, g)) for g, N in below)
+        s += len(cls) * term
 
-    e = exponent(A)
-    powers = {
-        (lat.power_index[gcd(m, e)], gcd(m, n)) for m in divisors(lcm(e, n))
-    }
+    e, eb = exponent(A), lcm(*orders)
+    powers = {(lat.power_index[gcd(m, e)], gcd(m, eb)) for m in divisors(lcm(e, eb))}
     cyclic_powers = []
     for i, g in powers:
-        size = lat.sizes[i] * (n // g)
+        parts = [n // gcd(n, g) for n in orders if n // gcd(n, g) > 1]  # B^g
+        size = lat.sizes[i] * prod(parts)
         # a product of two nontrivial p-groups is not cyclic
         if size > 1 and len(factorize(size)) == 1 and (
-            lat.sizes[i] == 1 or g == n and _is_cyclic(A, lat.members[i], lat.sizes[i])
+            lat.sizes[i] == 1 and len(parts) == 1
+            or not parts and _is_cyclic(A, lat.members[i], lat.sizes[i])
         ):
             cyclic_powers.append(size)
     return CountSummary(
         order=order,
-        exponent=lcm(e, n),
+        exponent=lcm(e, eb),
         s=s,
         ps=len(powers),
         nps=s - len(powers),
-        per_prime=_per_prime(factorize(order), lcm(e, n), cyclic_powers),
+        per_prime=_per_prime(factorize(order), lcm(e, eb), cyclic_powers),
     )
 
 
@@ -609,21 +623,6 @@ def _table_type(G: Group) -> dict[int, list[int]]:
     if G.order > 1 and not G.generators:
         raise ValueError("the generators' columns do not reach every element")
     return _column_type([tuple(map(itemgetter(g), G.mul)) for g in G.generators])
-
-
-def _times_cyclic(types: dict[int, list[int]], orders: Iterable[int]) -> dict[int, list[int]]:
-    """The type `types` (prime -> partition) extended, in place, by a
-    cyclic factor C(n) for each n in `orders`."""
-    for n in orders:
-        for p, m in factorize(n).items():
-            types.setdefault(p, []).append(m)
-    return types
-
-
-def cyclic_product_counts(orders: Iterable[int]) -> CountSummary:
-    """counts() of C(n_1) x C(n_2) x ... for the orders n_i, from its type,
-    with no table."""
-    return _abelian_counts(_times_cyclic({}, orders))
 
 
 def column_counts(cols: Sequence[Sequence[int]]) -> CountSummary | None:

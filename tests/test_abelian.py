@@ -1,15 +1,16 @@
 """Counts of abelian groups from their type (Birkhoff's formula).
 
-`lattice.counts` of an abelian group, and `counts_times_cyclic` of an
-abelian A, build no lattice.  Every such count is checked here against the
+`lattice.counts` of an abelian group, and `counts_times_abelian` of an
+abelian or trivial A, build no lattice.  Every such count is checked here against the
 full lattice (`lattice._lattice_counts`): on every abelian group of order
 at most 128, as built from its spec and as a relabelled permutation group,
 and on the abelian groups of the benchmark's census corpus.  The formula
 itself is pinned against the two independent special cases kept in
-`arith` and against the corrected rank-2 closed form.
+`arith` and against the corrected rank-2 closed form, and so are its
+counts by type, which `counts_times_abelian` also sums for a non-abelian A.
 
 `lattice.column_counts` counts an abelian permutation group from the
-columns of its closure, and `lattice.cyclic_product_counts` a product of
+columns of its closure, and `counts_times_abelian` with no A a product of
 cyclic factors from their orders, both with no table at all; the table's
 counts and the lattice are their oracles here.
 """
@@ -27,9 +28,11 @@ import pytest
 from npscensus.arith import (
     conjugate_partition,
     factorize,
+    gaussian_binomial,
     subgroup_count_abelian,
     subgroup_count_elementary_abelian,
     subgroup_count_rank2,
+    subgroup_type_counts,
 )
 from npscensus.core import (
     CapExceeded,
@@ -46,8 +49,7 @@ from npscensus.lattice import (
     _lattice_counts,
     column_counts,
     counts,
-    counts_times_cyclic,
-    cyclic_product_counts,
+    counts_times_abelian,
 )
 from npscensus.specs import parse_spec
 
@@ -159,6 +161,19 @@ class TestSubgroupCountAbelian:
                 p, [1] * n
             ) == subgroup_count_elementary_abelian(p, n), (p, n)
 
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_counts_by_type(self, p):
+        for n in range(1, 9):
+            # the subgroups of (C_p)^n of type (1^k), conjugate (k), are its
+            # k-dimensional subspaces
+            got = {tuple(mu): N for mu, N in subgroup_type_counts(p, [1] * n)}
+            assert got == {(k,): gaussian_binomial(n, k, p) for k in range(n + 1)}, (p, n)
+            assert sum(got.values()) == subgroup_count_elementary_abelian(p, n), (p, n)
+        for b in range(1, 9):
+            for a in range(1, b + 1):
+                got = [N for _, N in subgroup_type_counts(p, [b, a])]
+                assert sum(got) == subgroup_count_rank2(p, a, b), (p, a, b)
+
     def test_values_past_the_lattice(self):
         assert subgroup_count_abelian(2, [1] * 8) == 417199
         assert subgroup_count_abelian(2, [1] * 10) == 229755605
@@ -198,21 +213,25 @@ class TestAbelianPathMatchesLattice:
         ["C(2)xC(2)xC(2)xC(2)xC(2)xC(2)", "C(8)xC(4)xC(2)xC(3)", "C(3)xC(3)xC(5)xC(5)"],
     )
     def test_goursat_path_of_an_abelian_product(self, text):
-        rest, n = split_cyclic(parse_spec(text))
-        assert counts_times_cyclic(build(rest), n) == lattice_oracle(text)
+        # every factor cyclic: no A, and A the first factor
+        rest, orders = split_cyclic(parse_spec(text))
+        assert rest is None
+        assert counts_times_abelian(None, orders) == lattice_oracle(text)
+        A = cyclic_group(orders[0])
+        assert counts_times_abelian(A, orders[1:]) == lattice_oracle(text)
 
     def test_cap_comes_first(self):
         with pytest.raises(CapExceeded, match="order 32 exceeds lattice cap 16"):
             counts(cyclic_group(32), cap=16)
         with pytest.raises(CapExceeded, match="order 32 exceeds lattice cap 16"):
-            counts_times_cyclic(cyclic_group(16), 2, cap=16)
+            counts_times_abelian(cyclic_group(16), [2], cap=16)
 
     @pytest.mark.parametrize("generators", [[], [2]])
     def test_generators_that_miss_elements_are_refused(self, generators):
         # the type is read off the generators' columns, which must reach
         # the whole group: C4 has no generators, or only its square
         c4 = Group(cyclic_group(4).mul, generators)
-        for count in (lambda: counts(c4), lambda: counts_times_cyclic(c4, 3)):
+        for count in (lambda: counts(c4), lambda: counts_times_abelian(c4, [3])):
             with pytest.raises(ValueError, match="do not reach every element"):
                 count()
 
@@ -347,7 +366,7 @@ class TestCyclicProductSpecs:
             # of its invariant factors is built once a group
             want = table_counts(invariant_factors(orders))
             assert _spec_counts(spec, 600) == (want, None), spec
-            assert cyclic_product_counts(orders) == want, spec
+            assert counts_times_abelian(None, orders, 600) == want, spec
 
     @pytest.mark.parametrize(
         "text", ["C(600)", "C(2)xC(2)xC(2)xC(2)xC(2)xC(2)", "C(8)xC(8)xC(2)", "C(1)", "C(1)xC(5)"]

@@ -1,10 +1,15 @@
 """Expected-count catalog and the classification lists."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
+import npscensus
 from npscensus.arith import subgroup_count_rank2
 from npscensus.catalog import (
     EXACT,
@@ -478,3 +483,16 @@ def test_every_catalog_entry_holds_on_the_corpus(zoo):
             assert got >= e.value, f"{label}: {got} < bound {e.value}"
             checked += 1
     assert checked >= 50
+
+
+def test_catalog_loads_no_lattice():
+    """The expected counts and the computed ones are two derivations that
+    must not call each other: a fresh interpreter that imports the catalog
+    loads no `npscensus.lattice`."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(npscensus.__file__).resolve().parent.parent)
+    probe = "import sys, npscensus.catalog; print('npscensus.lattice' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")

@@ -134,7 +134,24 @@ class TestNps:
         code, out, _ = run(capsys, "nps", "D(8)xC(2)xC(2)xC(2)")
         assert code == 0
         assert "subgroups: 937" in out
-        assert built == ["D(8)xC(2)xC(2)"]
+        assert built == ["D(8)"]
+
+    @pytest.mark.parametrize(
+        "text, counts",
+        [
+            # the values of the full lattice of the product
+            ("D(8)xC(2)xC(2)xC(2)xC(2)xC(2)xC(2)", (1166786, 3, 1166783)),
+            ("D(8)xD(8)xC(2)xC(2)xC(2)", (220802, 3, 220799)),
+        ],
+    )
+    def test_heavy_products(self, capsys, text, counts):
+        code, out, _ = run(capsys, "nps", text)
+        assert code == 0
+        assert out.splitlines()[3:] == [
+            f"subgroups: {counts[0]}",
+            f"power subgroups: {counts[1]}",
+            f"nonpower subgroups: {counts[2]}",
+        ]
 
     def test_product_without_cyclic_factor_takes_the_lattice(
         self, capsys, monkeypatch
@@ -144,7 +161,7 @@ class TestNps:
         def no_goursat(*args, **kwargs):
             raise AssertionError("counted from the factors")
 
-        monkeypatch.setattr(npscensus.cli, "counts_times_cyclic", no_goursat)
+        monkeypatch.setattr(npscensus.cli, "counts_times_abelian", no_goursat)
         code, out, _ = run(capsys, "nps", "D(8)xD(8)")
         assert code == 0
         assert "subgroups: 389" in out

@@ -27,6 +27,7 @@ from npscensus.core import (
     is_normal_subgroup,
     subgroup_group,
 )
+from npscensus.catalog import instantiate_bucket
 from npscensus.cli import formula_sweep
 from npscensus.families import build, split_cyclic
 from npscensus.isomorphism import are_isomorphic
@@ -35,7 +36,7 @@ from npscensus.lattice import (
     all_subgroups,
     conjugates,
     counts,
-    counts_times_cyclic,
+    counts_times_abelian,
     cyclic_nonpower_p_count,
     frattini,
     is_normal,
@@ -395,25 +396,48 @@ DEEP_PRODUCTS = [
     "C(8)xC(8)xC(2)",
     "D(16)xC(2)",
 ]
+# non-abelian A next to cyclic factors of which more than one shares a
+# prime with |A|
+SHARED_PRIME_PRODUCTS = [
+    "D(8)xD(8)xC(2)",
+    "Alt(4)xC(2)xC(6)",
+    "SL23xC(2)xC(2)",
+    "Sym(4)xC(4)",
+    "Q(8)xC(4)xC(4)",
+    "M(3)xC(3)xC(3)",
+    "Gn(1,3)xC(3)xC(9)",
+]
 SWEEP_PRODUCTS = [str(s) for s in formula_sweep(6, 1200) if split_cyclic(s)]
+BUCKET_PRODUCTS = [
+    str(s)
+    for k in range(14)
+    for s, _ in instantiate_bucket(k, 6, 1200)
+    if split_cyclic(s)
+]
+X_PRODUCTS = [f"X({n},{p})" for n in (1, 2, 3) for p in (3, 5, 7)]
+PRODUCTS = list(
+    dict.fromkeys(
+        SWEEP_PRODUCTS + BUCKET_PRODUCTS + DEEP_PRODUCTS + X_PRODUCTS + SHARED_PRIME_PRODUCTS
+    )
+)
 
 
-def times_cyclic(spec, cap=1200):
-    rest, n = split_cyclic(spec)
-    return counts_times_cyclic(build(rest, cap=cap), n, cap)
+def times_abelian(spec, cap=1200):
+    rest, orders = split_cyclic(spec)
+    return counts_times_abelian(None if rest is None else build(rest, cap=cap), orders, cap)
 
 
-class TestCountsTimesCyclic:
-    """Goursat's count of A x C(n) from the lattice of A, against the
-    full lattice of the product."""
+class TestCountsTimesAbelian:
+    """The count of A x B, B the product of every cyclic factor, from the
+    lattice of A alone, against the full lattice of the product."""
 
     def test_sweep_has_products(self):
         assert len(SWEEP_PRODUCTS) == 47
 
-    @pytest.mark.parametrize("text", SWEEP_PRODUCTS + DEEP_PRODUCTS)
+    @pytest.mark.parametrize("text", PRODUCTS)
     def test_matches_lattice(self, text):
         spec = parse_spec(text)
-        assert times_cyclic(spec) == _lattice_counts(build(spec, cap=1200), cap=1200)
+        assert times_abelian(spec) == _lattice_counts(build(spec, cap=1200), cap=1200)
 
     def test_matches_lattice_on_zoo_products(self, zoo):
         checked = 0
@@ -423,21 +447,29 @@ class TestCountsTimesCyclic:
             except SpecError:
                 continue  # a group built without a spec
             if split_cyclic(spec):
-                assert times_cyclic(spec) == _lattice_counts(g, 600), label
+                assert times_abelian(spec) == _lattice_counts(g, 600), label
                 checked += 1
         assert checked >= 10
 
-    def test_split_takes_the_largest_cyclic_factor(self):
-        rest, n = split_cyclic(parse_spec("C(2)xQ(8)xC(4)xC(3)"))
-        assert (str(rest), n) == ("C(2)xQ(8)xC(3)", 4)
-        rest, n = split_cyclic(parse_spec("X(2,5)"))
-        assert (str(rest), n) == ("D(10)xC(3)", 3)
+    def test_split_takes_every_cyclic_factor(self):
+        rest, orders = split_cyclic(parse_spec("C(2)xQ(8)xC(4)xC(3)"))
+        assert (str(rest), orders) == ("Q(8)", [2, 4, 3])
+        rest, orders = split_cyclic(parse_spec("X(2,5)"))
+        assert (str(rest), orders) == ("D(10)", [3, 3])
+        rest, orders = split_cyclic(parse_spec("Q(8)xD(8)xC(2)"))
+        assert (str(rest), orders) == ("Q(8)xD(8)", [2])
+        assert split_cyclic(parse_spec("C(2)xC(3)")) == (None, [2, 3])
+        assert split_cyclic(parse_spec("C(12)")) == (None, [12])
         assert split_cyclic(parse_spec("D(8)xD(8)")) is None
-        assert split_cyclic(parse_spec("C(12)")) is None
+        assert split_cyclic(parse_spec("D(8)")) is None
 
     def test_cap_on_the_product_order(self):
         with pytest.raises(CapExceeded, match="order 16 exceeds lattice cap 15"):
-            counts_times_cyclic(cyclic_group(8), 2, cap=15)
+            counts_times_abelian(cyclic_group(8), [2], cap=15)
+        with pytest.raises(CapExceeded, match="order 16 exceeds lattice cap 15"):
+            counts_times_abelian(build(parse_spec("D(8)")), [2], cap=15)
+        with pytest.raises(CapExceeded, match="order 16 exceeds lattice cap 15"):
+            counts_times_abelian(None, [4, 4], cap=15)
 
 
 class TestNormalityAndConjugates:
@@ -530,9 +562,9 @@ class TestCacheFreesGroups:
     def test_counts_of_a_non_abelian_group(self, groups_left_for_collector):
         assert groups_left_for_collector(lambda: counts(build(parse_spec("D(8)")))) == []
 
-    def test_counts_times_cyclic(self, groups_left_for_collector):
+    def test_counts_times_abelian(self, groups_left_for_collector):
         q8 = parse_spec("Q(8)")
-        assert groups_left_for_collector(lambda: counts_times_cyclic(build(q8), 3)) == []
+        assert groups_left_for_collector(lambda: counts_times_abelian(build(q8), [3])) == []
 
     def test_are_isomorphic_on_an_isomorphic_pair(self, groups_left_for_collector):
         # the pair agrees on every invariant, so both lattices are computed
@@ -568,11 +600,11 @@ class TestCacheFreesGroups:
         g = build(parse_spec("D(8)"))
         counts(g)
         counts(g)
-        counts_times_cyclic(g, 3)
+        counts_times_abelian(g, [3])
         sylow(g, 2)
         assert calls == [False]
         h = build(parse_spec("Q(8)"))
-        counts_times_cyclic(h, 3)
+        counts_times_abelian(h, [3])
         assert calls == [False, False]
 
     @pytest.mark.parametrize("text", ["Sym(4)", "Q(8)xC(2)", "D(16)", "C(12)"])
