@@ -8,12 +8,12 @@ from npscensus import (
     CapExceeded,
     are_isomorphic,
     builtin_presentation,
-    coset_enumerate,
     counts,
     enumerate_cosets,
     parse_presentation,
     parse_spec,
 )
+from npscensus.coset import group_from_coset_table
 from npscensus.families import build
 
 
@@ -21,10 +21,10 @@ def main() -> None:
     print("== enumerate a presentation ==")
     text = "a, b, z | a^2 = b^2 = z, z^2 = 1, b^-1 a b = a^-1"
     pres = parse_presentation(text)
-    order, g = coset_enumerate(pres)
+    g = group_from_coset_table(enumerate_cosets(pres))
     c = counts(g)
     print(f"{text}")
-    print(f"order {order}, s {c.s}, ps {c.ps}, nps {c.nps}")
+    print(f"order {g.order}, s {c.s}, ps {c.ps}, nps {c.nps}")
     print(f"matches Q(8): {are_isomorphic(g, build(parse_spec('Q(8)')))}")
 
     print()
@@ -32,10 +32,10 @@ def main() -> None:
     for text in ["Gn(1,3)", "M(4,2)", "A(2)", "B2(2,2)", "C3Q8", "F(1,7)"]:
         spec = parse_spec(text)
         pres = builtin_presentation(spec)
-        order, enumerated = coset_enumerate(pres)
+        enumerated = group_from_coset_table(enumerate_cosets(pres))
         direct = build(spec)
         same = are_isomorphic(enumerated, direct)
-        print(f"{text:10s} {pres.to_text():70s} order {order:3d} iso={same}")
+        print(f"{text:10s} {pres.to_text():70s} order {enumerated.order:3d} iso={same}")
 
     print()
     print("== an enumeration that cannot finish ==")

@@ -530,7 +530,8 @@ def closure_columns(
     outgrows `cap`, ValueError on non-bijective input.
 
     The closure first keys each element by its images of a base, the
-    smallest point of each orbit of the group, and not of all points.
+    smallest point of each orbit of the group (`orbits`), and not of all
+    points.
     Two elements with one key differ by an element of the pointwise
     stabilizer H of the base, so that closure walks the right cosets of H
     and its columns are the generators' action on them.  The left
@@ -549,28 +550,36 @@ def closure_columns(
             raise ValueError(f"not a permutation of 0..{degree - 1}: {p!r}")
         gens.append(t)
 
-    cols = _closure(gens, _orbit_minima(degree, gens), cap)
+    cols = _closure(gens, [o[0] for o in orbits(degree, gens)], cap)
     if not _translations_commute(cols):
         cols = _closure(gens, range(degree), cap)
     return cols
 
 
-def _orbit_minima(degree: int, gens: Sequence[Sequence[int]]) -> list[int]:
-    """The smallest point of each orbit of <gens> on 0..degree-1."""
-    seen = [False] * degree
-    base = []
-    for b in range(degree):
+def orbits(n: int, maps: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The orbits on 0..n-1 of the group that the image arrays `maps`
+    generate, each listed from its smallest point, in the order of those
+    points."""
+    seen = [False] * n
+    out = []
+    for b in range(n):
         if not seen[b]:
-            base.append(b)
             seen[b] = True
             orbit = [b]
             for x in orbit:
-                for p in gens:
+                for p in maps:
                     y = p[x]
                     if not seen[y]:
                         seen[y] = True
                         orbit.append(y)
-    return base
+            out.append(orbit)
+    return out
+
+
+def conjugation(G: Group, g: int) -> tuple[int, ...]:
+    """The image array of x -> g^-1 x g: column g of the table read at
+    the row of g^-1, two C-level picks."""
+    return getter(G.mul[G.inv[g]])(tuple(map(itemgetter(g), G.mul)))
 
 
 def _closure(
@@ -701,6 +710,18 @@ def cyclic_group(n: int, label: str | None = None) -> Group:
     return metacyclic_group(n, 1, 1, 0, label or f"C{n}")
 
 
+def check_twist(Q: int, P: int, r: int, t: int) -> None:
+    """ValueError unless r^P = 1 and r * t = t mod Q, which make
+    v -> r^-1 * v an automorphism of C_Q of order dividing P fixing b^t =
+    a^P in <b>.<a>; the error is `semidirect_product`'s.  The table
+    (`metacyclic_group`) and the count (`lattice.metacyclic_counts`) of
+    such a group both check it first."""
+    if pow(r, P, Q) != 1 % Q or (r - 1) * t % Q:
+        raise ValueError(
+            "generator images do not extend to a homomorphism K -> Aut(N)"
+        )
+
+
 def metacyclic_group(Q: int, P: int, r: int, t: int = 0, label: str | None = None) -> Group:
     """<b>.<a> with |b| = Q, a^P = b^t and the twist a^-1 b a = b^r; t = 0
     gives C_Q x| C_P.  b^v a^k is numbered v * P + k, as
@@ -711,14 +732,9 @@ def metacyclic_group(Q: int, P: int, r: int, t: int = 0, label: str | None = Non
     a^k b = b^(r^-k) a^k, b^v a^k * b = b^(v + r^-k) a^k, and
     b^v a^k * a = b^v a^(k+1), with a^P wrapping to b^t.  b is left out
     when Q = 1, and a when P = 1, where it is b^t.  The caller checks the
-    cap.  r^P = 1 and r * t = t mod Q, which make v -> r^-1 * v an
-    automorphism of C_Q of order dividing P fixing b^t = a^P, are checked
-    first; the error is `semidirect_product`'s.
+    cap; the twist is checked first (`check_twist`).
     """
-    if pow(r, P, Q) != 1 % Q or (r - 1) * t % Q:
-        raise ValueError(
-            "generator images do not extend to a homomorphism K -> Aut(N)"
-        )
+    check_twist(Q, P, r, t)
     cols = []
     if Q > 1:
         shifts = [pow(r, -k, Q) for k in range(P)]

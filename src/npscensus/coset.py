@@ -236,17 +236,3 @@ def group_from_coset_table(table: CosetTable, label: str | None = None) -> Group
         raise ValueError("empty coset table")
     gens = dict.fromkeys(table.rows[0][2 * i] for i in range(table.num_generators))
     return group_from_columns(tuple(zip(*table.rows)), [g for g in gens if g], label)
-
-
-def coset_enumerate(
-    pres: Presentation,
-    max_cosets: int = DEFAULT_MAX_COSETS,
-    label: str | None = None,
-) -> tuple[int, Group]:
-    """Order and concrete group of a finite finitely presented group.
-
-    Raises CapExceeded when the enumeration does not complete within
-    `max_cosets`.
-    """
-    group = group_from_coset_table(enumerate_cosets(pres, max_cosets), label=label)
-    return group.order, group

@@ -14,35 +14,23 @@ from .core import (
     Group,
     center,
     check_cap,
+    conjugation,
     derived_subgroup,
     element_orders,
     exponent,
     generating_sequence,
+    orbits,
 )
 from .lattice import counts
 
 
 def conjugacy_class_sizes(G: Group) -> tuple[int, ...]:
-    """Multiset of element conjugacy class sizes, sorted."""
+    """Multiset of element conjugacy class sizes, sorted: the sizes of the
+    orbits of the generators' conjugation maps."""
     cached = G._cache.get("ccsizes")
     if cached is None:
-        n = G.order
-        seen = [False] * n
-        sizes = []
-        for x in range(n):
-            if seen[x]:
-                continue
-            orbit = [x]
-            seen[x] = True
-            for y in orbit:
-                for g in G.generators:
-                    z = G.conjugate(y, g)
-                    if not seen[z]:
-                        seen[z] = True
-                        orbit.append(z)
-            sizes.append(len(orbit))
-        cached = tuple(sorted(sizes))
-        G._cache["ccsizes"] = cached
+        maps = [conjugation(G, g) for g in G.generators]
+        cached = G._cache["ccsizes"] = tuple(sorted(map(len, orbits(G.order, maps))))
     return cached  # type: ignore[return-value]
 
 

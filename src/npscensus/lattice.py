@@ -37,7 +37,9 @@ j: g_j*S, the first coset the closure builds, then holds such an x, and it
 is disjoint from S since g_j is not in S.
 
 Subgroup identity is bitset equality and all outputs are sorted by
-(size, bitset value) for reproducibility.
+(size, bitset value) for reproducibility.  The conjugacy classes are the
+orbits (`core.orbits`) of the generators' conjugation maps on the
+subgroups' positions in that order.
 
 The lattice is cached on the group as plain data: the subgroups' bitsets
 and sizes, the normal flags, the conjugacy classes and the power
@@ -96,6 +98,8 @@ from .core import (
     _spanning_tree,
     bit_table,
     check_cap,
+    check_twist,
+    conjugation,
     coset_closure,
     cyclic_subgroups,
     derived_subgroup,
@@ -104,6 +108,7 @@ from .core import (
     generated_subgroup,
     getter,
     is_abelian,
+    orbits,
 )
 
 
@@ -179,13 +184,6 @@ def _cyclic_nodes(G: Group) -> list[_Node]:
         )
         for powers in cyclic_subgroups(G)
     ]
-
-
-def _conjugation_bits(G: Group, x: int) -> tuple[int, ...]:
-    """The bit of x^-1 y x for every element y: column x of the table read
-    at the row of x^-1."""
-    column = tuple(map(itemgetter(x), G.mul))
-    return getter(getter(G.mul[G.inv[x]])(column))(bit_table(G))
 
 
 def all_subgroups(G: Group, cap: int = DEFAULT_ORDER_CAP) -> Lattice:
@@ -275,25 +273,18 @@ def _compute_lattice(G: Group) -> _LatticeData:
     order = sorted(nodes.values(), key=lambda nd: (nd.size, nd.members))
     index = {nd.members: i for i, nd in enumerate(order)}
 
-    # conjugacy classes of subgroups via orbits under generator conjugation
-    conj_bits = [_conjugation_bits(G, g) for g in G.generators]
-    visited = [False] * len(order)
-    classes: list[tuple[int, ...]] = []
-    for i in range(len(order)):
-        if visited[i]:
-            continue
-        orbit = [i]
-        visited[i] = True
-        for j in orbit:
-            take = getter(order[j].elems)
-            for cb in conj_bits:
-                c = index.get(sum(take(cb)))
-                if c is None:
-                    raise AssertionError("conjugate of a subgroup missing from lattice")
-                if not visited[c]:
-                    visited[c] = True
-                    orbit.append(c)
-        classes.append(tuple(sorted(orbit)))
+    # conjugacy classes of subgroups: the orbits of the generators'
+    # conjugation maps on the lattice indices
+    conj_bits = [getter(conjugation(G, g))(bits) for g in G.generators]
+    maps: list[list[int]] = [[] for _ in conj_bits]
+    for nd in order:
+        take = getter(nd.elems)
+        for cb, m in zip(conj_bits, maps):
+            c = index.get(sum(take(cb)))
+            if c is None:
+                raise AssertionError("conjugate of a subgroup missing from lattice")
+            m.append(c)
+    classes = [tuple(sorted(o)) for o in orbits(len(order), maps)]
     normal_flags = [False] * len(order)
     for cls in classes:
         if len(cls) == 1:
@@ -539,12 +530,9 @@ def metacyclic_counts(Q: int, P: int, r: int, t: int = 0) -> CountSummary:
 
     With a^-1 for a the twist is r^-1 and the group the same, so the
     counts of r and r^-1 agree.  ValueError when r^P is not 1 or r t is
-    not t mod Q, as for the table of the group.
+    not t mod Q, as for the table of the group (`core.check_twist`).
     """
-    if pow(r, P, Q) != 1 % Q or (r - 1) * t % Q:
-        raise ValueError(
-            "generator images do not extend to a homomorphism K -> Aut(N)"
-        )
+    check_twist(Q, P, r, t)
     # Q and P factorized once; every divisor list and prime set below
     # comes from these
     fq, fp = factorize(Q), factorize(P)

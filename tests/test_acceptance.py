@@ -21,7 +21,7 @@ from helpers_properties import (
 
 from npscensus.cli import main
 from npscensus.core import cyclic_group, semidirect_product
-from npscensus.coset import coset_enumerate
+from npscensus.coset import enumerate_cosets, group_from_coset_table
 from npscensus.families import (
     UnknownFamilyError,
     build,
@@ -241,10 +241,10 @@ def test_criterion_7_presentation_round_trip(zoo):
             pres = builtin_presentation(spec)
         except UnknownFamilyError:
             continue
-        order, enumerated = coset_enumerate(pres)
+        enumerated = group_from_coset_table(enumerate_cosets(pres))
         direct = build(spec)
-        if order != direct.order:
-            bad.append(f"{label}: enumerated order {order} != {direct.order}")
+        if enumerated.order != direct.order:
+            bad.append(f"{label}: enumerated order {enumerated.order} != {direct.order}")
             continue
         if not are_isomorphic(enumerated, direct):
             bad.append(f"{label}: enumeration not isomorphic to construction")

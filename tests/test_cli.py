@@ -1134,6 +1134,33 @@ def test_package_imports_its_modules_on_first_use():
     assert proc.stdout.splitlines() == ["['npscensus']", "True", "True"]
 
 
+def test_export_list():
+    """`__all__` is the exported names by module, in this order."""
+    import npscensus
+
+    assert npscensus.__all__ == [
+        "CapExceeded", "Group", "Subgroup", "Morphism", "group_from_generators",
+        "trivial_group", "cyclic_group", "direct_product", "semidirect_product",
+        "quotient", "center", "derived_subgroup", "generated_subgroup",
+        "subgroup_group", "element_order", "element_orders", "exponent",
+        "is_abelian",
+        "Lattice", "CountSummary", "all_subgroups", "power_subgroup",
+        "power_subgroups", "counts", "is_normal", "conjugates", "sylow",
+        "frattini", "omega", "cyclic_nonpower_p_count",
+        "Presentation", "PresentationError", "parse_presentation",
+        "CosetTable", "enumerate_cosets",
+        "are_isomorphic",
+        "FamilySpec", "UnknownFamilyError", "build", "validate",
+        "expected_order", "builtin_presentation", "cyclic_spec", "product_spec",
+        "ExpectedNps", "BucketMember", "EXACT", "LOWER_BOUND", "UNDER_REVIEW",
+        "expected_nps", "printed_rank2_formula", "theorem_catalog",
+        "instantiate_bucket",
+        "SpecError", "parse_spec",
+        "CorpusEntry", "CorpusError", "load_corpus", "dump_corpus", "entry_from_group",
+        "is_prime", "factorize", "divisors", "multiplicative_order",
+    ]
+
+
 def test_env_var_sets_default_cap(capsys, monkeypatch):
     monkeypatch.setenv("NPS_MAX_ORDER", "10")
     code, _, err = run(capsys, "nps", "C(16)")

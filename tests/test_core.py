@@ -18,6 +18,7 @@ from npscensus.core import (
     Morphism,
     Subgroup,
     center,
+    conjugation,
     cyclic_group,
     derived_subgroup,
     direct_product,
@@ -30,6 +31,7 @@ from npscensus.core import (
     group_from_generators,
     is_abelian,
     is_normal_subgroup,
+    orbits,
     quotient,
     semidirect_product,
     subgroup_group,
@@ -937,3 +939,85 @@ class TestBaseKeyedClosure:
             assert_same_table(
                 group_from_generators(degree, perms), ref_group_from_generators(degree, perms)
             )
+
+
+def union_find_orbits(n, maps):
+    """The orbits as the classes of x ~ p[x] under union-find, each sorted,
+    in the order of their smallest points."""
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for p in maps:
+        for x in range(n):
+            a, b = find(x), find(p[x])
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    classes = {}
+    for x in range(n):
+        classes.setdefault(find(x), []).append(x)
+    return [classes[r] for r in sorted(classes)]
+
+
+def block_permutation(rng, blocks):
+    """A random permutation that maps each block to itself."""
+    image = {}
+    for block in blocks:
+        image.update(zip(block, rng.sample(block, len(block))))
+    return [image[x] for x in range(len(image))]
+
+
+class TestOrbits:
+    """`orbits` against a union-find that shares no code with it."""
+
+    def check(self, n, maps):
+        got = orbits(n, maps)
+        assert [sorted(o) for o in got] == union_find_orbits(n, maps)
+        # each orbit starts at its smallest point, and lists no point twice
+        assert all(o[0] == min(o) and len(set(o)) == len(o) for o in got)
+
+    def test_random_maps(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            maps = [rng.sample(range(n), n) for _ in range(rng.randint(1, 3))]
+            self.check(n, maps)
+
+    def test_intransitive_maps(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            n = rng.randint(1, 15)
+            points = rng.sample(range(n), n)
+            cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n > 1 else []
+            blocks = [points[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+            maps = [block_permutation(rng, blocks) for _ in range(rng.randint(1, 3))]
+            self.check(n, maps)
+            # every orbit lies in one block
+            block_of = {x: i for i, block in enumerate(blocks) for x in block}
+            assert all(len({block_of[x] for x in o}) == 1 for o in orbits(n, maps))
+
+    def test_identity_and_no_maps(self):
+        for n in (1, 2, 7):
+            singletons = [[x] for x in range(n)]
+            assert orbits(n, [list(range(n))]) == singletons
+            assert orbits(n, [list(range(n)), tuple(range(n))]) == singletons
+            assert orbits(n, []) == singletons
+        assert orbits(0, []) == []
+
+    def test_cycle_is_walked_from_its_smallest_point(self):
+        assert orbits(5, [(2, 0, 4, 3, 1)]) == [[0, 2, 4, 1], [3]]
+
+
+def test_conjugation_matches_conjugate(zoo):
+    rng = random.Random(13)
+    for label, G in zoo.items():
+        picks = set(G.generators) | {0} | set(rng.sample(range(G.order), min(G.order, 4)))
+        for g in picks:
+            conj = conjugation(G, g)
+            assert len(conj) == G.order, label
+            assert all(conj[x] == G.conjugate(x, g) for x in range(G.order)), (label, g)
+    assert conjugation(trivial_group(), 0) == (0,)

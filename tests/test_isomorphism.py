@@ -3,7 +3,7 @@
 import pytest
 
 from npscensus.core import CapExceeded, cyclic_group, direct_product, group_from_generators
-from npscensus.coset import coset_enumerate
+from npscensus.coset import enumerate_cosets, group_from_coset_table
 from npscensus.families import build, builtin_presentation
 from npscensus.isomorphism import are_isomorphic, conjugacy_class_sizes
 from npscensus.specs import parse_spec
@@ -58,7 +58,7 @@ class TestFindsIsomorphisms:
     def test_semidirect_vs_presentation(self):
         spec = parse_spec("C3Q8")
         direct = build(spec)
-        _, enumerated = coset_enumerate(builtin_presentation(spec))
+        enumerated = group_from_coset_table(enumerate_cosets(builtin_presentation(spec)))
         assert are_isomorphic(direct, enumerated)
 
     def test_direct_products_commute(self):
@@ -74,7 +74,7 @@ class TestFindsIsomorphisms:
     def test_medium_p_group(self):
         spec = parse_spec("M(5,3)")
         direct = build(spec)
-        _, enumerated = coset_enumerate(builtin_presentation(spec))
+        enumerated = group_from_coset_table(enumerate_cosets(builtin_presentation(spec)))
         assert are_isomorphic(direct, enumerated)
 
 
